@@ -2,7 +2,8 @@
 
 g and gamma are kept as exact rationals up to ``exact_limit`` (identity
 tests need exactness there) and as compensated floating sums everywhere.
-The defining relations are
+The profile does not fix p: an H_p lane is accumulated from M on request,
+for any p > 1.  The defining relations are
 
     M(n) = sum_{k<=n} mu(k)
     g(n) = sum_{k<=n} mu(k)/k
@@ -14,7 +15,6 @@ and g(n) = M(n)/n + gamma(n) holds exactly for every n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,13 +28,11 @@ DEFAULT_EXACT_LIMIT = 10**4
 @dataclass(frozen=True)
 class ArithProfile:
     limit: int
-    p: float
     exact_limit: int
     mu_values: np.ndarray        # int8, mu(1..limit)
     mertens: np.ndarray          # int64, M(1..limit)
     g_float: np.ndarray          # float64, g(1..limit)
     gamma_float: np.ndarray      # float64, gamma(1..limit)
-    hp_float: np.ndarray         # float64, H_p(1..limit)
     _g_exact: list = field(repr=False, default_factory=list)
     _gamma_exact: list = field(repr=False, default_factory=list)
 
@@ -58,9 +56,23 @@ class ArithProfile:
         self._check(n)
         return float(self.gamma_float[n - 1])
 
-    def hp(self, n: int) -> float:
-        self._check(n)
-        return float(self.hp_float[n - 1])
+    def hp_values(self, p: float, upto: int) -> np.ndarray:
+        """H_p(1..upto) as float64, accumulated in extended precision."""
+        if not p > 1:
+            raise ValueError(f"p must be > 1, got {p}")
+        self._check(upto)
+        hp = np.zeros(upto, dtype=np.longdouble)
+        k = np.arange(1, upto, dtype=np.float64).astype(np.longdouble)
+        if abs(p - 2.0) < 1e-15:
+            step = np.log(k + 1.0) - np.log(k)
+        else:
+            e = 1.0 - 2.0 / p
+            step = ((k + 1.0) ** e - k ** e) / e
+        hp[1:] = np.cumsum(self.mertens[:upto - 1].astype(np.longdouble) * step)
+        return hp.astype(np.float64)
+
+    def hp(self, n: int, p: float = 2.0) -> float:
+        return float(self.hp_values(p, n)[-1])
 
     def g_exact(self, n: int) -> Fraction:
         self._check(n)
@@ -78,11 +90,9 @@ class ArithProfile:
         return 1 <= n <= self.exact_limit
 
 
-def build_profile(table: MobiusTable, p: float = 2.0,
+def build_profile(table: MobiusTable,
                   exact_limit: int | None = None) -> ArithProfile:
-    """Accumulate M, g, gamma and H_p from a sieved Moebius table."""
-    if not p > 1:
-        raise ValueError(f"p must be > 1, got {p}")
+    """Accumulate M, g and gamma from a sieved Moebius table."""
     n = table.limit
     if exact_limit is None:
         exact_limit = min(n, DEFAULT_EXACT_LIMIT)
@@ -101,17 +111,6 @@ def build_profile(table: MobiusTable, p: float = 2.0,
         k = ks[:-1].astype(np.longdouble)
         gamma[1:] = np.cumsum(mertens[:-1].astype(np.longdouble) / (k * (k + 1.0)))
 
-    hp = np.empty(n, dtype=np.longdouble)
-    hp[0] = 0.0
-    if n > 1:
-        k = ks[:-1].astype(np.longdouble)
-        if abs(p - 2.0) < 1e-15:
-            step = np.log(k + 1.0) - np.log(k)
-        else:
-            e = 1.0 - 2.0 / p
-            step = ((k + 1.0) ** e - k ** e) / e
-        hp[1:] = np.cumsum(mertens[:-1].astype(np.longdouble) * step)
-
     g_exact: list[Fraction] = []
     gamma_exact: list[Fraction] = []
     acc_g = Fraction(0)
@@ -126,16 +125,15 @@ def build_profile(table: MobiusTable, p: float = 2.0,
         gamma_exact.append(acc_gamma)
 
     return ArithProfile(
-        limit=n, p=p, exact_limit=exact_limit,
+        limit=n, exact_limit=exact_limit,
         mu_values=mu, mertens=mertens,
         g_float=g.astype(np.float64),
         gamma_float=gamma.astype(np.float64),
-        hp_float=hp.astype(np.float64),
         _g_exact=g_exact, _gamma_exact=gamma_exact,
     )
 
 
-_SERIES = ("M", "g", "gamma", "hp")
+_SERIES = ("M", "g", "gamma")
 
 
 def sign_changes(profile: ArithProfile, series: str, lo: int = 1,
@@ -153,10 +151,8 @@ def sign_changes(profile: ArithProfile, series: str, lo: int = 1,
         return []
     if not (1 <= lo and hi <= profile.limit):
         raise ValueError(f"range [{lo}, {hi}] outside profile [1, {profile.limit}]")
-    arr = {
-        "M": profile.mertens, "g": profile.g_float,
-        "gamma": profile.gamma_float, "hp": profile.hp_float,
-    }[series][lo - 1:hi]
+    arr = {"M": profile.mertens, "g": profile.g_float,
+           "gamma": profile.gamma_float}[series][lo - 1:hi]
     nz = np.flatnonzero(arr)
     if len(nz) < 2:
         return []

@@ -30,18 +30,11 @@ class GeneratorKind(enum.Enum):
 @dataclass(frozen=True)
 class Generator:
     kind: GeneratorKind
-    scale: float = 1.0    # dilation K_a: evaluates at a*x
 
     def __call__(self, x: float) -> float:
-        ax = self.scale * x
-        if not 0.0 < ax <= 1.0:
+        if not 0.0 < x <= 1.0:
             return 0.0
-        return -1.0 if self.kind is GeneratorKind.NEG_CHI else math.log(ax)
-
-    def dilate(self, a: float) -> "Generator":
-        if a <= 0:
-            raise ValueError(f"dilation factor must be positive, got {a}")
-        return Generator(self.kind, self.scale * a)
+        return -1.0 if self.kind is GeneratorKind.NEG_CHI else math.log(x)
 
 
 NEG_CHI = Generator(GeneratorKind.NEG_CHI)

@@ -230,8 +230,8 @@ def cmd_identity(args) -> int:
 
 def cmd_mellin(args) -> int:
     table, _ = sieve.sieve_mobius_cached(max(args.cutoff - 1, 1))
-    profile = arith.build_profile(table, p=args.p)
-    res = mellin.mellin_numeric(profile, args.kernel, args.s, args.cutoff)
+    profile = arith.build_profile(table)
+    res = mellin.mellin_numeric(profile, args.kernel, args.s, args.cutoff, args.p)
     ref = mellin.mellin_reference(args.kernel, args.s, args.p)
     diff = abs(res.value - ref)
     ok = diff <= res.tail_bound + 1e-9

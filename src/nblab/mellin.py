@@ -8,7 +8,6 @@ from |M(x)| <= x, |g(x)| <= 1 and |H_p(x)| <= (q/2) x^(2/q).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,20 +51,20 @@ _KERNELS = ("M", "xg", "hp")
 
 
 def mellin_numeric(profile: ArithProfile, kernel: str, s: complex,
-                   cutoff: int) -> MellinResult:
+                   cutoff: int, p: float = 2.0) -> MellinResult:
     """integral_1^T kernel(x) x^(-s-1) dx with a rigorous tail bound.
 
-    kernel "M" and "xg" need Re s > 1; "hp" needs Re s > 2/q where q is the
-    conjugate index of the profile's p.  cutoff T must be covered by the
-    profile (M(n) for n < T).
+    kernel "M" and "xg" need Re s > 1; "hp" needs p > 1 and Re s > 2/q
+    where q is the conjugate index of p, which only this kernel reads.
+    cutoff T must be covered by the profile (M(n) for n < T).
     """
     if kernel not in _KERNELS:
         raise ValueError(f"kernel must be one of {_KERNELS}, got {kernel!r}")
+    if kernel == "hp" and not p > 1:
+        raise ValueError(f"p must be > 1, got {p}")
     s = complex(s)
     sigma = s.real
-    p = profile.p
-    two_over_q = 2.0 - 2.0 / p
-    min_sigma = two_over_q if kernel == "hp" else 1.0
+    min_sigma = 2.0 - 2.0 / p if kernel == "hp" else 1.0
     if not sigma > min_sigma:
         raise ValueError(f"kernel {kernel!r} needs Re s > {min_sigma}, got {sigma}")
     if cutoff < 1:
@@ -88,7 +87,7 @@ def mellin_numeric(profile: ArithProfile, kernel: str, s: complex,
         g = profile.g_float[:cutoff - 1]
         value = np.sum(g * (np.exp((1 - s) * logn) - np.exp((1 - s) * lognn))) / (s - 1)
     else:
-        hp = profile.hp_float[:cutoff - 1]
+        hp = profile.hp_values(p, cutoff - 1)
         if abs(p - 2.0) < 1e-15:
             # H_2(x) = H_2(n) + M(n)(log x - log n) on [n, n+1]
             base = (hp - mert * logn) * (pow_s - pow_s1) / s

@@ -11,7 +11,6 @@ certified to contain the true norm.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,9 +106,6 @@ def _gen_offsets(generator: Generator | None) -> tuple[float, float, bool]:
     """(b offset, c offset, log tail flag) of subtracting the generator."""
     if generator is None:
         return 0.0, 0.0, False
-    if generator.scale != 1.0:
-        raise ValueError("only undilated generators can be flattened; "
-                         "see dilation_quotient_minus_chi for the K_a case")
     if generator.kind is GeneratorKind.NEG_CHI:
         return 1.0, 0.0, False
     return 0.0, -1.0, True
@@ -423,70 +419,3 @@ def lp_distance(f, generator: Generator | None, p: float, eps: float = 1e-6,
                 include_far: bool | None = None) -> NormReport:
     """||f - generator||_p with certificates; generator None means ||f||_p."""
     return lp_norm(to_piecewise(f, generator, eps), p, include_far=include_far)
-
-
-def to_piecewise_exact(f: BeurlingSum, generator: Generator | None, eps) -> list:
-    """Exact-rational flattening of a Beurling sum minus generator.
-
-    Returns ascending segments (lo, hi, a, b, c) with Fraction endpoints,
-    exact a and b (when the coefficients are rational) and integer c.
-    A priority queue merges the per-term breakpoint streams.
-    """
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError(f"cutoff must lie in (0, 1), got {eps}")
-    if f.terms and eps >= f.min_theta:
-        raise ValueError(f"cutoff {eps} must be below min theta {f.min_theta}")
-    b_off, c_off, _ = _gen_offsets(generator)
-    b_off = Fraction(int(b_off))
-    c_off = int(c_off)
-
-    a = f.tail_coeff
-    b = b_off
-    heap = []
-    for i, (coeff, theta) in enumerate(f.terms):
-        m0 = math.floor(theta)
-        b -= coeff * m0
-        x = theta / (m0 + 1)
-        if x > eps:
-            heapq.heappush(heap, (-x, i, m0 + 1))
-
-    segments = []
-    hi = Fraction(1)
-    while heap:
-        x = -heap[0][0]
-        if x < hi:
-            segments.append((x, hi, a, b, c_off))
-            hi = x
-        while heap and -heap[0][0] == x:
-            _, i, j = heapq.heappop(heap)
-            coeff, theta = f.terms[i]
-            b -= coeff
-            nxt = theta / (j + 1)
-            if nxt > eps:
-                heapq.heappush(heap, (-nxt, i, j + 1))
-    if eps < hi:
-        segments.append((eps, hi, a, b, c_off))
-    segments.reverse()
-    return segments
-
-
-def dilation_quotient_minus_chi(a_dil: float, eps: float = 1e-6) -> PiecewiseHyperbolic:
-    """(K_a - I) lambda / (a - 1) - chi as a piecewise object, a > 1.
-
-    Equals log(a)/(a-1) - 1 on (0, 1/a], -log(x)/(a-1) - 1 on (1/a, 1],
-    and 0 on (1, inf).
-    """
-    if not a_dil > 1.0:
-        raise ValueError(f"need dilation factor > 1, got {a_dil}")
-    cut = 1.0 / a_dil
-    const = math.log(a_dil) / (a_dil - 1.0) - 1.0
-    if eps >= cut:
-        raise ValueError(f"cutoff {eps} must be below 1/a = {cut}")
-    lo = np.array([eps, cut])
-    hi = np.array([cut, 1.0])
-    b = np.array([const, -1.0])
-    c = np.array([0.0, -1.0 / (a_dil - 1.0)])
-    return PiecewiseHyperbolic(lo=lo, hi=hi, b=b, c=c, a=0.0, eps=eps,
-                               sup_const=abs(const), has_log_tail=False,
-                               tail_a=0.0)

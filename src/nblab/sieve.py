@@ -150,28 +150,6 @@ def _sieve_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     return mu
 
 
-def naive_mobius(n: int) -> np.ndarray:
-    """mu(1..n) by trial factorization; independent oracle for the sieve."""
-    if n < 1:
-        raise ValueError(f"limit must be >= 1, got {n}")
-    out = np.empty(n, dtype=np.int8)
-    for k in range(1, n + 1):
-        m, val = k, 1
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                m //= d
-                if m % d == 0:
-                    val = 0
-                    break
-                val = -val
-            d += 1
-        if val != 0 and m > 1:
-            val = -val
-        out[k - 1] = val
-    return out
-
-
 def cache_dir() -> str:
     return os.environ.get(CACHE_ENV, DEFAULT_CACHE_DIR)
 

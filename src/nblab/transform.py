@@ -12,7 +12,6 @@ in exact rational arithmetic whenever the argument is rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -32,52 +31,6 @@ def floor_log_integral(y) -> float:
     return m * math.log(y) - math.lgamma(m + 1)
 
 
-@dataclass(frozen=True)
-class StepWeight:
-    """A step function on (0, 1]: weight w_i on (cuts[i+1], cuts[i]].
-
-    cuts is strictly decreasing with cuts[0] = 1; the support ends at the
-    last cut (the function is zero on (0, cuts[-1]]).
-    """
-
-    cuts: tuple      # of Fraction, descending, len K+1
-    weights: tuple   # len K, weights[i] on (cuts[i+1], cuts[i]]
-
-    def __post_init__(self):
-        if len(self.cuts) != len(self.weights) + 1:
-            raise ValueError("need exactly one more cut than weights")
-        if any(self.cuts[i] <= self.cuts[i + 1] for i in range(len(self.weights))):
-            raise ValueError("cuts must be strictly decreasing")
-
-    @staticmethod
-    def mertens_weight(n: int, profile: ArithProfile) -> "StepWeight":
-        """M(1/theta) restricted to (1/n, 1]: weight M(k) on (1/(k+1), 1/k]."""
-        cuts = tuple(Fraction(1, k) for k in range(1, n + 1))
-        weights = tuple(profile.M(k) for k in range(1, n))
-        return StepWeight(cuts, weights)
-
-
-def apply_T(weight: StepWeight, x) -> float:
-    """Tf(x) for a step weight f, in closed form.
-
-    On each weight piece (u1, u2]: integral rho(theta/x) dtheta/theta
-    = (u2 - u1)/x - (Phi(u2/x) - Phi(u1/x)).
-    """
-    if x <= 0:
-        raise ValueError(f"argument must be positive, got {x}")
-    exact = isinstance(x, Rational) and not isinstance(x, float)
-    xq = Fraction(x) if exact else float(x)
-    total = 0.0
-    for i, w in enumerate(weight.weights):
-        if w == 0:
-            continue
-        u2, u1 = weight.cuts[i], weight.cuts[i + 1]
-        lin = float((u2 - u1) / xq) if exact else (float(u2) - float(u1)) / xq
-        phi = floor_log_integral(u2 / xq) - floor_log_integral(u1 / xq)
-        total += w * (lin - phi)
-    return total
-
-
 class Gn:
     """The transform of the truncated Mertens step weight.
 
@@ -85,8 +38,7 @@ class Gn:
 
         G_n(x) = gamma(n)/x - sum_{k<n} mu(k) Phi(1/(kx)) + M(n-1) Phi(1/(nx)),
 
-    which is O(n) per point; apply_T on the raw weight is kept as an
-    independent slow path.  For x >= 1 the value is exactly gamma(n)/x.
+    which is O(n) per point.  For x >= 1 the value is exactly gamma(n)/x.
     """
 
     def __init__(self, n: int, profile: ArithProfile):
@@ -99,10 +51,6 @@ class Gn:
         self.gamma_n = profile.gamma(n)
         self.m_tail = profile.M(n - 1) if n > 1 else 0
         self._mu = profile.mu_values[:n - 1].astype(np.float64)
-
-    @property
-    def weight(self) -> StepWeight:
-        return StepWeight.mertens_weight(self.n, self.profile)
 
     def __call__(self, x) -> float:
         if x <= 0:
@@ -127,10 +75,6 @@ class Gn:
         phi = np.where(m >= 1.0, m * np.log(y) - gammaln(m + 1.0), 0.0)
         return (self.gamma_n / x - float(np.dot(self._mu, phi))
                 + self.m_tail * floor_log_integral(1.0 / (n * x)))
-
-    def apply_t_value(self, x) -> float:
-        """Slow independent evaluation straight from the weight."""
-        return apply_T(self.weight, x)
 
     # hooks for the piecewise flattener
     @property
@@ -234,26 +178,3 @@ def mobius_log_identity(x, profile: ArithProfile):
         parts.append(m * (floor_log_integral(xq / k) - floor_log_integral(xq / t2)))
     rhs = math.fsum(parts)
     return lhs, rhs, abs(lhs - rhs)
-
-
-@dataclass(frozen=True)
-class TailIntegralBound:
-    value: float
-    bound: float
-    satisfied: bool
-
-
-def rho_tail_ratio_bound(theta: float, n: int) -> TailIntegralBound:
-    """integral_n^inf rho(x/theta) x^-2 dx against the bound (log theta + 1)/theta.
-
-    For theta > n the integral has the closed form
-    (log(theta/n) + 1 - euler_gamma)/theta, using
-    integral_1^inf rho(u) u^-2 du = 1 - euler_gamma.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not theta > n:
-        raise ValueError(f"need theta > n, got theta={theta}, n={n}")
-    value = (math.log(theta / n) + 1.0 - EULER_GAMMA) / theta
-    bound = (math.log(theta) + 1.0) / theta
-    return TailIntegralBound(value=value, bound=bound, satisfied=value <= bound)

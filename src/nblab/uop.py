@@ -20,10 +20,9 @@ from scipy.special import digamma
 
 from .arith import ArithProfile
 from .beurling import BeurlingSum, rho
-from .norms import BudgetError, NormReport, lp_distance
+from .norms import (_LD_EPS, FLATTEN_BUDGET, BudgetError, NormReport,
+                    _gl_nodes, lp_distance)
 from .transform import EULER_GAMMA
-
-_LD_EPS = float(np.finfo(np.longdouble).eps)
 
 
 @dataclass(frozen=True)
@@ -54,13 +53,6 @@ class USum:
         x = float(x)
         return math.fsum(float(d) * rho(x / float(t)) for d, t in self.terms) / x
 
-    def dilate(self, a) -> "USum":
-        """K_a on the image side: theta -> theta/a and d -> d/a."""
-        if a <= 0:
-            raise ValueError(f"dilation factor must be positive, got {a}")
-        a = Fraction(a) if isinstance(a, Rational) and not isinstance(a, float) else a
-        return USum(tuple((d / a, t / a) for d, t in self.terms))
-
 
 def apply_u(f: BeurlingSum) -> USum:
     """Term-wise image of a finite sum under the isometry."""
@@ -71,7 +63,7 @@ def head_constant(f: BeurlingSum):
     return apply_u(f).head_constant
 
 
-def u_l2_norm(usum: USum, x_max: float, budget: int = 20_000_000) -> NormReport:
+def u_l2_norm(usum: USum, x_max: float) -> NormReport:
     """Certified L_2 norm of a transformed sum over (0, infinity).
 
     On (0, x_max] the function is piecewise P + Q/x with the global constant
@@ -82,9 +74,9 @@ def u_l2_norm(usum: USum, x_max: float, budget: int = 20_000_000) -> NormReport:
     if x_max <= 0:
         raise ValueError(f"far cutoff must be positive, got {x_max}")
     total = sum(int(x_max / float(t)) for _, t in usum.terms)
-    if total > budget:
+    if total > FLATTEN_BUDGET:
         raise BudgetError(
-            f"{total} breakpoints exceed budget {budget}; "
+            f"{total} breakpoints exceed budget {FLATTEN_BUDGET}; "
             "reduce the far cutoff or the number of terms")
 
     p_head = float(usum.head_constant)
@@ -151,8 +143,8 @@ class IsometryReport:
     satisfied: bool
 
 
-def isometry_check(f: BeurlingSum, x_max: float = 1e4, eps: float = 1e-6,
-                   budget: int = 20_000_000) -> IsometryReport:
+def isometry_check(f: BeurlingSum, x_max: float = 1e4,
+                   eps: float = 1e-6) -> IsometryReport:
     """Compare ||f||_2 with the certified ||Uf||_2 interval.
 
     The two sides are computed by unrelated code paths (the piecewise
@@ -161,7 +153,7 @@ def isometry_check(f: BeurlingSum, x_max: float = 1e4, eps: float = 1e-6,
     """
     cut = min(eps, float(f.min_theta) / 2.0)
     src = lp_distance(f, None, 2.0, cut) if f.terms else _zero_report()
-    img = u_l2_norm(apply_u(f), x_max, budget=budget)
+    img = u_l2_norm(apply_u(f), x_max)
     disc = abs(src.value - img.value)
     tol = (src.upper - src.lower) + (img.upper - img.lower) + 1e-12
     return IsometryReport(source=src, image=img, discrepancy=disc,
@@ -196,13 +188,8 @@ def rho_tail_integral(y: float) -> float:
 def ut_head(n: int, profile: ArithProfile) -> float:
     """Constant value near zero of the transformed truncated Mertens weight.
 
-    Equals H_2(n) = integral_1^n M(t) dt/t; requires a profile built with
-    p = 2 so the stored accumulation is the right one.
+    Equals H_2(n) = integral_1^n M(t) dt/t.
     """
-    if abs(profile.p - 2.0) > 1e-15:
-        raise ValueError(f"head extraction needs a p=2 profile, got p={profile.p}")
-    if n > profile.limit:
-        raise ValueError(f"n={n} beyond profile limit {profile.limit}")
     return profile.hp(n)
 
 
@@ -226,15 +213,6 @@ def ut_direct(n: int, profile: ArithProfile, x: float) -> float:
     return math.fsum(parts)
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl(order: int):
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
-
-
 def usn_lower_integral(n: int, profile: ArithProfile) -> tuple[float, float]:
     """(integral_0^(1/n) |sin(2 pi x)/(pi x) + M(n)|^2 dx, error estimate).
 
@@ -247,7 +225,7 @@ def usn_lower_integral(n: int, profile: ArithProfile) -> tuple[float, float]:
     hi = 1.0 / n
 
     def quad(order: int) -> float:
-        x0, w0 = _gl(order)
+        x0, w0 = _gl_nodes(order)
         nodes = 0.5 * hi * (x0 + 1.0)
         vals = (u_chi(nodes) + m_n) ** 2
         return 0.5 * hi * float(vals @ w0)

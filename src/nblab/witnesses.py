@@ -65,6 +65,8 @@ def _power_mean_bound(p: float, scale: float, n: int) -> float:
 def witness_sn_hurdle(n: int, p: float, profile: ArithProfile,
                       eps: float = 1e-6) -> WitnessReport:
     """Certified ||chi + S_n||_p against (p-1)^(-1/p) n^(1/q) |g(n)|."""
+    if not p > 1:
+        raise ValueError(f"p must be > 1, got {p}")
     lhs = lp_distance(make_family("sn", n, profile), NEG_CHI, p, eps)
     rhs = _power_mean_bound(p, abs(profile.g(n)), n)
     return WitnessReport(anchor="sn_lp_lower", family="sn", n=n, p=p,
@@ -97,10 +99,12 @@ def witness_gn(n: int, p: float, profile: ArithProfile,
     informational component; it carries no explicit constant and never
     participates in the verdict.
     """
+    if not p > 1:
+        raise ValueError(f"p must be > 1, got {p}")
     lhs = lp_distance(Gn(n, profile), LAMBDA, p, eps)
     rhs = _power_mean_bound(p, abs(profile.gamma(n)), n)
     comps = ()
-    if p == 2.0 and abs(profile.p - 2.0) < 1e-15:
+    if p == 2.0:
         comps = (rhs, gn_chain_lower(n, profile))
     return WitnessReport(anchor="gn_lp_lower", family="gn", n=n, p=p,
                          lhs=lhs, rhs=rhs, theorem_backed=True,
@@ -141,13 +145,6 @@ class TrendTable:
         return all(b.report.upper < a.report.lower
                    for a, b in zip(tail, tail[1:]))
 
-    def increasing(self, last: int = 3) -> bool:
-        tail = self.rows[-last:]
-        if len(tail) < 2:
-            return False
-        return all(b.report.lower > a.report.upper
-                   for a, b in zip(tail, tail[1:]))
-
 
 def convergence_trend(family: str, generator: Generator | None, p: float,
                       n_grid=DEFAULT_N_GRID, profile: ArithProfile = None,
@@ -163,10 +160,3 @@ def convergence_trend(family: str, generator: Generator | None, p: float,
         rep = lp_distance(make_target(family, n, profile), generator, p, eps)
         rows.append(TrendRow(n=n, report=rep, seconds=time.perf_counter() - t0))
     return TrendTable(family=family, p=p, rows=tuple(rows))
-
-
-def pointwise_values(family: str, x, n_grid, profile: ArithProfile) -> list:
-    """f_n(x) over the grid, for pointwise-limit monitoring."""
-    if family not in ALL_FAMILIES:
-        raise ValueError(f"family must be one of {ALL_FAMILIES}, got {family!r}")
-    return [float(make_target(family, n, profile)(x)) for n in sorted(n_grid)]

@@ -1,0 +1,179 @@
+"""Slow, independent reference implementations that the tests compare the
+package against.  None of them is used by nblab itself.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from numbers import Rational
+
+import numpy as np
+
+from nblab.arith import ArithProfile
+from nblab.beurling import BeurlingSum, Generator
+from nblab.norms import PiecewiseHyperbolic, _gen_offsets
+from nblab.transform import EULER_GAMMA, floor_log_integral
+
+
+def naive_mobius(n: int) -> np.ndarray:
+    """mu(1..n) by trial factorization; independent oracle for the sieve."""
+    if n < 1:
+        raise ValueError(f"limit must be >= 1, got {n}")
+    out = np.empty(n, dtype=np.int8)
+    for k in range(1, n + 1):
+        m, val = k, 1
+        d = 2
+        while d * d <= m:
+            if m % d == 0:
+                m //= d
+                if m % d == 0:
+                    val = 0
+                    break
+                val = -val
+            d += 1
+        if val != 0 and m > 1:
+            val = -val
+        out[k - 1] = val
+    return out
+
+
+@dataclass(frozen=True)
+class StepWeight:
+    """A step function on (0, 1]: weight w_i on (cuts[i+1], cuts[i]].
+
+    cuts is strictly decreasing with cuts[0] = 1; the support ends at the
+    last cut (the function is zero on (0, cuts[-1]]).
+    """
+
+    cuts: tuple      # of Fraction, descending, len K+1
+    weights: tuple   # len K, weights[i] on (cuts[i+1], cuts[i]]
+
+    def __post_init__(self):
+        if len(self.cuts) != len(self.weights) + 1:
+            raise ValueError("need exactly one more cut than weights")
+        if any(self.cuts[i] <= self.cuts[i + 1] for i in range(len(self.weights))):
+            raise ValueError("cuts must be strictly decreasing")
+
+    @staticmethod
+    def mertens_weight(n: int, profile: ArithProfile) -> "StepWeight":
+        """M(1/theta) restricted to (1/n, 1]: weight M(k) on (1/(k+1), 1/k].
+
+        Gn(n, profile) is the transform of this weight.
+        """
+        cuts = tuple(Fraction(1, k) for k in range(1, n + 1))
+        weights = tuple(profile.M(k) for k in range(1, n))
+        return StepWeight(cuts, weights)
+
+
+def apply_T(weight: StepWeight, x) -> float:
+    """Tf(x) for a step weight f, in closed form.
+
+    On each weight piece (u1, u2]: integral rho(theta/x) dtheta/theta
+    = (u2 - u1)/x - (Phi(u2/x) - Phi(u1/x)).
+    """
+    if x <= 0:
+        raise ValueError(f"argument must be positive, got {x}")
+    exact = isinstance(x, Rational) and not isinstance(x, float)
+    xq = Fraction(x) if exact else float(x)
+    total = 0.0
+    for i, w in enumerate(weight.weights):
+        if w == 0:
+            continue
+        u2, u1 = weight.cuts[i], weight.cuts[i + 1]
+        lin = float((u2 - u1) / xq) if exact else (float(u2) - float(u1)) / xq
+        phi = floor_log_integral(u2 / xq) - floor_log_integral(u1 / xq)
+        total += w * (lin - phi)
+    return total
+
+
+def to_piecewise_exact(f: BeurlingSum, generator: Generator | None, eps) -> list:
+    """Exact-rational flattening of a Beurling sum minus generator.
+
+    Returns ascending segments (lo, hi, a, b, c) with Fraction endpoints,
+    exact a and b (when the coefficients are rational) and integer c.
+    A priority queue merges the per-term breakpoint streams.
+    """
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise ValueError(f"cutoff must lie in (0, 1), got {eps}")
+    if f.terms and eps >= f.min_theta:
+        raise ValueError(f"cutoff {eps} must be below min theta {f.min_theta}")
+    b_off, c_off, _ = _gen_offsets(generator)
+    b_off = Fraction(int(b_off))
+    c_off = int(c_off)
+
+    a = f.tail_coeff
+    b = b_off
+    heap = []
+    for i, (coeff, theta) in enumerate(f.terms):
+        m0 = math.floor(theta)
+        b -= coeff * m0
+        x = theta / (m0 + 1)
+        if x > eps:
+            heapq.heappush(heap, (-x, i, m0 + 1))
+
+    segments = []
+    hi = Fraction(1)
+    while heap:
+        x = -heap[0][0]
+        if x < hi:
+            segments.append((x, hi, a, b, c_off))
+            hi = x
+        while heap and -heap[0][0] == x:
+            _, i, j = heapq.heappop(heap)
+            coeff, theta = f.terms[i]
+            b -= coeff
+            nxt = theta / (j + 1)
+            if nxt > eps:
+                heapq.heappush(heap, (-nxt, i, j + 1))
+    if eps < hi:
+        segments.append((eps, hi, a, b, c_off))
+    segments.reverse()
+    return segments
+
+
+def dilation_quotient_minus_chi(a_dil: float, eps: float = 1e-6) -> PiecewiseHyperbolic:
+    """(K_a - I) lambda / (a - 1) - chi as a piecewise object, a > 1.
+
+    Equals log(a)/(a-1) - 1 on (0, 1/a], -log(x)/(a-1) - 1 on (1/a, 1],
+    and 0 on (1, inf).
+    """
+    if not a_dil > 1.0:
+        raise ValueError(f"need dilation factor > 1, got {a_dil}")
+    cut = 1.0 / a_dil
+    const = math.log(a_dil) / (a_dil - 1.0) - 1.0
+    if eps >= cut:
+        raise ValueError(f"cutoff {eps} must be below 1/a = {cut}")
+    lo = np.array([eps, cut])
+    hi = np.array([cut, 1.0])
+    b = np.array([const, -1.0])
+    c = np.array([0.0, -1.0 / (a_dil - 1.0)])
+    return PiecewiseHyperbolic(lo=lo, hi=hi, b=b, c=c, a=0.0, eps=eps,
+                               sup_const=abs(const), has_log_tail=False,
+                               tail_a=0.0)
+
+
+@dataclass(frozen=True)
+class TailIntegralBound:
+    value: float
+    bound: float
+    satisfied: bool
+
+
+def rho_tail_ratio_bound(theta: float, n: int) -> TailIntegralBound:
+    """integral_n^inf rho(x/theta) x^-2 dx against the bound (log theta + 1)/theta.
+
+    For theta > n the integral has the closed form
+    (log(theta/n) + 1 - euler_gamma)/theta, using
+    integral_1^inf rho(u) u^-2 du = 1 - euler_gamma.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not theta > n:
+        raise ValueError(f"need theta > n, got theta={theta}, n={n}")
+    value = (math.log(theta / n) + 1.0 - EULER_GAMMA) / theta
+    bound = (math.log(theta) + 1.0) / theta
+    return TailIntegralBound(value=value, bound=bound, satisfied=value <= bound)

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nblab.arith import build_profile, floor_sum_check, sign_changes
-from nblab.sieve import sieve_mobius
+from nblab.arith import floor_sum_check, sign_changes
 
 
 def test_g_decomposition_exact(profile):
@@ -40,14 +39,13 @@ def test_h2_is_mertens_log_sum(profile):
         assert math.isclose(profile.hp(n), oracle, rel_tol=1e-13, abs_tol=1e-13)
 
 
-def test_hp_general_p_against_quadrature():
+def test_hp_general_p_against_quadrature(profile):
     import scipy.integrate as si
     p = 1.5
-    prof = build_profile(sieve_mobius(60), p=p)
     n = 50
-    oracle = sum(si.quad(lambda t: prof.M(math.floor(t)) * t ** (-2.0 / p),
+    oracle = sum(si.quad(lambda t: profile.M(math.floor(t)) * t ** (-2.0 / p),
                          k, k + 1)[0] for k in range(1, n))
-    assert math.isclose(prof.hp(n), oracle, rel_tol=1e-9)
+    assert math.isclose(profile.hp(n, p=p), oracle, rel_tol=1e-9)
 
 
 def test_hp_trivial_start(profile):
@@ -95,7 +93,7 @@ def test_sign_changes_property(values):
     class Fake:
         limit = len(values)
         mertens = np.array(values, dtype=np.int64)
-        g_float = gamma_float = hp_float = mertens.astype(np.float64)
+        g_float = gamma_float = mertens.astype(np.float64)
     got = sign_changes(Fake, "M", 1, len(values))
     assert got == _sign_changes_reference(values, 1)
 
@@ -120,6 +118,6 @@ def test_range_validation(profile):
     assert sign_changes(profile, "M", 10, 5) == []
 
 
-def test_build_profile_rejects_bad_p(table):
+def test_hp_values_rejects_bad_p(profile):
     with pytest.raises(ValueError):
-        build_profile(table, p=1.0)
+        profile.hp_values(1.0, 10)

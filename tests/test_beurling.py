@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nblab.beurling import (BeurlingSum, Generator, GeneratorKind, LAMBDA,
-                            NEG_CHI, make_family, recover_coefficients, rho,
-                            step_values)
+from nblab.beurling import (BeurlingSum, LAMBDA, NEG_CHI, make_family,
+                            recover_coefficients, rho, step_values)
 
 fractions_01 = st.fractions(min_value=Fraction(1, 40), max_value=1,
                             max_denominator=40)
@@ -27,10 +26,6 @@ def test_generators():
     assert NEG_CHI(1.5) == 0.0
     assert LAMBDA(0.25) == math.log(0.25)
     assert LAMBDA(2.0) == 0.0
-    g = LAMBDA.dilate(2.0)
-    assert g(0.25) == math.log(0.5)
-    with pytest.raises(ValueError):
-        NEG_CHI.dilate(0.0)
 
 
 @given(term_lists)

@@ -109,6 +109,25 @@ def test_mellin_command(capsys):
     assert "pass" in out and "kernel=M" in out
 
 
+def test_mellin_p_only_read_by_hp_kernel(capsys):
+    assert cli.main(["mellin", "--kernel", "M", "--cutoff", "2000",
+                     "--p", "1"]) == 0
+    assert "pass" in capsys.readouterr().out
+    assert cli.main(["mellin", "--kernel", "hp", "--cutoff", "2000",
+                     "--p", "1"]) == 3
+
+
+@pytest.mark.parametrize("family", ["sn", "gn"])
+def test_witness_rejects_p_one_before_any_norm(family, monkeypatch, capsys):
+    def no_norm(*args, **kwargs):
+        raise AssertionError("a norm was computed before p was checked")
+
+    monkeypatch.setattr(witnesses, "lp_distance", no_norm)
+    assert cli.main(["witness", "--family", family, "--p", "1",
+                     "--n-grid", "10"]) == 3
+    assert "p must be > 1" in capsys.readouterr().err
+
+
 def test_u_heads(tmp_path):
     out = tmp_path / "u.csv"
     assert cli.main(["u", "--n-grid", "5,10", "--out", str(out)]) == 0

@@ -46,9 +46,8 @@ def test_hp_kernel_p2(big_profile):
     assert abs(res.value.real - ref) <= res.tail_bound
 
 
-def test_hp_kernel_general_p():
-    prof = build_profile(sieve_mobius(10 ** 4), p=1.5, exact_limit=1)
-    res = mellin_numeric(prof, "hp", 3.0, 10 ** 4)
+def test_hp_kernel_general_p(big_profile):
+    res = mellin_numeric(big_profile, "hp", 3.0, 10 ** 4, p=1.5)
     ref = mellin_reference("hp", 3.0, 1.5).real
     assert abs(res.value.real - ref) <= res.tail_bound
 

@@ -8,11 +8,10 @@ import scipy.integrate as si
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nblab.beurling import BeurlingSum, Generator, GeneratorKind, LAMBDA, NEG_CHI, make_family
-from nblab.norms import (Difference, PiecewiseHyperbolic, _quad_abs_p,
-                         dilation_quotient_minus_chi, lp_distance, lp_norm,
-                         to_piecewise, to_piecewise_exact)
+from nblab.beurling import BeurlingSum, LAMBDA, NEG_CHI, make_family
+from nblab.norms import Difference, _quad_abs_p, lp_distance, lp_norm, to_piecewise
 from nblab.transform import Gn, TIndicator, riemann_sum_T
+from oracles import dilation_quotient_minus_chi, to_piecewise_exact
 
 
 def _exact_value(segments, x):
@@ -208,8 +207,6 @@ def test_validation_errors(profile):
         to_piecewise(f, NEG_CHI, 0.5)       # above min theta
     with pytest.raises(ValueError):
         to_piecewise(f, NEG_CHI, 1.5)
-    with pytest.raises(ValueError):
-        to_piecewise(f, Generator(GeneratorKind.NEG_CHI, scale=2.0), 1e-3)
     with pytest.raises(ValueError):
         lp_norm(to_piecewise(f, NEG_CHI, 1e-3), 0.5)
     with pytest.raises(TypeError):

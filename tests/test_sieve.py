@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nblab.sieve import (CorruptCacheError, MobiusTable, _pack, _unpack,
-                         cache_path, naive_mobius, sieve_mobius,
-                         sieve_mobius_cached)
+                         cache_path, sieve_mobius, sieve_mobius_cached)
+from oracles import naive_mobius
 
 # frozen oracle values: mu and Mertens spot checks computed by trial
 # factorization independently of the sieve

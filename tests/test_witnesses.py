@@ -5,8 +5,7 @@ import pytest
 from nblab.beurling import LAMBDA, NEG_CHI
 from nblab.norms import NormReport
 from nblab.witnesses import (DEFAULT_N_GRID, TrendRow, TrendTable,
-                             convergence_trend, make_target,
-                             pointwise_values, witness_gn,
+                             convergence_trend, make_target, witness_gn,
                              witness_rn_measured, witness_sn_hurdle,
                              witness_sn_l2_max)
 
@@ -81,11 +80,9 @@ def test_trend_table_logic():
                  for n, v in ((10, 3.0), (100, 2.0), (1000, 1.0)))
     t = TrendTable("bn", 1.0, rows)
     assert t.decreasing(3)
-    assert not t.increasing(3)
     rows2 = tuple(TrendRow(n, _report(v, 1e-6), 0.0)
                   for n, v in ((10, 1.0), (100, 2.0), (1000, 3.0)))
     t2 = TrendTable("sn", 2.0, rows2)
-    assert t2.increasing(3)
     assert not t2.decreasing(3)
     assert not TrendTable("x", 1.0, rows[:1]).decreasing()
 
@@ -115,7 +112,7 @@ def test_sn_l2_nonvanishing(profile):
 
 def test_fn_pointwise_tends_to_minus_one(profile):
     for x in (0.3, 0.7):
-        vals = pointwise_values("fn", x, (10, 100, 1000), profile)
+        vals = [float(make_target("fn", n, profile)(x)) for n in (10, 100, 1000)]
         assert abs(vals[-1] + 1.0) <= abs(vals[0] + 1.0) + 1e-12
         assert abs(vals[-1] + 1.0) < 1e-9
 
@@ -127,5 +124,3 @@ def test_make_target_and_validation(profile):
         convergence_trend("zz", NEG_CHI, 1.0, (10,), profile)
     with pytest.raises(ValueError):
         convergence_trend("bn", NEG_CHI, 1.0, (10,), None)
-    with pytest.raises(ValueError):
-        pointwise_values("zz", 0.5, (10,), profile)
