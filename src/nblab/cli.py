@@ -176,6 +176,8 @@ def _witness_reports(args, profile):
 
 
 def cmd_witness(args) -> int:
+    if args.family == "rn" and args.p != 2.0:
+        raise ValueError(f"witness --family rn measures the L_2 norm; p must be 2, got {args.p}")
     profile = _profile_for(args.limit, args.n_grid)
     writer = _Writer(args.out, WITNESS_COLUMNS)
     failed = False

@@ -2,11 +2,17 @@
 
 A difference  f - generator  is flattened over (eps, 1] into segments on
 which it equals exactly  a/x + b + c log x  (a is global: the 1/x tail
-coefficient).  Closed forms integrate p = 1 and p = 2; general p uses
-Gauss-Legendre with an order-doubling error estimate.  The regions (0, eps)
-and (1, inf) are handled by a rigorous sup-bound and by the exact tail
-integral of (tail_a / x)^p respectively, so every report is an interval
-certified to contain the true norm.
+coefficient).  The segments are the exact breakpoint lattice {theta_k / j}:
+one segment per distinct breakpoint, with the jumps of coincident terms
+summed, including breakpoints where that sum is zero.  Integer jumps are
+carried exactly, so c is always exact and b is exact when every
+coefficient is an integer; drift_bound bounds what the remaining long
+double lane, the start state and the cast to float64 can round.  Closed
+forms integrate p = 1 and p = 2; general p uses Gauss-Legendre with an
+order-doubling error estimate.  The regions (0, eps) and (1, inf) are
+handled by a rigorous sup-bound and by the exact tail integral of
+(tail_a / x)^p respectively, so every report is an interval certified to
+contain the true norm.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .beurling import BeurlingSum, Generator, GeneratorKind
 from .transform import Gn, TIndicator
 
 _LD_EPS = float(np.finfo(np.longdouble).eps)
+_F64_EPS = float(np.finfo(np.float64).eps)
 
 FLATTEN_BUDGET = 20_000_000
 
@@ -37,8 +44,9 @@ class PiecewiseHyperbolic:
 
     The segments tile (eps, 1]; on (1, inf) the difference equals tail_a / x
     exactly; on (0, eps) it is bounded by sup_const (+ |log x| when
-    has_log_tail).  drift_bound caps the rounding error of the cumulative
-    construction of b and c.
+    has_log_tail).  drift_bound bounds |b - b_exact| and |c - c_exact| on
+    every segment: the rounding of non-integer coefficients and of the log
+    jumps, the long double sums and the final cast to float64.
     """
 
     lo: np.ndarray
@@ -134,12 +142,182 @@ def _term_spec(f):
     raise TypeError(f"cannot flatten {type(f).__name__}")
 
 
+# breakpoints num/q with num * q below this are distinct rationals exactly
+# when their doubles differ: |r1 - r2| >= 1/(q1 q2) exceeds one ulp of r1
+_SEPARABLE = 2 ** 51
+
+
+def _as_int(c):
+    """A rational coefficient that is an integer, as an int; else None."""
+    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else None
+
+
+def _ld_coeff(c) -> tuple[np.longdouble, float]:
+    """(c rounded to long double, its exact rounding error) for a
+    coefficient that is not an integer."""
+    if isinstance(c, float):
+        return np.longdouble(c), 0.0
+    c = Fraction(c)
+    cl = np.longdouble(c.numerator) / np.longdouble(c.denominator)
+    return cl, float(abs(Fraction(*cl.as_integer_ratio()) - c))
+
+
+@dataclass(frozen=True)
+class _Jumps:
+    """Summed jumps of (b, c) at the distinct breakpoints xs, descending.
+
+    db is exact when it is int64; as long double, err bounds the rounding
+    already in it.  dc is int64, or None when no term moves c.
+    """
+
+    xs: np.ndarray
+    db: np.ndarray
+    dc: np.ndarray | None
+    err: float
+
+
+def _lattice_jumps(rho_terms, phi_terms, eps: float) -> _Jumps:
+    """Jumps when every theta is 1/k: all breakpoints lie on x = 1/m, and
+    the jump at m is a divisor sum over the terms with k | m, scattered as
+    D[k::k] += c_k.  A Phi term of weight w jumps by -w log m in b and -w
+    in c there, so the log lane and non-integer coefficients are the only
+    inexact parts."""
+    top = int(1.0 / eps) + 1
+    hit = np.zeros(top + 1, dtype=bool)
+    db_int = np.zeros(top + 1, dtype=np.int64)
+    db_flt = weights = None
+    floats = []                      # (|coeff|, rounding of coeff, k)
+    for coeff, theta in rho_terms:
+        k = theta.denominator
+        hit[k::k] = True
+        ci = _as_int(coeff)
+        if ci is not None:
+            db_int[k::k] -= ci
+        else:
+            if db_flt is None:
+                db_flt = np.zeros(top + 1, dtype=np.longdouble)
+            cl, delta = _ld_coeff(coeff)
+            db_flt[k::k] -= cl
+            floats.append((abs(float(cl)), delta, k))
+    for w, theta in phi_terms:
+        k = theta.denominator
+        hit[k::k] = True
+        if weights is None:
+            weights = np.zeros(top + 1, dtype=np.int64)
+        weights[k::k] += w
+    # x = 1 is no breakpoint: the floor 1 of theta = 1 there is in the start state
+    hit[:2] = False
+    m = np.flatnonzero(hit)
+    xs = 1.0 / m
+    keep = xs > eps
+    m, xs = m[keep], xs[keep]
+
+    db, dc = db_int[m], None
+    m_max = int(m[-1]) if len(m) else 1
+    err = sum(delta * (m_max // k - (k == 1)) for _, delta, k in floats)
+    parts = [] if db_flt is None else [db_flt[m]]
+    if weights is not None:
+        w = weights[m]
+        dc = -w
+        log_m = np.log(m.astype(np.longdouble))
+        parts.append(-w * log_m)
+        # logl within one ulp, then one rounded product
+        err += 2.0 * _LD_EPS * float(np.sum(np.abs(w) * log_m))
+    if parts:
+        # the scatter summed up to len(floats) coefficients at each m, and
+        # each part then added to the exact integer jump rounds once
+        bound = sum(c for c, _, _ in floats) + sum(
+            float(np.max(np.abs(v), initial=0.0)) for v in [db] + parts)
+        err += _LD_EPS * (max(len(floats) - 1, 0) + len(parts)) * len(m) * bound
+        db = db.astype(np.longdouble)
+        for v in parts:
+            db += v
+    return _Jumps(xs, db, dc, err)
+
+
+def _merged_jumps(rho_terms, phi_terms, eps: float) -> _Jumps:
+    """Jumps for arbitrary rational thetas.  Each breakpoint num/(den j) is
+    one correctly rounded division of exact integers, so equal rationals
+    give equal doubles and (below _SEPARABLE) distinct ones never do; a
+    stable sort of the per-term runs and a sum over runs of equal doubles
+    merges coincident breakpoints."""
+    terms = list(rho_terms) + list(phi_terms)
+    xs_parts, q_parts = [], []
+    for _, theta in terms:
+        j = np.arange(math.floor(theta) + 1, int(float(theta) / eps) + 2, dtype=np.int64)
+        q = theta.denominator * j
+        x = theta.numerator / q
+        keep = x > eps
+        xs_parts.append(x[keep])
+        q_parts.append(q[keep])
+    max_q = max((int(q[-1]) for q in q_parts if len(q)), default=0)
+    max_num = max((t.numerator for _, t in terms), default=0)
+    if max_num * max_q >= _SEPARABLE:
+        raise ValueError(f"breakpoints down to 1/{max_q} with numerators up to "
+                         f"{max_num} cannot be told apart in double precision")
+
+    xs = np.concatenate(xs_parts) if terms else np.empty(0)
+    size = len(xs)
+    int_rho = [_as_int(c) for c, _ in rho_terms]
+    exact = not phi_terms and None not in int_rho
+    db = np.zeros(size, np.int64 if exact else np.longdouble)
+    dc = np.zeros(size, np.int64) if phi_terms else None
+    err = 0.0
+    start = 0
+    for i, ((coeff, theta), q) in enumerate(zip(terms, q_parts)):
+        s = slice(start, start + len(q))
+        start += len(q)
+        if i >= len(rho_terms):
+            # Phi: b jumps by w log(theta / j) = w (log num - log(den j))
+            dc[s] = -coeff
+            log_q = np.log(q.astype(np.longdouble))
+            log_num = np.log(np.longdouble(theta.numerator))
+            db[s] = coeff * (log_num - log_q)
+            err += 2.0 * _LD_EPS * abs(coeff) * float(len(q) * log_num + np.sum(log_q))
+        elif int_rho[i] is not None:
+            db[s] = -int_rho[i]
+        else:
+            cl, delta = _ld_coeff(coeff)
+            db[s] = -cl
+            err += delta * len(q)
+
+    order = np.argsort(-xs, kind="stable")
+    xs = xs[order]
+    first = np.ones(size, dtype=bool)
+    first[1:] = xs[1:] != xs[:-1]
+    starts = np.flatnonzero(first)
+    if not exact and len(starts) < size:
+        # a run of r jumps is summed with r - 1 roundings
+        run_max = int(np.max(np.diff(np.append(starts, size))))
+        err += _LD_EPS * (run_max - 1) * float(np.sum(np.abs(db)))
+
+    def merged(lane):
+        return None if lane is None else np.add.reduceat(lane[order], starts)
+
+    return _Jumps(xs[starts], merged(db), merged(dc), err)
+
+
+def _int_state(jumps, n: int) -> np.ndarray:
+    """Cumulative integer state, 0 before the first jump, checked exact in float64."""
+    state = np.zeros(n + 1, dtype=np.int64)
+    if jumps is not None:
+        # the sum of |jumps| bounds every partial state
+        if float(np.sum(np.abs(jumps), dtype=np.float64)) >= 2.0 ** 52:
+            raise OverflowError("integer jumps too large for an exact float64 state")
+        np.cumsum(jumps, out=state[1:])
+    return state
+
+
 def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbolic:
     """Flatten f - generator over (eps, 1] into hyperbolic-log segments.
 
-    Breakpoints are the dilation lattice {theta_k / j}; crossing one from
-    above increments floor(theta_k / x), which bumps b (and, for integral
-    terms, the log coefficient c) by an exactly known jump.
+    Breakpoints are the distinct points of the dilation lattice
+    {theta_k / j}, one segment each; crossing one from above increments
+    floor(theta_k / x) for every term through it, which bumps b (and, for
+    integral terms, the log coefficient c) by the summed jump.  When every
+    theta is 1/k and the lattice 1/m is no larger than the breakpoint count,
+    the jumps are divisor sums built by scatter; otherwise the per-term
+    breakpoints are sorted and coincident ones summed.
     """
     rho_terms, phi_terms, inv_coeff, sup_bound, min_theta = _term_spec(f)
     if not 0.0 < eps < 1.0:
@@ -147,80 +325,61 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     if eps >= float(min_theta):
         raise ValueError(f"cutoff {eps} must be below min theta {float(min_theta)}")
 
-    b0, c0, log_tail = _gen_offsets(generator)
+    b_gen, c_gen, log_tail = _gen_offsets(generator)
     total = sum(int(float(t) / eps) + 1
                 for _, t in list(rho_terms) + list(phi_terms))
     if total > FLATTEN_BUDGET:
         raise BudgetError(
             f"{total} breakpoints exceed budget {FLATTEN_BUDGET}; "
             "raise the cutoff or reduce the number of dilation terms")
+    if any(w != int(w) or t > 1 for w, t in phi_terms):
+        raise ValueError("Phi terms need integer weights and theta <= 1")
+    phi_terms = [(int(w), t) for w, t in phi_terms]
     # near zero the generator's constant part survives alongside the sum
-    sup_bound = float(sup_bound) + abs(b0)
+    sup_bound = float(sup_bound) + abs(b_gen)
     # the tail coefficient must vanish exactly for class-C sums, so it is
     # accumulated in exact rational arithmetic when the coefficients allow
     a = float(inv_coeff)
     if rho_terms:
         a += float(sum((c * t for c, t in rho_terms), start=Fraction(0)))
-    xs_parts, db_parts, dc_parts = [], [], []
-    for coeff, theta in rho_terms:
-        cf, tf = float(coeff), float(theta)
-        m0 = math.floor(theta)
-        b0 -= cf * m0
-        j = np.arange(m0 + 1, int(tf / eps) + 2, dtype=np.float64)
-        x = tf / j
-        keep = x > eps
-        xs_parts.append(x[keep])
-        db_parts.append(np.full(int(keep.sum()), -cf))
-        dc_parts.append(None)
-    for w, theta in phi_terms:
-        wf, tf = float(w), float(theta)
-        m0 = math.floor(theta)
-        if m0 >= 1:
-            b0 += wf * (m0 * math.log(tf) - math.lgamma(m0 + 1))
-            c0 -= wf * m0
-        j = np.arange(m0 + 1, int(tf / eps) + 2, dtype=np.float64)
-        x = tf / j
-        keep = x > eps
-        j = j[keep]
-        xs_parts.append(x[keep])
-        db_parts.append(wf * (math.log(tf) - np.log(j)))
-        dc_parts.append(np.full(len(j), -wf))
 
-    if xs_parts:
-        xs = np.concatenate(xs_parts)
-        db = np.concatenate(db_parts)
-        dc_arrays = [np.zeros(len(x)) if d is None else d
-                     for x, d in zip(xs_parts, dc_parts)]
-        dc = np.concatenate(dc_arrays)
+    # state just below x = 1, where floor(theta / x) = floor(theta); a Phi
+    # term there adds w (floor(theta) log theta - log floor(theta)!) = 0
+    b_exact = Fraction(b_gen) - sum((Fraction(c) * math.floor(t)
+                                     for c, t in rho_terms if t >= 1), start=Fraction(0))
+    b0 = float(b_exact)
+    b0_err = float(abs(Fraction(b0) - b_exact))
+    c0 = int(c_gen) - sum(w for w, t in phi_terms if t == 1)
+
+    # the lattice arrays hold 1/eps entries, never more than the sort would
+    dense = (all(t.numerator == 1 for _, t in list(rho_terms) + list(phi_terms))
+             and int(1.0 / eps) <= total)
+    jumps = (_lattice_jumps if dense else _merged_jumps)(rho_terms, phi_terms, eps)
+
+    n = len(jumps.xs)
+    lo = np.empty(n + 1)
+    hi = np.empty(n + 1)
+    lo[0], lo[1:] = eps, jumps.xs[::-1]
+    hi[:-1], hi[-1] = jumps.xs[::-1], 1.0
+    c_state = _int_state(jumps.dc, n) + c0
+    # b drift: the start state, the jumps, their cumulative sum and the
+    # rounding to float64; c is exact
+    if jumps.db.dtype == np.int64:
+        b = b0 + _int_state(jumps.db, n).astype(np.float64)
+        drift = b0_err if b0.is_integer() else b0_err + _F64_EPS * float(np.max(np.abs(b)))
     else:
-        xs = np.empty(0)
-        db = np.empty(0)
-        dc = np.empty(0)
-
-    order = np.argsort(-xs, kind="stable")
-    xs, db, dc = xs[order], db[order], dc[order]
-
-    n_seg = len(xs) + 1
-    his = np.empty(n_seg)
-    los = np.empty(n_seg)
-    his[0] = 1.0
-    his[1:] = xs
-    los[:-1] = xs
-    los[-1] = eps
-    b_cum = np.cumsum(db.astype(np.longdouble))
-    c_cum = np.cumsum(dc.astype(np.longdouble))
-    b = np.empty(n_seg)
-    c = np.empty(n_seg)
-    b[0], c[0] = b0, c0
-    b[1:] = b0 + b_cum.astype(np.float64)
-    c[1:] = c0 + c_cum.astype(np.float64)
-    scale = float(np.max(np.abs(b_cum))) + float(np.max(np.abs(c_cum))) if len(xs) else 0.0
-    drift = len(xs) * _LD_EPS * (scale + 1.0)
+        s = np.zeros(n + 1, dtype=np.longdouble)
+        np.cumsum(jumps.db, out=s[1:])
+        b = (np.longdouble(b0) + s).astype(np.float64)
+        drift = (b0_err + jumps.err
+                 + _LD_EPS * np.count_nonzero(jumps.db) * float(np.max(np.abs(s)))
+                 + (_LD_EPS + _F64_EPS) * float(np.max(np.abs(b))))
+    # absorbs the rounding of the bound's own float64 arithmetic
+    drift = float(drift) * (1.0 + 1e-9)
 
     return PiecewiseHyperbolic(
-        lo=los[::-1].copy(), hi=his[::-1].copy(),
-        b=b[::-1].copy(), c=c[::-1].copy(), a=a,
-        eps=eps, sup_const=float(sup_bound), has_log_tail=log_tail,
+        lo=lo, hi=hi, b=b[::-1].copy(), c=c_state[::-1].astype(np.float64),
+        a=a, eps=eps, sup_const=float(sup_bound), has_log_tail=log_tail,
         tail_a=a, drift_bound=drift,
     )
 
@@ -418,4 +577,7 @@ def lp_norm(pw: PiecewiseHyperbolic, p: float,
 def lp_distance(f, generator: Generator | None, p: float, eps: float = 1e-6,
                 include_far: bool | None = None) -> NormReport:
     """||f - generator||_p with certificates; generator None means ||f||_p."""
+    if p < 1:
+        # checked here too, so a bad p fails before the flatten allocates
+        raise ValueError(f"p must be >= 1, got {p}")
     return lp_norm(to_piecewise(f, generator, eps), p, include_far=include_far)

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from nblab import cli, witnesses
+from nblab import cli, norms, witnesses
 from nblab.norms import NormReport
 from nblab.witnesses import WitnessReport
 
@@ -126,6 +126,26 @@ def test_witness_rejects_p_one_before_any_norm(family, monkeypatch, capsys):
     assert cli.main(["witness", "--family", family, "--p", "1",
                      "--n-grid", "10"]) == 3
     assert "p must be > 1" in capsys.readouterr().err
+
+
+def test_norm_rejects_p_below_one_before_flatten(monkeypatch, capsys):
+    def no_flatten(*args, **kwargs):
+        raise AssertionError("a flatten ran before p was checked")
+
+    monkeypatch.setattr(norms, "to_piecewise", no_flatten)
+    assert cli.main(["norm", "--family", "sn", "--p", "0.5",
+                     "--n-grid", "10"]) == 3
+    assert "p must be >= 1" in capsys.readouterr().err
+
+
+def test_witness_rn_rejects_p_other_than_two(monkeypatch, capsys):
+    def no_norm(*args, **kwargs):
+        raise AssertionError("a norm was computed before p was checked")
+
+    monkeypatch.setattr(witnesses, "lp_distance", no_norm)
+    assert cli.main(["witness", "--family", "rn", "--p", "3",
+                     "--n-grid", "10"]) == 3
+    assert "p must be 2" in capsys.readouterr().err
 
 
 def test_u_heads(tmp_path):

@@ -33,15 +33,34 @@ def test_single_term_flatten():
 
 
 def test_fast_flattener_matches_exact(profile):
-    for fam, n in (("bn", 7), ("vn", 9), ("sn", 5), ("fn", 6)):
+    for fam, n in (("bn", 7), ("vn", 9), ("sn", 5), ("fn", 6), ("rn", 12)):
         f = make_family(fam, n, profile)
         pw = to_piecewise(f, NEG_CHI, 1e-3)
         segs = to_piecewise_exact(f, NEG_CHI, Fraction(1, 1000))
+        # one segment per distinct lattice point, on the same partition
+        assert pw.segment_count == len(segs)
+        assert np.array_equal(pw.lo, [float(seg[0]) for seg in segs])
+        assert np.all(pw.hi > pw.lo)
         for lo, hi, a, b, c in segs[::5]:
             mid = (float(lo) + float(hi)) / 2.0
             assert math.isclose(float(pw.values_at(np.array([mid]))[0]),
                                 _exact_value(segs, mid), rel_tol=0,
                                 abs_tol=1e-10)
+    # G_n breaks at every 1/m in (eps, 1)
+    assert to_piecewise(Gn(12, profile), LAMBDA, 1e-3).segment_count == 998 + 1
+
+
+def test_drift_bound_covers_rounding(profile):
+    for fam, n in (("sn", 9), ("vn", 9), ("bn", 7), ("fn", 6), ("rn", 12)):
+        f = make_family(fam, n, profile)
+        pw = to_piecewise(f, NEG_CHI, 1e-3)
+        segs = to_piecewise_exact(f, NEG_CHI, Fraction(1, 1000))
+        mids = np.array([(float(lo) + float(hi)) / 2.0 for lo, hi, *_ in segs])
+        idx = np.searchsorted(pw.lo, mids, side="left") - 1
+        db = max(abs(Fraction(float(pw.b[i])) - seg[3]) for i, seg in zip(idx, segs))
+        dc = max(abs(float(pw.c[i]) - seg[4]) for i, seg in zip(idx, segs))
+        assert db <= pw.drift_bound, (fam, float(db), pw.drift_bound)
+        assert dc <= pw.drift_bound, (fam, dc, pw.drift_bound)
 
 
 def test_exact_flattener_tiles(profile):
@@ -211,6 +230,9 @@ def test_validation_errors(profile):
         lp_norm(to_piecewise(f, NEG_CHI, 1e-3), 0.5)
     with pytest.raises(TypeError):
         to_piecewise(object(), None, 1e-3)
+    with pytest.raises(ValueError):         # breakpoints finer than a double
+        to_piecewise(BeurlingSum.make([(1, Fraction(2 ** 30 + 1, 2 ** 31))]),
+                     None, 0.1)
     with pytest.raises(ValueError):
         dilation_quotient_minus_chi(0.9)
 
