@@ -142,8 +142,11 @@ def _term_spec(f):
     raise TypeError(f"cannot flatten {type(f).__name__}")
 
 
-# breakpoints num/q with num * q below this are distinct rationals exactly
-# when their doubles differ: |r1 - r2| >= 1/(q1 q2) exceeds one ulp of r1
+# integers below this are exact doubles, so num / (den j) rounds once
+_EXACT = 2 ** 53
+# distinct breakpoints num/q, num'/q' differ by at least 1/(q q'), which
+# exceeds an ulp of either unless num q' reaches this: below it equal
+# doubles are equal rationals
 _SEPARABLE = 2 ** 51
 
 
@@ -164,7 +167,8 @@ def _ld_coeff(c) -> tuple[np.longdouble, float]:
 
 @dataclass(frozen=True)
 class _Jumps:
-    """Summed jumps of (b, c) at the distinct breakpoints xs, descending.
+    """Summed jumps of (b, c) at the distinct breakpoints xs, descending
+    (two distinct rationals can round to one double and repeat an x).
 
     db is exact when it is int64; as long double, err bounds the rounding
     already in it.  dc is int64, or None when no term moves c.
@@ -238,53 +242,86 @@ def _lattice_jumps(rho_terms, phi_terms, eps: float) -> _Jumps:
 def _merged_jumps(rho_terms, phi_terms, eps: float) -> _Jumps:
     """Jumps for arbitrary rational thetas.  Each breakpoint num/(den j) is
     one correctly rounded division of exact integers, so equal rationals
-    give equal doubles and (below _SEPARABLE) distinct ones never do; a
-    stable sort of the per-term runs and a sum over runs of equal doubles
-    merges coincident breakpoints."""
+    give equal doubles.  A stable sort of the per-term runs groups equal
+    doubles; where distinct rationals can share a double, cross-multiplied
+    integers decide which entries of a group are one rational, and the
+    others stay separate breakpoints, ordered exactly."""
     terms = list(rho_terms) + list(phi_terms)
-    xs_parts, q_parts = [], []
+    spec = []                        # (num, den, first j, kept count)
+    xs_parts = []
     for _, theta in terms:
-        j = np.arange(math.floor(theta) + 1, int(float(theta) / eps) + 2, dtype=np.int64)
-        q = theta.denominator * j
-        x = theta.numerator / q
-        keep = x > eps
-        xs_parts.append(x[keep])
-        q_parts.append(q[keep])
-    max_q = max((int(q[-1]) for q in q_parts if len(q)), default=0)
-    max_num = max((t.numerator for _, t in terms), default=0)
-    if max_num * max_q >= _SEPARABLE:
-        raise ValueError(f"breakpoints down to 1/{max_q} with numerators up to "
-                         f"{max_num} cannot be told apart in double precision")
-
+        num, den = theta.numerator, theta.denominator
+        j0, j1 = math.floor(theta) + 1, int(float(theta) / eps) + 2
+        if num < _EXACT and den * j1 < _EXACT:
+            x = num / (den * np.arange(j0, j1, dtype=np.int64))
+        else:
+            x = np.array([num / (den * j) for j in range(j0, j1)], dtype=np.float64)
+        x = x[x > eps]
+        spec.append((num, den, j0, len(x)))
+        xs_parts.append(x)
     xs = np.concatenate(xs_parts) if terms else np.empty(0)
     size = len(xs)
+
     int_rho = [_as_int(c) for c, _ in rho_terms]
     exact = not phi_terms and None not in int_rho
     db = np.zeros(size, np.int64 if exact else np.longdouble)
     dc = np.zeros(size, np.int64) if phi_terms else None
     err = 0.0
     start = 0
-    for i, ((coeff, theta), q) in enumerate(zip(terms, q_parts)):
-        s = slice(start, start + len(q))
-        start += len(q)
+    for i, ((coeff, _), (num, den, j0, count)) in enumerate(zip(terms, spec)):
+        s = slice(start, start + count)
+        start += count
         if i >= len(rho_terms):
-            # Phi: b jumps by w log(theta / j) = w (log num - log(den j))
+            # Phi: b jumps by w log(theta / j) = w (log num - log den - log j)
             dc[s] = -coeff
-            log_q = np.log(q.astype(np.longdouble))
-            log_num = np.log(np.longdouble(theta.numerator))
-            db[s] = coeff * (log_num - log_q)
-            err += 2.0 * _LD_EPS * abs(coeff) * float(len(q) * log_num + np.sum(log_q))
+            log_j = np.log(np.arange(j0, j0 + count, dtype=np.longdouble))
+            log_nd = np.log(np.longdouble(num)) - np.log(np.longdouble(den))
+            db[s] = coeff * (log_nd - log_j)
+            # logl within one ulp, num and den rounded on conversion above
+            # 2^64, two differences and one product rounded once each
+            err += 2.0 * _LD_EPS * abs(coeff) * float(
+                count * (abs(log_nd) + np.log(np.longdouble(den)) + 1.0)
+                + np.sum(log_j))
         elif int_rho[i] is not None:
             db[s] = -int_rho[i]
         else:
             cl, delta = _ld_coeff(coeff)
             db[s] = -cl
-            err += delta * len(q)
+            err += delta * count
 
     order = np.argsort(-xs, kind="stable")
     xs = xs[order]
     first = np.ones(size, dtype=bool)
     first[1:] = xs[1:] != xs[:-1]
+    spread = (max((num for num, *_ in spec), default=0)
+              * max((den * (j0 + count) for _, den, j0, count in spec), default=0))
+    tied = np.flatnonzero(~first) if spread >= _SEPARABLE else []
+    if len(tied):
+        # an entry tied with its predecessor is the same rational iff
+        # num q' == num' q; Python ints where int64 products could overflow
+        offsets = np.cumsum([0] + [count for *_, count in spec])
+        kind = object if spread >= 2 ** 63 else np.int64
+        nums, dens, j0s = (np.array(v, dtype=kind) for v in list(zip(*spec))[:3])
+
+        def ratio(pos):
+            t = np.searchsorted(offsets, pos, side="right") - 1
+            return nums[t], dens[t] * (j0s[t] + (pos - offsets[t]).astype(kind))
+
+        n1, q1 = ratio(order[tied - 1])
+        n2, q2 = ratio(order[tied])
+        split = tied[np.not_equal(n1 * q2, n2 * q1)]
+        if len(split):
+            # rare: distinct rationals on one double; order each such group
+            # exactly and start a breakpoint wherever the rational changes
+            heads = np.flatnonzero(first)
+            ends = np.append(heads[1:], size)
+            for h in np.unique(np.searchsorted(heads, split, side="right") - 1):
+                run = slice(heads[h], ends[h])
+                fr = [Fraction(int(a), int(b)) for a, b in zip(*ratio(order[run]))]
+                perm = sorted(range(len(fr)), key=lambda k: -fr[k])
+                order[run] = order[run][perm]
+                first[run][1:] = [fr[perm[k]] != fr[perm[k - 1]]
+                                for k in range(1, len(fr))]
     starts = np.flatnonzero(first)
     if not exact and len(starts) < size:
         # a run of r jumps is summed with r - 1 roundings

@@ -63,6 +63,21 @@ def test_drift_bound_covers_rounding(profile):
         assert dc <= pw.drift_bound, (fam, dc, pw.drift_bound)
 
 
+def test_distinct_breakpoints_on_one_double_stay_apart():
+    # each pair of thetas rounds to one double (the second pair needs more
+    # than 53 bits); a lone term is never refused for its fine denominators
+    for terms in ([(1, Fraction(89478486, 268435459)), (-1, Fraction(89478485, 2 ** 28))],
+                  [(1, Fraction(1, 3)), (-1, Fraction(1 / 3)), (2, Fraction(2, 5))],
+                  [(1, Fraction(2 ** 30 + 1, 2 ** 31))]):
+        f = BeurlingSum.make(terms)
+        pw = to_piecewise(f, None, 0.1)
+        segs = to_piecewise_exact(f, None, Fraction(1, 10))
+        assert pw.segment_count == len(segs)
+        assert np.array_equal(pw.lo, [float(seg[0]) for seg in segs])
+        assert all(Fraction(float(b)) == seg[3] and c == seg[4]
+                   for b, c, seg in zip(pw.b, pw.c, segs))
+
+
 def test_exact_flattener_tiles(profile):
     f = make_family("bn", 7, profile)
     segs = to_piecewise_exact(f, NEG_CHI, Fraction(1, 500))
@@ -230,9 +245,6 @@ def test_validation_errors(profile):
         lp_norm(to_piecewise(f, NEG_CHI, 1e-3), 0.5)
     with pytest.raises(TypeError):
         to_piecewise(object(), None, 1e-3)
-    with pytest.raises(ValueError):         # breakpoints finer than a double
-        to_piecewise(BeurlingSum.make([(1, Fraction(2 ** 30 + 1, 2 ** 31))]),
-                     None, 0.1)
     with pytest.raises(ValueError):
         dilation_quotient_minus_chi(0.9)
 
