@@ -1,9 +1,10 @@
 """Arithmetic profiles: M(n), g(n), gamma(n), H_p(n) over a sieved range.
 
-g and gamma are kept as exact rationals up to ``exact_limit`` (identity
-tests need exactness there) and as compensated floating sums everywhere.
-The profile does not fix p: an H_p lane is accumulated from M on request,
-for any p > 1.  The defining relations are
+A profile stores mu and M (int32, so its range ends below 2^31).  g and
+gamma are built on first read: as exact rationals up to ``exact_limit``
+(identity tests need exactness there) and as float64 lanes summed in long
+double, chunk by chunk.  The profile does not fix p: an H_p lane is
+accumulated from M on request, for any p > 1.  The defining relations are
 
     M(n) = sum_{k<=n} mu(k)
     g(n) = sum_{k<=n} mu(k)/k
@@ -15,30 +16,99 @@ and g(n) = M(n)/n + gamma(n) holds exactly for every n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .sieve import MobiusTable
 
 DEFAULT_EXACT_LIMIT = 10**4
+# terms per chunk of every long double running sum (and of the Mellin sums)
+CHUNK = 1 << 16
+
+
+def check_limit(limit: int) -> None:
+    """Reject a profile range the int32 Mertens lane cannot hold."""
+    # |M(n)| <= n, so int32 holds M(n) for every n below 2^31
+    if limit >= 2**31:
+        raise ValueError(f"profile limit must be below 2^31, got {limit}")
+
+
+def _running_sums(out: np.ndarray, terms) -> np.ndarray:
+    """Fill out with the prefix sums of terms(lo, hi), the long double terms
+    lo..hi-1, chunk by chunk.
+
+    Folding the carry into each chunk's first term makes the same sequence
+    of roundings as one cumsum over all terms, so only O(CHUNK) long doubles
+    are alive at a time.
+    """
+    carry = np.longdouble(0.0)
+    for lo in range(0, len(out), CHUNK):
+        hi = min(lo + CHUNK, len(out))
+        x = terms(lo, hi)
+        x[0] += carry
+        np.cumsum(x, out=x)
+        carry = x[-1]
+        out[lo:hi] = x
+    return out
+
+
+def _ks(lo: int, hi: int) -> np.ndarray:
+    """k = lo+1..hi, the 1-based indices of positions lo..hi-1, as long doubles."""
+    return np.arange(lo + 1, hi + 1, dtype=np.float64).astype(np.longdouble)
 
 
 @dataclass(frozen=True)
 class ArithProfile:
+    """M(1..limit), with the float and exact lanes built on first read."""
+
     limit: int
     exact_limit: int
     mu_values: np.ndarray        # int8, mu(1..limit)
-    mertens: np.ndarray          # int64, M(1..limit)
-    g_float: np.ndarray          # float64, g(1..limit)
-    gamma_float: np.ndarray      # float64, gamma(1..limit)
-    _g_exact: list = field(repr=False, default_factory=list)
-    _gamma_exact: list = field(repr=False, default_factory=list)
+    mertens: np.ndarray          # int32, M(1..limit)
 
     def _check(self, n: int) -> None:
         if not 1 <= n <= self.limit:
             raise ValueError(f"n={n} outside profile range [1, {self.limit}]")
+
+    @cached_property
+    def g_float(self) -> np.ndarray:
+        """g(1..limit) as float64."""
+        def terms(lo, hi):
+            return self.mu_values[lo:hi].astype(np.longdouble) / _ks(lo, hi)
+
+        return _running_sums(np.empty(self.limit), terms)
+
+    @cached_property
+    def gamma_float(self) -> np.ndarray:
+        """gamma(1..limit) as float64."""
+        def terms(lo, hi):
+            k = _ks(lo, hi)
+            return self.mertens[lo:hi].astype(np.longdouble) / (k * (k + 1.0))
+
+        gamma = np.empty(self.limit)
+        gamma[0] = 0.0
+        _running_sums(gamma[1:], terms)
+        return gamma
+
+    @cached_property
+    def _exact(self) -> tuple:
+        """g(1..exact_limit) and gamma(1..exact_limit) as Fractions."""
+        g_exact: list[Fraction] = []
+        gamma_exact: list[Fraction] = []
+        acc_g = Fraction(0)
+        acc_gamma = Fraction(0)
+        for i in range(self.exact_limit):
+            m = int(self.mu_values[i])
+            if m:
+                acc_g += Fraction(m, i + 1)
+            g_exact.append(acc_g)
+            if i >= 1:
+                acc_gamma += Fraction(int(self.mertens[i - 1]), i * (i + 1))
+            gamma_exact.append(acc_gamma)
+        return g_exact, gamma_exact
 
     def mu(self, n: int) -> int:
         self._check(n)
@@ -61,15 +131,25 @@ class ArithProfile:
         if not p > 1:
             raise ValueError(f"p must be > 1, got {p}")
         self._check(upto)
-        hp = np.zeros(upto, dtype=np.longdouble)
-        k = np.arange(1, upto, dtype=np.float64).astype(np.longdouble)
         if abs(p - 2.0) < 1e-15:
-            step = np.log(k + 1.0) - np.log(k)
+            def step(lo, hi):
+                k = _ks(lo, hi)
+                return np.log(k + 1.0) - np.log(k)
         else:
             e = 1.0 - 2.0 / p
-            step = ((k + 1.0) ** e - k ** e) / e
-        hp[1:] = np.cumsum(self.mertens[:upto - 1].astype(np.longdouble) * step)
-        return hp.astype(np.float64)
+
+            def step(lo, hi):
+                # ((k+1)^e - k^e)/e without the cancellation of the difference
+                k = np.arange(lo + 1, hi + 1, dtype=np.float64)
+                return k ** e * np.expm1(e * np.log1p(1.0 / k)) / e
+
+        def terms(lo, hi):
+            return self.mertens[lo:hi].astype(np.longdouble) * step(lo, hi)
+
+        hp = np.empty(upto)
+        hp[0] = 0.0
+        _running_sums(hp[1:], terms)
+        return hp
 
     def hp(self, n: int, p: float = 2.0) -> float:
         return float(self.hp_values(p, n)[-1])
@@ -78,13 +158,13 @@ class ArithProfile:
         self._check(n)
         if n > self.exact_limit:
             raise ValueError(f"n={n} beyond exact limit {self.exact_limit}")
-        return self._g_exact[n - 1]
+        return self._exact[0][n - 1]
 
     def gamma_exact(self, n: int) -> Fraction:
         self._check(n)
         if n > self.exact_limit:
             raise ValueError(f"n={n} beyond exact limit {self.exact_limit}")
-        return self._gamma_exact[n - 1]
+        return self._exact[1][n - 1]
 
     def has_exact(self, n: int) -> bool:
         return 1 <= n <= self.exact_limit
@@ -92,45 +172,19 @@ class ArithProfile:
 
 def build_profile(table: MobiusTable,
                   exact_limit: int | None = None) -> ArithProfile:
-    """Accumulate M, g and gamma from a sieved Moebius table."""
+    """Accumulate M from a sieved Moebius table; the other lanes follow on
+    first read."""
     n = table.limit
+    check_limit(n)
     if exact_limit is None:
         exact_limit = min(n, DEFAULT_EXACT_LIMIT)
     exact_limit = min(exact_limit, n)
-
     mu = table.mu_array()
-    mertens = np.cumsum(mu, dtype=np.int64)
-    ks = np.arange(1, n + 1, dtype=np.float64)
-
-    # extended-precision cumulative sums keep the rounding error of the
-    # float lanes far below every tolerance used downstream
-    g = np.cumsum(mu.astype(np.longdouble) / ks.astype(np.longdouble))
-    gamma = np.empty(n, dtype=np.longdouble)
-    gamma[0] = 0.0
-    if n > 1:
-        k = ks[:-1].astype(np.longdouble)
-        gamma[1:] = np.cumsum(mertens[:-1].astype(np.longdouble) / (k * (k + 1.0)))
-
-    g_exact: list[Fraction] = []
-    gamma_exact: list[Fraction] = []
-    acc_g = Fraction(0)
-    acc_gamma = Fraction(0)
-    for i in range(exact_limit):
-        m = int(mu[i])
-        if m:
-            acc_g += Fraction(m, i + 1)
-        g_exact.append(acc_g)
-        if i >= 1:
-            acc_gamma += Fraction(int(mertens[i - 1]), i * (i + 1))
-        gamma_exact.append(acc_gamma)
-
-    return ArithProfile(
-        limit=n, exact_limit=exact_limit,
-        mu_values=mu, mertens=mertens,
-        g_float=g.astype(np.float64),
-        gamma_float=gamma.astype(np.float64),
-        _g_exact=g_exact, _gamma_exact=gamma_exact,
-    )
+    # in place: cumsum(mu, dtype=int32) would first cast all of mu to int32
+    mertens = mu.astype(np.int32)
+    np.cumsum(mertens, out=mertens)
+    return ArithProfile(limit=n, exact_limit=exact_limit, mu_values=mu,
+                        mertens=mertens)
 
 
 _SERIES = ("M", "g", "gamma")

@@ -14,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import arith, beurling, mellin, sieve, transform, uop, witnesses
+from . import arith, beurling, mellin, norms, sieve, transform, uop, witnesses
 
 NORM_COLUMNS = ("family", "n", "p", "value", "err", "tail_low", "tail_high",
                 "segments", "seconds")
@@ -90,12 +90,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _profile(limit: int, exact_limit: int | None = None) -> arith.ArithProfile:
+    arith.check_limit(limit)
+    table, _ = sieve.sieve_mobius_cached(limit)
+    return arith.build_profile(table, exact_limit)
+
+
 def _profile_for(limit: int, grid) -> arith.ArithProfile:
-    need = max(grid) if limit is None else limit
     if limit is not None and limit < max(grid):
         raise ValueError(f"--limit {limit} below largest grid point {max(grid)}")
-    table, _ = sieve.sieve_mobius_cached(need)
-    return arith.build_profile(table)
+    return _profile(max(grid) if limit is None else limit)
 
 
 class _Writer:
@@ -142,6 +146,8 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_norm(args) -> int:
+    norms.check_p(args.p)
+    norms.check_cutoff(args.epsilon)
     profile = _profile_for(args.limit, args.n_grid)
     gen = witnesses.DEFAULT_GENERATOR[args.family]
     writer = _Writer(args.out, NORM_COLUMNS)
@@ -176,8 +182,8 @@ def _witness_reports(args, profile):
 
 
 def cmd_witness(args) -> int:
-    if args.family == "rn" and args.p != 2.0:
-        raise ValueError(f"witness --family rn measures the L_2 norm; p must be 2, got {args.p}")
+    witnesses.check_p(args.family, args.p)
+    norms.check_cutoff(args.epsilon)
     profile = _profile_for(args.limit, args.n_grid)
     writer = _Writer(args.out, WITNESS_COLUMNS)
     failed = False
@@ -196,8 +202,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_identity(args) -> int:
-    table, _ = sieve.sieve_mobius_cached(args.limit)
-    profile = arith.build_profile(table, exact_limit=args.limit)
+    profile = _profile(args.limit, exact_limit=args.limit)
     checks = []
 
     checks.append(("floor_sum", arith.floor_sum_check(profile, args.limit)))
@@ -231,8 +236,8 @@ def cmd_identity(args) -> int:
 
 
 def cmd_mellin(args) -> int:
-    table, _ = sieve.sieve_mobius_cached(max(args.cutoff - 1, 1))
-    profile = arith.build_profile(table)
+    mellin.check_arguments(args.kernel, args.s, args.cutoff, args.p)
+    profile = _profile(max(args.cutoff - 1, 1))
     res = mellin.mellin_numeric(profile, args.kernel, args.s, args.cutoff, args.p)
     ref = mellin.mellin_reference(args.kernel, args.s, args.p)
     diff = abs(res.value - ref)

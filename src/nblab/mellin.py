@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import ArithProfile
+from .arith import CHUNK, ArithProfile
 
 # B_2, B_4, ..., B_14
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
@@ -50,57 +50,72 @@ class MellinResult:
 _KERNELS = ("M", "xg", "hp")
 
 
+def check_arguments(kernel: str, s: complex, cutoff: int, p: float = 2.0) -> None:
+    """Raise ValueError unless mellin_numeric accepts these arguments for a
+    profile that covers the cutoff."""
+    if kernel not in _KERNELS:
+        raise ValueError(f"kernel must be one of {_KERNELS}, got {kernel!r}")
+    if kernel == "hp" and not p > 1:
+        raise ValueError(f"p must be > 1, got {p}")
+    sigma = complex(s).real
+    min_sigma = 2.0 - 2.0 / p if kernel == "hp" else 1.0
+    if not sigma > min_sigma:
+        raise ValueError(f"kernel {kernel!r} needs Re s > {min_sigma}, got {sigma}")
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+
+
 def mellin_numeric(profile: ArithProfile, kernel: str, s: complex,
                    cutoff: int, p: float = 2.0) -> MellinResult:
     """integral_1^T kernel(x) x^(-s-1) dx with a rigorous tail bound.
 
     kernel "M" and "xg" need Re s > 1; "hp" needs p > 1 and Re s > 2/q
     where q is the conjugate index of p, which only this kernel reads.
-    cutoff T must be covered by the profile (M(n) for n < T).
+    cutoff T must be covered by the profile (M(n) for n < T).  The sum over
+    n runs in chunks, so beyond the profile's lanes it needs O(CHUNK) memory.
     """
-    if kernel not in _KERNELS:
-        raise ValueError(f"kernel must be one of {_KERNELS}, got {kernel!r}")
-    if kernel == "hp" and not p > 1:
-        raise ValueError(f"p must be > 1, got {p}")
-    s = complex(s)
-    sigma = s.real
-    min_sigma = 2.0 - 2.0 / p if kernel == "hp" else 1.0
-    if not sigma > min_sigma:
-        raise ValueError(f"kernel {kernel!r} needs Re s > {min_sigma}, got {sigma}")
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    check_arguments(kernel, s, cutoff, p)
     if cutoff - 1 > profile.limit:
         raise ValueError(f"cutoff {cutoff} beyond profile limit {profile.limit}")
+    s = complex(s)
+    sigma = s.real
     if cutoff == 1:
         return MellinResult(0j, _tail(kernel, sigma, 1, p), 1)
 
-    n = np.arange(1, cutoff, dtype=np.float64)
-    logn = np.log(n)
-    lognn = np.log(n + 1.0)
-    pow_s = np.exp(-s * logn)          # n^-s
-    pow_s1 = np.exp(-s * lognn)        # (n+1)^-s
-    mert = profile.mertens[:cutoff - 1].astype(np.float64)
-
-    if kernel == "M":
-        value = np.sum(mert * (pow_s - pow_s1)) / s
-    elif kernel == "xg":
-        g = profile.g_float[:cutoff - 1]
-        value = np.sum(g * (np.exp((1 - s) * logn) - np.exp((1 - s) * lognn))) / (s - 1)
-    else:
-        hp = profile.hp_values(p, cutoff - 1)
-        if abs(p - 2.0) < 1e-15:
+    if kernel == "xg":
+        lane = profile.g_float
+    elif kernel == "hp":
+        lane = profile.hp_values(p, cutoff - 1)
+        e = 1.0 - 2.0 / p
+    power = 1 - s if kernel == "xg" else -s
+    total = 0j
+    for lo in range(1, cutoff, CHUNK):
+        hi = min(lo + CHUNK, cutoff)
+        # m = lo..hi; the n = lo..hi-1 and n + 1 terms are its two shifted views
+        logm = np.log(np.arange(lo, hi + 1, dtype=np.float64))
+        logn = logm[:-1]
+        pow_m = np.exp(power * logm)
+        pow_s, pow_s1 = pow_m[:-1], pow_m[1:]      # n^power, (n+1)^power
+        mert = profile.mertens[lo - 1:hi - 1].astype(np.float64)
+        if kernel == "M":
+            total += np.sum(mert * (pow_s - pow_s1))
+        elif kernel == "xg":
+            total += np.sum(lane[lo - 1:hi - 1] * (pow_s - pow_s1))
+        elif abs(p - 2.0) < 1e-15:
             # H_2(x) = H_2(n) + M(n)(log x - log n) on [n, n+1]
-            base = (hp - mert * logn) * (pow_s - pow_s1) / s
+            base = (lane[lo - 1:hi - 1] - mert * logn) * (pow_s - pow_s1) / s
             # antiderivative of log(x) x^(-s-1): -x^-s (log x / s + 1/s^2)
-            f_hi = -pow_s1 * (lognn / s + 1.0 / s**2)
-            f_lo = -pow_s * (logn / s + 1.0 / s**2)
-            value = np.sum(base + mert * (f_hi - f_lo))
+            f = -pow_m * (logm / s + 1.0 / s**2)
+            total += np.sum(base + mert * (f[1:] - f[:-1]))
         else:
-            e = 1.0 - 2.0 / p
-            base = (hp - mert * np.exp(e * logn) / e) * (pow_s - pow_s1) / s
-            shifted = (np.exp((e - s) * logn) - np.exp((e - s) * lognn)) / (s - e)
-            value = np.sum(base + mert / e * shifted)
-    return MellinResult(complex(value), _tail(kernel, sigma, cutoff, p), cutoff)
+            base = (lane[lo - 1:hi - 1] - mert * np.exp(e * logn) / e) * (pow_s - pow_s1) / s
+            pow_es = np.exp((e - s) * logm)
+            total += np.sum(base + mert / e * ((pow_es[:-1] - pow_es[1:]) / (s - e)))
+    if kernel == "M":
+        total /= s
+    elif kernel == "xg":
+        total /= s - 1
+    return MellinResult(complex(total), _tail(kernel, sigma, cutoff, p), cutoff)
 
 
 def _tail(kernel: str, sigma: float, cutoff: int, p: float) -> float:

@@ -345,6 +345,12 @@ def _int_state(jumps, n: int) -> np.ndarray:
     return state
 
 
+def check_cutoff(eps: float) -> None:
+    """Raise ValueError unless eps lies in (0, 1)."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"cutoff must lie in (0, 1), got {eps}")
+
+
 def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbolic:
     """Flatten f - generator over (eps, 1] into hyperbolic-log segments.
 
@@ -357,8 +363,7 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     breakpoints are sorted and coincident ones summed.
     """
     rho_terms, phi_terms, inv_coeff, sup_bound, min_theta = _term_spec(f)
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"cutoff must lie in (0, 1), got {eps}")
+    check_cutoff(eps)
     if eps >= float(min_theta):
         raise ValueError(f"cutoff {eps} must be below min theta {float(min_theta)}")
 
@@ -556,6 +561,12 @@ def _quad_abs_p(a, b, c, lo, hi, p, order):
     return half * (vals @ w0)
 
 
+def check_p(p: float) -> None:
+    """Raise ValueError unless the engine integrates the p-th power."""
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+
+
 def lp_norm(pw: PiecewiseHyperbolic, p: float,
             include_far: bool | None = None) -> NormReport:
     """Certified ||difference||_p over (0, infinity) or (0, 1].
@@ -566,8 +577,7 @@ def lp_norm(pw: PiecewiseHyperbolic, p: float,
     nonvanishing tail makes the full-line integral infinite and the claims
     are about the unit interval).
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_p(p)
     if include_far is None:
         include_far = p > 1.0
     lo, hi, b, c, a = pw.lo, pw.hi, pw.b, pw.c, pw.a
@@ -614,7 +624,5 @@ def lp_norm(pw: PiecewiseHyperbolic, p: float,
 def lp_distance(f, generator: Generator | None, p: float, eps: float = 1e-6,
                 include_far: bool | None = None) -> NormReport:
     """||f - generator||_p with certificates; generator None means ||f||_p."""
-    if p < 1:
-        # checked here too, so a bad p fails before the flatten allocates
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_p(p)   # before the flatten allocates
     return lp_norm(to_piecewise(f, generator, eps), p, include_far=include_far)

@@ -57,6 +57,15 @@ class WitnessReport:
         return self.lhs.lower - self.rhs
 
 
+def check_p(family: str, p: float) -> None:
+    """Raise ValueError unless the witness of family is defined at p."""
+    if family == "rn":
+        if p != 2.0:
+            raise ValueError(f"the rn witness measures the L_2 norm; p must be 2, got {p}")
+    elif not p > 1:
+        raise ValueError(f"p must be > 1, got {p}")
+
+
 def _power_mean_bound(p: float, scale: float, n: int) -> float:
     # ((p-1)^-1 n^(p-1) scale^p)^(1/p)
     return (p - 1.0) ** (-1.0 / p) * n ** (1.0 - 1.0 / p) * scale
@@ -65,8 +74,7 @@ def _power_mean_bound(p: float, scale: float, n: int) -> float:
 def witness_sn_hurdle(n: int, p: float, profile: ArithProfile,
                       eps: float = 1e-6) -> WitnessReport:
     """Certified ||chi + S_n||_p against (p-1)^(-1/p) n^(1/q) |g(n)|."""
-    if not p > 1:
-        raise ValueError(f"p must be > 1, got {p}")
+    check_p("sn", p)
     lhs = lp_distance(make_family("sn", n, profile), NEG_CHI, p, eps)
     rhs = _power_mean_bound(p, abs(profile.g(n)), n)
     return WitnessReport(anchor="sn_lp_lower", family="sn", n=n, p=p,
@@ -99,8 +107,7 @@ def witness_gn(n: int, p: float, profile: ArithProfile,
     informational component; it carries no explicit constant and never
     participates in the verdict.
     """
-    if not p > 1:
-        raise ValueError(f"p must be > 1, got {p}")
+    check_p("gn", p)
     lhs = lp_distance(Gn(n, profile), LAMBDA, p, eps)
     rhs = _power_mean_bound(p, abs(profile.gamma(n)), n)
     comps = ()

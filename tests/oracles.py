@@ -177,3 +177,59 @@ def rho_tail_ratio_bound(theta: float, n: int) -> TailIntegralBound:
     value = (math.log(theta / n) + 1.0 - EULER_GAMMA) / theta
     bound = (math.log(theta) + 1.0) / theta
     return TailIntegralBound(value=value, bound=bound, satisfied=value <= bound)
+
+
+def whole_array_lanes(mu: np.ndarray, exact_limit: int) -> dict:
+    """The profile lanes of mu(1..n), each from one pass over the whole range:
+    float64 g, gamma and H_2 from one long double cumsum each, and exact g,
+    gamma up to exact_limit from Fraction sums."""
+    n = len(mu)
+    mertens = np.cumsum(mu, dtype=np.int64)
+    ks = np.arange(1, n + 1, dtype=np.float64)
+    g = np.cumsum(mu.astype(np.longdouble) / ks.astype(np.longdouble))
+    gamma = np.zeros(n, dtype=np.longdouble)
+    h2 = np.zeros(n, dtype=np.longdouble)
+    k = ks[:-1].astype(np.longdouble)
+    m = mertens[:-1].astype(np.longdouble)
+    gamma[1:] = np.cumsum(m / (k * (k + 1.0)))
+    h2[1:] = np.cumsum(m * (np.log(k + 1.0) - np.log(k)))
+    g_exact, gamma_exact = [], []
+    acc_g = acc_gamma = Fraction(0)
+    for i in range(exact_limit):
+        acc_g += Fraction(int(mu[i]), i + 1)
+        g_exact.append(acc_g)
+        if i >= 1:
+            acc_gamma += Fraction(int(mertens[i - 1]), i * (i + 1))
+        gamma_exact.append(acc_gamma)
+    return {"g": g.astype(np.float64), "gamma": gamma.astype(np.float64),
+            "h2": h2.astype(np.float64), "g_exact": g_exact,
+            "gamma_exact": gamma_exact}
+
+
+def mellin_whole_array(profile: ArithProfile, kernel: str, s: complex,
+                       cutoff: int, p: float = 2.0) -> complex:
+    """integral_1^T kernel(x) x^(-s-1) dx, as nblab.mellin.mellin_numeric
+    computes it but with every term of the sum over n in one array."""
+    s = complex(s)
+    n = np.arange(1, cutoff, dtype=np.float64)
+    logn = np.log(n)
+    lognn = np.log(n + 1.0)
+    pow_s = np.exp(-s * logn)
+    pow_s1 = np.exp(-s * lognn)
+    mert = profile.mertens[:cutoff - 1].astype(np.float64)
+    if kernel == "M":
+        return complex(np.sum(mert * (pow_s - pow_s1)) / s)
+    if kernel == "xg":
+        g = profile.g_float[:cutoff - 1]
+        return complex(np.sum(g * (np.exp((1 - s) * logn) - np.exp((1 - s) * lognn)))
+                       / (s - 1))
+    hp = profile.hp_values(p, cutoff - 1)
+    if abs(p - 2.0) < 1e-15:
+        base = (hp - mert * logn) * (pow_s - pow_s1) / s
+        f_hi = -pow_s1 * (lognn / s + 1.0 / s**2)
+        f_lo = -pow_s * (logn / s + 1.0 / s**2)
+        return complex(np.sum(base + mert * (f_hi - f_lo)))
+    e = 1.0 - 2.0 / p
+    base = (hp - mert * np.exp(e * logn) / e) * (pow_s - pow_s1) / s
+    shifted = (np.exp((e - s) * logn) - np.exp((e - s) * lognn)) / (s - e)
+    return complex(np.sum(base + mert / e * shifted))

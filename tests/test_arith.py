@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nblab.arith import floor_sum_check, sign_changes
+from nblab.arith import CHUNK, build_profile, floor_sum_check, sign_changes
+from nblab.sieve import sieve_mobius
+
+from oracles import whole_array_lanes
 
 
 def test_g_decomposition_exact(profile):
@@ -121,3 +124,43 @@ def test_range_validation(profile):
 def test_hp_values_rejects_bad_p(profile):
     with pytest.raises(ValueError):
         profile.hp_values(1.0, 10)
+
+
+def test_chunked_lanes_equal_whole_array():
+    # three full chunks plus a ragged end: the carry between chunks must
+    # round exactly as one cumsum over the whole range does
+    table = sieve_mobius(3 * CHUNK + 123)
+    prof = build_profile(table, exact_limit=3000)
+    ref = whole_array_lanes(table.mu_array(), 3000)
+    assert np.array_equal(prof.g_float, ref["g"])
+    assert np.array_equal(prof.gamma_float, ref["gamma"])
+    assert np.array_equal(prof.hp_values(2.0, prof.limit), ref["h2"])
+    assert [prof.g_exact(n) for n in range(1, 3001)] == ref["g_exact"]
+    assert [prof.gamma_exact(n) for n in range(1, 3001)] == ref["gamma_exact"]
+
+
+@pytest.fixture(scope="module")
+def million_profile():
+    return build_profile(sieve_mobius(10**6))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_hp_general_p_summation_by_parts(million_profile, p):
+    # sum_{k<n} M(k)((k+1)^e - k^e) = M(n-1) n^e - sum_{k<n} mu(k) k^e
+    n = 10**6
+    e = 1.0 - 2.0 / p
+    ks = np.arange(1, n, dtype=np.float64)
+    tail = math.fsum((million_profile.mu_values[:n - 1] * ks ** e).tolist())
+    oracle = (million_profile.M(n - 1) * n ** e - tail) / e
+    assert math.isclose(million_profile.hp(n, p), oracle, rel_tol=1e-13)
+
+
+def test_build_profile_rejects_limit_beyond_int32():
+    class Table:
+        limit = 2**31
+
+        def mu_array(self):
+            raise AssertionError("mu_array read before the limit was checked")
+
+    with pytest.raises(ValueError, match="below 2\\^31"):
+        build_profile(Table())

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from nblab import cli, norms, witnesses
+from nblab import cli, norms, sieve, witnesses
 from nblab.norms import NormReport
 from nblab.witnesses import WitnessReport
 
@@ -146,6 +146,25 @@ def test_witness_rn_rejects_p_other_than_two(monkeypatch, capsys):
     assert cli.main(["witness", "--family", "rn", "--p", "3",
                      "--n-grid", "10"]) == 3
     assert "p must be 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["norm", "--family", "sn", "--p", "0.5", "--n-grid", "10"], "p must be >= 1"),
+    (["witness", "--family", "gn", "--p", "1", "--n-grid", "10"], "p must be > 1"),
+    (["witness", "--family", "sn", "--epsilon", "1.5", "--n-grid", "10"],
+     "cutoff must lie in (0, 1)"),
+    (["mellin", "--kernel", "hp", "--p", "1", "--cutoff", "30000000"], "p must be > 1"),
+    (["mellin", "--kernel", "M", "--cutoff", "3000000000"], "below 2^31"),
+])
+def test_arguments_rejected_before_any_sieve(argv, message, monkeypatch, capsys):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("the sieve ran before the arguments were checked")
+
+    monkeypatch.setattr(sieve, "sieve_mobius_cached", no_sieve)
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
 
 
 def test_u_heads(tmp_path):

@@ -3,9 +3,11 @@ import math
 import pytest
 from scipy.special import zeta as scipy_zeta
 
-from nblab.arith import build_profile
+from nblab.arith import CHUNK, build_profile
 from nblab.mellin import MellinResult, mellin_numeric, mellin_reference, zeta_real
 from nblab.sieve import sieve_mobius
+
+from oracles import mellin_whole_array
 
 
 @pytest.mark.parametrize("s", [1.1, 1.5, 2.0, 2.5, 3.0, 4.0, 7.5, 12.0])
@@ -84,3 +86,17 @@ def test_domain_validation(big_profile):
         mellin_numeric(big_profile, "M", 2.0, 10 ** 7)
     with pytest.raises(ValueError):
         mellin_reference("M", 2.0 + 1.0j)
+
+
+@pytest.fixture(scope="module")
+def chunks_profile():
+    return build_profile(sieve_mobius(3 * CHUNK + 77), exact_limit=1)
+
+
+@pytest.mark.parametrize("kernel,p", [("M", 2.0), ("xg", 2.0), ("hp", 2.0), ("hp", 1.5)])
+@pytest.mark.parametrize("s", [2.5, 2.5 + 3.0j])
+@pytest.mark.parametrize("cutoff", [3 * CHUNK + 78, 2])
+def test_chunked_sum_matches_whole_array(chunks_profile, kernel, p, s, cutoff):
+    got = mellin_numeric(chunks_profile, kernel, s, cutoff, p).value
+    ref = mellin_whole_array(chunks_profile, kernel, s, cutoff, p)
+    assert abs(got - ref) <= 1e-13 * abs(ref)
