@@ -321,7 +321,7 @@ def main(argv=None) -> int:
             print(exc.code, file=sys.stderr)
             return EXIT_CONFIG
         raise
-    except (ValueError, OSError, uop.BudgetError) as exc:
+    except (ValueError, OSError, norms.BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -11,7 +11,7 @@ double lane, the start state and the cast to float64 can round.  Closed
 forms integrate p = 1 and p = 2; general p uses Gauss-Legendre with an
 order-doubling error estimate.  The regions (0, eps) and (1, inf) are
 handled by a rigorous sup-bound and by the exact tail integral of
-(tail_a / x)^p respectively, so every report is an interval certified to
+(a / x)^p respectively, so every report is an interval certified to
 contain the true norm.
 """
 
@@ -42,7 +42,7 @@ class BudgetError(RuntimeError):
 class PiecewiseHyperbolic:
     """Segments of a/x + b[i] + c[i] log x on (lo[i], hi[i]], ascending in x.
 
-    The segments tile (eps, 1]; on (1, inf) the difference equals tail_a / x
+    The segments tile (eps, 1]; on (1, inf) the difference equals a / x
     exactly; on (0, eps) it is bounded by sup_const (+ |log x| when
     has_log_tail).  drift_bound bounds |b - b_exact| and |c - c_exact| on
     every segment: the rounding of non-integer coefficients and of the log
@@ -57,7 +57,6 @@ class PiecewiseHyperbolic:
     eps: float
     sup_const: float
     has_log_tail: bool
-    tail_a: float
     drift_bound: float = 0.0
 
     @property
@@ -374,6 +373,8 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
         raise BudgetError(
             f"{total} breakpoints exceed budget {FLATTEN_BUDGET}; "
             "raise the cutoff or reduce the number of dilation terms")
+    if any(t > 1 for _, t in rho_terms):
+        raise ValueError("rho terms need theta <= 1")
     if any(w != int(w) or t > 1 for w, t in phi_terms):
         raise ValueError("Phi terms need integer weights and theta <= 1")
     phi_terms = [(int(w), t) for w, t in phi_terms]
@@ -385,10 +386,10 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     if rho_terms:
         a += float(sum((c * t for c, t in rho_terms), start=Fraction(0)))
 
-    # state just below x = 1, where floor(theta / x) = floor(theta); a Phi
-    # term there adds w (floor(theta) log theta - log floor(theta)!) = 0
-    b_exact = Fraction(b_gen) - sum((Fraction(c) * math.floor(t)
-                                     for c, t in rho_terms if t >= 1), start=Fraction(0))
+    # state just below x = 1, where only theta = 1 has floor(theta / x) = 1;
+    # a Phi term there adds w (floor(theta) log theta - log floor(theta)!) = 0
+    b_exact = Fraction(b_gen) - sum((Fraction(c) for c, t in rho_terms if t == 1),
+                                    start=Fraction(0))
     b0 = float(b_exact)
     b0_err = float(abs(Fraction(b0) - b_exact))
     c0 = int(c_gen) - sum(w for w, t in phi_terms if t == 1)
@@ -422,7 +423,7 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     return PiecewiseHyperbolic(
         lo=lo, hi=hi, b=b[::-1].copy(), c=c_state[::-1].astype(np.float64),
         a=a, eps=eps, sup_const=float(sup_bound), has_log_tail=log_tail,
-        tail_a=a, drift_bound=drift,
+        drift_bound=drift,
     )
 
 
@@ -601,11 +602,11 @@ def lp_norm(pw: PiecewiseHyperbolic, p: float,
             quad_err += float(np.sum(np.abs(lo32 - lo16)))
 
     far = 0.0
-    if include_far and pw.tail_a != 0.0:
+    if include_far and a != 0.0:
         if p == 1.0:
             power = math.inf
         else:
-            far = abs(pw.tail_a) ** p / (p - 1.0)
+            far = abs(a) ** p / (p - 1.0)
             power += far
 
     # rounding drift of the cumulative b/c construction, folded into the

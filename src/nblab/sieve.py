@@ -37,12 +37,10 @@ def _pack(values: np.ndarray) -> np.ndarray:
 
 def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
     """Unpack n leading mu values from a packed byte array."""
-    out = np.empty(len(packed) * 4, dtype=np.uint8)
-    out[0::4] = packed & 3
-    out[1::4] = (packed >> 2) & 3
-    out[2::4] = (packed >> 4) & 3
-    out[3::4] = (packed >> 6) & 3
-    return _DECODE[out[:n]]
+    out = np.empty(len(packed) * 4, dtype=np.int8)
+    for lane in range(4):
+        out[lane::4] = _DECODE[(packed >> 2 * lane) & 3]
+    return out[:n]
 
 
 @dataclass(frozen=True)

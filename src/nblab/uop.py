@@ -20,8 +20,7 @@ from scipy.special import digamma
 
 from .arith import ArithProfile
 from .beurling import BeurlingSum, rho
-from .norms import (_LD_EPS, FLATTEN_BUDGET, BudgetError, NormReport,
-                    _gl_nodes, lp_distance)
+from .norms import BudgetError, NormReport, _gl_nodes, lp_distance
 from .transform import EULER_GAMMA
 
 
@@ -66,72 +65,26 @@ def head_constant(f: BeurlingSum):
 def u_l2_norm(usum: USum, x_max: float) -> NormReport:
     """Certified L_2 norm of a transformed sum over (0, infinity).
 
-    On (0, x_max] the function is piecewise P + Q/x with the global constant
-    P = head and Q dropping by d_k at each lattice point j theta_k, so the
-    squared integral is exact per segment.  Beyond x_max only the envelope
-    bound (sum |d_k|)/x is used, contributing at most envelope^2 / x_max.
+    With t the smallest theta, x = t/y turns the integral of |Uf|^2 over
+    (0, x_max] into t^-1 times that of h^2 over (t/x_max, infinity), where
+    h = sum d_k rho((t/theta_k)/y) is a class-B Beurling sum, which the norm
+    engine integrates exactly.  Its far tail (t head/y)^2 is the constant
+    head on (0, t); its near-zero bound (sum |d_k|)^2 t/x_max becomes
+    tail_high, the envelope bound (sum |d_k|)/x integrated beyond x_max.
     """
-    if x_max <= 0:
-        raise ValueError(f"far cutoff must be positive, got {x_max}")
-    total = sum(int(x_max / float(t)) for _, t in usum.terms)
-    if total > FLATTEN_BUDGET:
-        raise BudgetError(
-            f"{total} breakpoints exceed budget {FLATTEN_BUDGET}; "
-            "reduce the far cutoff or the number of terms")
-
-    p_head = float(usum.head_constant)
-    xs_parts, dq_parts = [], []
-    for d, t in usum.terms:
-        tf, df = float(t), float(d)
-        j = np.arange(1, int(x_max / tf) + 1, dtype=np.float64)
-        xs_parts.append(j * tf)
-        dq_parts.append(np.full(len(j), -df))
-    if xs_parts:
-        xs = np.concatenate(xs_parts)
-        dq = np.concatenate(dq_parts)
-        order = np.argsort(xs, kind="stable")
-        xs, dq = xs[order], dq[order]
-    else:
-        xs = np.empty(0)
-        dq = np.empty(0)
-
-    n_seg = len(xs) + 1
-    los = np.empty(n_seg)
-    his = np.empty(n_seg)
-    los[0] = 0.0
-    los[1:] = xs
-    his[:-1] = xs
-    his[-1] = x_max
-    q = np.empty(n_seg)
-    q[0] = 0.0
-    q_cum = np.cumsum(dq.astype(np.longdouble))
-    q[1:] = q_cum.astype(np.float64)
-
-    keep = his > los
-    los, his, q = los[keep], his[keep], q[keep]
-    d = his - los
-    power = p_head * p_head * x_max
-    if len(los) > 1:
-        lo1, hi1, q1, d1 = los[1:], his[1:], q[1:], d[1:]
-        power += float(np.sum(2.0 * p_head * q1 * np.log1p(d1 / lo1)))
-        power += float(np.sum(q1 * q1 * d1 / (lo1 * hi1)))
-
-    # a drift-sized error in Q perturbs the value by drift/x, so the induced
-    # power error integrates to 2 vmax drift log(x_max / first breakpoint);
-    # |Uf| itself never exceeds the envelope over the first breakpoint
-    drift = len(xs) * _LD_EPS * (float(np.max(np.abs(q_cum))) + 1.0) if len(xs) else 0.0
-    if len(los) > 1:
-        x1 = float(los[1])
-        vmax = max(abs(p_head), usum.envelope / x1)
-        quad_err = 2.0 * vmax * drift * math.log(x_max / x1)
-    else:
-        quad_err = 0.0
-
-    tail_high = usum.envelope ** 2 / x_max
-    value = math.sqrt(max(power, 0.0))
-    return NormReport(p=2.0, value=value, tail_low=0.0, tail_high=tail_high,
-                      quad_error=quad_err, segments=len(los), far_tail=0.0,
-                      power_value=power)
+    thetas = [theta for _, theta in usum.terms] or [Fraction(1)]
+    t, top = min(thetas), max(thetas)
+    if not x_max > top:
+        raise ValueError(
+            f"far cutoff must exceed the largest theta {float(top)}, got {x_max}")
+    h = BeurlingSum.make([(d, t / theta) for d, theta in usum.terms])
+    rep = lp_distance(h, None, 2.0, float(t) / x_max)
+    scale = float(1 / t)
+    power = rep.power_value * scale
+    return NormReport(p=2.0, value=math.sqrt(max(power, 0.0)), tail_low=0.0,
+                      tail_high=rep.tail_low * scale,
+                      quad_error=rep.quad_error * scale, segments=rep.segments,
+                      far_tail=0.0, power_value=power)
 
 
 @dataclass(frozen=True)
@@ -147,22 +100,19 @@ def isometry_check(f: BeurlingSum, x_max: float = 1e4,
                    eps: float = 1e-6) -> IsometryReport:
     """Compare ||f||_2 with the certified ||Uf||_2 interval.
 
-    The two sides are computed by unrelated code paths (the piecewise
-    hyperbolic engine near zero versus the lattice-of-multiples engine up to
-    x_max), so agreement within the combined certificates exercises both.
+    Both sides run on the norm engine, but on different lattices: f on
+    {theta_k / j} near zero, the image (through x = t/y) on
+    {(t / theta_k) / j}, so agreement within the combined certificates is
+    a nontrivial test of the isometry.  The independent oracles are the
+    quadrature tests of u_l2_norm.
     """
     cut = min(eps, float(f.min_theta) / 2.0)
-    src = lp_distance(f, None, 2.0, cut) if f.terms else _zero_report()
+    src = lp_distance(f, None, 2.0, cut)
     img = u_l2_norm(apply_u(f), x_max)
     disc = abs(src.value - img.value)
     tol = (src.upper - src.lower) + (img.upper - img.lower) + 1e-12
     return IsometryReport(source=src, image=img, discrepancy=disc,
                           tolerance=tol, satisfied=disc <= tol)
-
-
-def _zero_report() -> NormReport:
-    return NormReport(p=2.0, value=0.0, tail_low=0.0, tail_high=0.0,
-                      quad_error=0.0, segments=0, far_tail=0.0, power_value=0.0)
 
 
 def u_chi(x):

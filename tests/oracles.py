@@ -152,8 +152,7 @@ def dilation_quotient_minus_chi(a_dil: float, eps: float = 1e-6) -> PiecewiseHyp
     b = np.array([const, -1.0])
     c = np.array([0.0, -1.0 / (a_dil - 1.0)])
     return PiecewiseHyperbolic(lo=lo, hi=hi, b=b, c=c, a=0.0, eps=eps,
-                               sup_const=abs(const), has_log_tail=False,
-                               tail_a=0.0)
+                               sup_const=abs(const), has_log_tail=False)
 
 
 @dataclass(frozen=True)

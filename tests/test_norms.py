@@ -29,7 +29,7 @@ def test_single_term_flatten():
         x = 1.0 / j - 1e-9
         assert math.isclose(float(pw.values_at(np.array([x]))[0]),
                             1.0 + 1.0 / x - j, rel_tol=1e-12)
-    assert pw.tail_a == 1.0
+    assert pw.a == 1.0
 
 
 def test_fast_flattener_matches_exact(profile):
@@ -91,7 +91,7 @@ def test_exact_flattener_tiles(profile):
 def test_class_c_tail_is_exactly_zero(profile):
     for fam in ("vn", "bn", "fn", "rn"):
         pw = to_piecewise(make_family(fam, 300, profile), NEG_CHI, 1e-4)
-        assert pw.tail_a == 0.0
+        assert pw.a == 0.0
 
 
 def test_l1_matches_exact_segments(profile):
@@ -116,6 +116,13 @@ def test_chi_alone_l1():
     rep = lp_distance(BeurlingSum.make([]), NEG_CHI, 1.0, 1e-6)
     assert math.isclose(rep.value, 1.0 - 1e-6, rel_tol=1e-12)
     assert rep.upper >= 1.0 >= rep.lower
+
+
+def test_theta_above_one_refused():
+    # (1, 2) is not in the 1/x tail of rho(2/x), so no certificate is made
+    f = BeurlingSum.make([(Fraction(1), Fraction(2))])
+    with pytest.raises(ValueError, match="theta <= 1"):
+        lp_distance(f, None, 2.0, 1e-3)
 
 
 def test_far_tail_exact_for_sn(profile):

@@ -85,6 +85,37 @@ def test_u_l2_budget():
         u_l2_norm(u, 1e6)
 
 
+def _lattice_quad_power(f, x_max):
+    """integral_0^x_max |Uf|^2 by scipy quad between consecutive lattice
+    points j theta_k, where Uf is smooth."""
+    u = apply_u(f)
+    cuts = {0.0, x_max}
+    for _, t in f.terms:
+        cuts.update(float(j * t) for j in range(1, int(x_max / t) + 1))
+    cuts = sorted(c for c in cuts if c <= x_max)
+    return math.fsum(si.quad(lambda x: u(x) ** 2, lo, hi, epsabs=0.0,
+                             epsrel=1e-13)[0]
+                     for lo, hi in zip(cuts, cuts[1:]))
+
+
+def test_u_l2_norm_matches_quadrature(profile):
+    mixed = BeurlingSum.make([(Fraction(2), Fraction(1)),
+                              (Fraction(-1), Fraction(1, 2)),
+                              (Fraction(1, 3), Fraction(2, 3))])
+    for f in (make_family("vn", 3, profile), make_family("bn", 5, profile), mixed):
+        rep = u_l2_norm(apply_u(f), 50.0)
+        assert math.isclose(rep.power_value, _lattice_quad_power(f, 50.0),
+                            rel_tol=1e-12)
+
+
+def test_u_l2_norm_rejects_cutoff_below_theta():
+    u = apply_u(BeurlingSum.make([(Fraction(1), Fraction(1)),
+                                  (Fraction(-1), Fraction(1, 3))]))
+    for x_max in (1.0, 0.5, 0.0, -2.0):
+        with pytest.raises(ValueError, match="largest theta"):
+            u_l2_norm(u, x_max)
+
+
 def test_isometry_spot_checks(profile):
     for fam, n in (("sn", 1), ("sn", 2), ("sn", 3), ("vn", 3), ("bn", 5)):
         rep = isometry_check(make_family(fam, n, profile), x_max=1e4)
