@@ -127,17 +127,17 @@ class Difference:
 
 
 def _term_spec(f):
-    """(rho_terms, phi_terms, inv_coeff, sup_bound, min_theta) of f."""
+    """(rho_terms, phi_terms, inv_coeff, sup_bound) of f."""
     if isinstance(f, BeurlingSum):
-        return list(f.terms), [], 0.0, f.sup_bound, f.min_theta
+        return list(f.terms), [], 0.0, f.sup_bound
     if isinstance(f, (Gn, TIndicator)):
-        return [], f.phi_terms, f.inv_coeff, f.sup_bound, f.min_theta
+        return [], f.phi_terms, f.inv_coeff, f.sup_bound
     if isinstance(f, Difference):
-        rp, pp, ip, sp, mp = _term_spec(f.plus)
-        rm, pm, im, sm, mm = _term_spec(f.minus)
+        rp, pp, ip, sp = _term_spec(f.plus)
+        rm, pm, im, sm = _term_spec(f.minus)
         rho_terms = rp + [(-c, t) for c, t in rm]
         phi_terms = pp + [(-w, t) for w, t in pm]
-        return rho_terms, phi_terms, ip - im, sp + sm, min(mp, mm)
+        return rho_terms, phi_terms, ip - im, sp + sm
     raise TypeError(f"cannot flatten {type(f).__name__}")
 
 
@@ -361,10 +361,8 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     the jumps are divisor sums built by scatter; otherwise the per-term
     breakpoints are sorted and coincident ones summed.
     """
-    rho_terms, phi_terms, inv_coeff, sup_bound, min_theta = _term_spec(f)
+    rho_terms, phi_terms, inv_coeff, sup_bound = _term_spec(f)
     check_cutoff(eps)
-    if eps >= float(min_theta):
-        raise ValueError(f"cutoff {eps} must be below min theta {float(min_theta)}")
 
     b_gen, c_gen, log_tail = _gen_offsets(generator)
     total = sum(int(float(t) / eps) + 1
@@ -461,22 +459,6 @@ def _signed_integral(a, b, c, u, w):
 
 def _value(a, b, c, x):
     return a / x + b + c * np.log(x)
-
-
-def _value_bound(a, b, c, lo, hi) -> float:
-    """sup |a/x + b + c log x| over the segments, from endpoints and the
-    single interior critical point x = a/c of each piece."""
-    vmax = float(np.max(np.abs(_value(a, b, c, lo))))
-    vmax = max(vmax, float(np.max(np.abs(_value(a, b, c, hi)))))
-    has = c != 0.0
-    if np.any(has):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            crit = np.where(has, a / np.where(has, c, 1.0), np.nan)
-        inner = has & (crit > lo) & (crit < hi)
-        if np.any(inner):
-            vmax = max(vmax, float(np.max(np.abs(
-                _value(a, b[inner], c[inner], crit[inner])))))
-    return vmax
 
 
 _ROOT_TOL = 1e-14
@@ -601,6 +583,15 @@ def lp_norm(pw: PiecewiseHyperbolic, p: float,
             power += float(np.sum(lo32))
             quad_err += float(np.sum(np.abs(lo32 - lo16)))
 
+    # the computed v is within delta = drift_bound of the exact difference,
+    # so ||v+e|^p - |v|^p| <= p delta (|v| + delta)^(p-1); Hoelder and
+    # Minkowski on (eps, 1], of length below 1, bound its integral by
+    # p delta (||v||_p + delta)^(p-1), with ||v||_p from the power just made
+    delta = pw.drift_bound
+    if delta:
+        norm = (max(power, 0.0) + quad_err) ** (1.0 / p)
+        quad_err += p * delta * (norm + delta) ** (p - 1.0)
+
     far = 0.0
     if include_far and a != 0.0:
         if p == 1.0:
@@ -608,12 +599,6 @@ def lp_norm(pw: PiecewiseHyperbolic, p: float,
         else:
             far = abs(a) ** p / (p - 1.0)
             power += far
-
-    # rounding drift of the cumulative b/c construction, folded into the
-    # quadrature error: |d(v^p)| <= p |v|^(p-1) * drift per unit length
-    if pw.drift_bound and math.isfinite(power):
-        vmax = _value_bound(a, b, c, lo, hi)
-        quad_err += p * max(vmax + pw.drift_bound, 1.0) ** (p - 1.0) * pw.drift_bound
 
     tail_low = _near_zero_tail(pw, p)
     value = power ** (1.0 / p) if math.isfinite(power) else math.inf

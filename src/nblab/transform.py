@@ -96,10 +96,6 @@ class Gn:
         return float(np.dot(np.abs(self.profile.mertens[:self.n - 1]).astype(np.float64),
                             np.log((k + 1.0) / k)))
 
-    @property
-    def min_theta(self) -> Fraction:
-        return Fraction(1, self.n)
-
 
 class TIndicator:
     """T applied to the indicator of [a, b], 0 < a < b <= 1, in closed form."""
@@ -130,10 +126,6 @@ class TIndicator:
     @property
     def sup_bound(self) -> float:
         return float((self.b - self.a) / self.a)
-
-    @property
-    def min_theta(self) -> Fraction:
-        return self.a
 
 
 def riemann_sum_T(a, b, n: int):

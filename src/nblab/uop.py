@@ -16,11 +16,11 @@ from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
-from scipy.special import digamma
+from scipy.special import digamma, sici
 
 from .arith import ArithProfile
 from .beurling import BeurlingSum, rho
-from .norms import BudgetError, NormReport, _gl_nodes, lp_distance
+from .norms import BudgetError, NormReport, lp_distance
 from .transform import EULER_GAMMA
 
 
@@ -164,24 +164,20 @@ def ut_direct(n: int, profile: ArithProfile, x: float) -> float:
 
 
 def usn_lower_integral(n: int, profile: ArithProfile) -> tuple[float, float]:
-    """(integral_0^(1/n) |sin(2 pi x)/(pi x) + M(n)|^2 dx, error estimate).
+    """(integral_0^(1/n) |sin(2 pi x)/(pi x) + M(n)|^2 dx, rounding bound).
 
-    The integrand is entire, so Gauss-Legendre converges fast; the error is
-    estimated by doubling the order.
+    With h = 1/n and M = M(n) the integral is, in closed form,
+    (2 pi Si(4 pi h) - sin^2(2 pi h)/h)/pi^2 + 2 M Si(2 pi h)/pi + M^2 h.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     m_n = float(profile.M(n))
-    hi = 1.0 / n
-
-    def quad(order: int) -> float:
-        x0, w0 = _gl_nodes(order)
-        nodes = 0.5 * hi * (x0 + 1.0)
-        vals = (u_chi(nodes) + m_n) ** 2
-        return 0.5 * hi * float(vals @ w0)
-
-    v64, v128 = quad(64), quad(128)
-    return v128, abs(v128 - v64)
+    h = 1.0 / n
+    si_2, si_4 = float(sici(2.0 * math.pi * h)[0]), float(sici(4.0 * math.pi * h)[0])
+    parts = [(2.0 * math.pi * si_4 - math.sin(2.0 * math.pi * h) ** 2 / h) / math.pi ** 2,
+             2.0 * m_n * si_2 / math.pi,
+             m_n * m_n * h]
+    return math.fsum(parts), 16.0 * math.ulp(1.0) * math.fsum(abs(v) for v in parts)
 
 
 def gn_chain_lower(n: int, profile: ArithProfile) -> float:

@@ -86,9 +86,8 @@ def witness_sn_l2_max(n: int, profile: ArithProfile,
     """||chi + S_n||_2 against the larger of two certified lower bounds.
 
     One component is |g(n)| sqrt(n); the other is the square root of the
-    directly integrated near-zero bound with sin(2 pi x)/(pi x) + M(n),
-    shrunk by its own quadrature error estimate so the comparison stays
-    one-sided.
+    closed-form near-zero integral of (sin(2 pi x)/(pi x) + M(n))^2,
+    shrunk by its rounding bound so the comparison stays one-sided.
     """
     lhs = lp_distance(make_family("sn", n, profile), NEG_CHI, 2.0, eps)
     r_g = abs(profile.g(n)) * math.sqrt(n)

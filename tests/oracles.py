@@ -10,10 +10,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+import mpmath
 import numpy as np
 
 from nblab.arith import ArithProfile
-from nblab.beurling import BeurlingSum, Generator
+from nblab.beurling import BeurlingSum, Generator, GeneratorKind
 from nblab.norms import PiecewiseHyperbolic, _gen_offsets
 from nblab.transform import EULER_GAMMA, floor_log_integral
 
@@ -133,6 +134,72 @@ def to_piecewise_exact(f: BeurlingSum, generator: Generator | None, eps) -> list
         segments.append((eps, hi, a, b, c_off))
     segments.reverse()
     return segments
+
+
+def lp_power_mpmath(f, generator: Generator | None, p: float, eps) -> float:
+    """integral_eps^1 |f - generator|^p dx by mpmath at 30 digits.
+
+    f is a BeurlingSum, or has phi_terms and inv_coeff (Gn, TIndicator):
+    f(x) = inv_coeff/x + sum w Phi(theta/x), Phi(y) = floor(y) log y
+    - log floor(y)!.  Between consecutive breakpoints theta/j the difference
+    is A/x + B + C log x with A = inv_coeff + sum c theta and C the log
+    coefficient, so splitting each piece at x = A/C and at the roots leaves
+    |.|^p analytic on every subinterval, where tanh-sinh converges.
+    """
+    rho_terms = [(Fraction(c), t) for c, t in getattr(f, "terms", ())]
+    phi_terms = list(getattr(f, "phi_terms", ()))
+    inv = Fraction(getattr(f, "inv_coeff", 0))
+    kind = None if generator is None else generator.kind
+    with mpmath.workdps(30):
+        def mpq(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        rho_mp = [(mpq(c), mpq(t)) for c, t in rho_terms]
+        phi_mp = [(w, mpq(t)) for w, t in phi_terms]
+
+        def diff(x):
+            v = mpq(inv) / x
+            if kind is GeneratorKind.NEG_CHI:
+                v += 1
+            elif kind is GeneratorKind.LAMBDA:
+                v -= mpmath.log(x)
+            for c, t in rho_mp:
+                y = t / x
+                v += c * (y - mpmath.floor(y))
+            for w, t in phi_mp:
+                y = t / x
+                m = mpmath.floor(y)
+                if m >= 1:
+                    v += w * (m * mpmath.log(y) - mpmath.loggamma(m + 1))
+            return v
+
+        eps = Fraction(eps)
+        cuts = {eps, Fraction(1)}
+        for _, t in rho_terms + phi_terms:
+            cuts.update(t / j for j in range(1, math.floor(t / eps) + 1)
+                        if eps < t / j < 1)
+        cuts = sorted(cuts)
+        a = mpq(inv + sum((c * t for c, t in rho_terms), start=Fraction(0)))
+        noise = mpmath.mpf(10) ** -20
+        total = mpmath.mpf(0)
+        for lo, hi in zip(cuts, cuts[1:]):
+            pts = [mpq(lo), mpq(hi)]
+            if p != 2:
+                mid = (lo + hi) / 2
+                c = -(kind is GeneratorKind.LAMBDA) - sum(
+                    w * math.floor(t / mid) for w, t in phi_terms)
+                if c and pts[0] < a / c < pts[1]:
+                    pts.insert(1, a / c)
+                # each monotone piece holds at most one root
+                inner = pts[0] + noise * (pts[-1] - pts[0])
+                ends = [inner] + pts[1:-1] + [pts[-1] - noise * (pts[-1] - pts[0])]
+                vals = [diff(x) for x in ends]
+                for x0, x1, f0, f1 in zip(ends, ends[1:], vals, vals[1:]):
+                    if f0 * f1 < 0 and min(abs(f0), abs(f1)) > noise:
+                        pts.append(mpmath.findroot(diff, (x0, x1), solver="illinois"))
+                pts.sort()
+            total += mpmath.quad(lambda x: abs(diff(x)) ** p, pts)
+        return float(total)
 
 
 def dilation_quotient_minus_chi(a_dil: float, eps: float = 1e-6) -> PiecewiseHyperbolic:

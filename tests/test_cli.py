@@ -1,4 +1,5 @@
 import csv
+import math
 
 import pytest
 
@@ -53,6 +54,16 @@ def test_norm_stdout_and_plot_script(tmp_path, capsys):
     assert out[0] == ",".join(cli.NORM_COLUMNS)
     text = plot.read_text()
     assert "plot '-'" in text and "'n':'value'" in text
+
+
+def test_norm_cutoff_above_min_theta(capsys):
+    # sn at n = 5 has smallest theta 1/5; the cutoff may lie above it
+    assert cli.main(["norm", "--family", "sn", "--epsilon", "0.5",
+                     "--n-grid", "5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ",".join(cli.NORM_COLUMNS)
+    assert len(out) == 2
+    assert math.isfinite(float(out[1].split(",")[3]))
 
 
 def test_witness_csv_pass(tmp_path):

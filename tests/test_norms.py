@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nblab.beurling import BeurlingSum, LAMBDA, NEG_CHI, make_family
 from nblab.norms import Difference, _quad_abs_p, lp_distance, lp_norm, to_piecewise
 from nblab.transform import Gn, TIndicator, riemann_sum_T
-from oracles import dilation_quotient_minus_chi, to_piecewise_exact
+from oracles import dilation_quotient_minus_chi, lp_power_mpmath, to_piecewise_exact
 
 
 def _exact_value(segments, x):
@@ -123,6 +123,40 @@ def test_theta_above_one_refused():
     f = BeurlingSum.make([(Fraction(1), Fraction(2))])
     with pytest.raises(ValueError, match="theta <= 1"):
         lp_distance(f, None, 2.0, 1e-3)
+
+
+def test_cutoff_above_min_theta(profile):
+    # on (eps, 1] a term with theta <= eps is theta/x (rho) or 0 (Phi), so
+    # every cutoff in (0, 1) flattens, also one above the smallest theta
+    cases = ((make_family("sn", 5, profile), NEG_CHI, 2.0, 0.5),
+             (make_family("sn", 5, profile), NEG_CHI, 1.0, 0.3),
+             (make_family("fn", 10, profile), None, 2.0, 0.35),
+             (make_family("vn", 7, profile), NEG_CHI, 1.5, 0.4),
+             (Gn(6, profile), LAMBDA, 2.0, 0.3),
+             (TIndicator(Fraction(1, 4), 1), None, 2.0, 0.5))
+    for f, gen, p, eps in cases:
+        rep = lp_distance(f, gen, p, eps)
+        assert math.isclose(rep.power_value - rep.far_tail,
+                            lp_power_mpmath(f, gen, p, eps), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_drift_fold_brackets_mpmath(profile, p):
+    # sums whose b lane rounds: rational coefficients (vn, bn, rn), log jumps (gn)
+    for f, gen in ((make_family("vn", 7, profile), NEG_CHI),
+                   (make_family("bn", 6, profile), NEG_CHI),
+                   (make_family("rn", 8, profile), NEG_CHI),
+                   (Gn(6, profile), LAMBDA)):
+        assert to_piecewise(f, gen, 0.05).drift_bound > 0.0
+        rep = lp_distance(f, gen, p, 0.05, include_far=False)
+        true = lp_power_mpmath(f, gen, p, 0.05)
+        assert abs(rep.power_value - true) <= rep.quad_error
+        assert rep.lower <= true ** (1.0 / p) <= rep.upper
+
+
+def test_drift_fold_uses_segment_norm(profile):
+    # the fold reads ||v||_2 ~ 0.13, not the sup of |v| over the segments
+    assert lp_distance(Gn(1000, profile), LAMBDA, 2.0, 1e-6).quad_error < 1e-9
 
 
 def test_far_tail_exact_for_sn(profile):
@@ -244,8 +278,6 @@ def test_flatten_budget(profile):
 
 def test_validation_errors(profile):
     f = make_family("sn", 5, profile)
-    with pytest.raises(ValueError):
-        to_piecewise(f, NEG_CHI, 0.5)       # above min theta
     with pytest.raises(ValueError):
         to_piecewise(f, NEG_CHI, 1.5)
     with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 import scipy.integrate as si
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nblab.arith import build_profile
 from nblab.beurling import BeurlingSum, make_family
+from nblab.sieve import sieve_mobius
 from nblab.uop import (BudgetError, apply_u, gn_chain_lower, head_constant,
                        isometry_check, rho_tail_integral, u_chi, u_l2_norm,
                        usn_lower_integral, ut_direct, ut_head)
@@ -185,6 +188,19 @@ def test_usn_lower_integral(profile):
                                     + m) ** 2, 1e-12, 1.0 / n)[0]
         assert math.isclose(val, oracle, rel_tol=1e-9)
         assert err < 1e-12
+
+
+def test_usn_lower_integral_closed_form():
+    profile = build_profile(sieve_mobius(10 ** 4))
+    for n in (1, 1000, 10 ** 4):
+        val, err = usn_lower_integral(n, profile)
+        m = profile.M(n)
+        with mpmath.workdps(30):
+            oracle = mpmath.quad(lambda x: (mpmath.sin(2 * mpmath.pi * x)
+                                            / (mpmath.pi * x) + m) ** 2,
+                                 [0, mpmath.mpf(1) / n])
+        assert math.isclose(val, float(oracle), rel_tol=1e-13)
+        assert 0.0 < err < 1e-13 * val
 
 
 def test_gn_chain_lower(profile):
