@@ -10,14 +10,14 @@ from .beurling import (BeurlingSum, Generator, GeneratorKind, LAMBDA, NEG_CHI,
                        make_family, recover_coefficients, rho, step_values)
 from .norms import NormReport, lp_distance, lp_norm, to_piecewise
 from .sieve import MobiusTable, sieve_mobius, sieve_mobius_cached
-from .transform import Gn, TIndicator, mobius_log_identity
+from .transform import Gn, TIndicator, TStep, mobius_log_identity
 from .uop import USum, apply_u, head_constant, isometry_check, ut_head
 from .witnesses import (WitnessReport, convergence_trend, witness_gn,
                         witness_sn_hurdle, witness_sn_l2_max)
 
 __all__ = [
     "ArithProfile", "BeurlingSum", "Generator", "GeneratorKind", "Gn",
-    "LAMBDA", "MobiusTable", "NEG_CHI", "NormReport", "TIndicator", "USum",
+    "LAMBDA", "MobiusTable", "NEG_CHI", "NormReport", "TIndicator", "TStep", "USum",
     "WitnessReport", "apply_u", "build_profile",
     "convergence_trend", "floor_sum_check", "head_constant",
     "isometry_check", "lp_distance", "lp_norm", "make_family",

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .beurling import BeurlingSum, Generator, GeneratorKind
-from .transform import Gn, TIndicator
+from .transform import TStep
 
 _LD_EPS = float(np.finfo(np.longdouble).eps)
 _F64_EPS = float(np.finfo(np.float64).eps)
@@ -130,7 +130,7 @@ def _term_spec(f):
     """(rho_terms, phi_terms, inv_coeff, sup_bound) of f."""
     if isinstance(f, BeurlingSum):
         return list(f.terms), [], 0.0, f.sup_bound
-    if isinstance(f, (Gn, TIndicator)):
+    if isinstance(f, TStep):
         return [], f.phi_terms, f.inv_coeff, f.sup_bound
     if isinstance(f, Difference):
         rp, pp, ip, sp = _term_spec(f.plus)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
 
 import numpy as np
@@ -31,7 +32,48 @@ def floor_log_integral(y) -> float:
     return m * math.log(y) - math.lgamma(m + 1)
 
 
-class Gn:
+def _phi(num, den, x) -> np.ndarray:
+    """Phi(num_k / (den_k x)) for int arrays num, den of dtype object.  For
+    rational x each floor is a floor division of Python ints, exact with no
+    int64 overflow at any size; for float x, np.floor of the quotient."""
+    if isinstance(x, Rational):
+        x = Fraction(x)
+        top, bottom = num * x.denominator, den * x.numerator
+        y = np.asarray(top / bottom, dtype=np.float64)
+        m = np.asarray(top // bottom, dtype=np.float64)
+    else:
+        y = num.astype(np.float64) / (den.astype(np.float64) * float(x))
+        m = np.floor(y)
+    return np.where(m >= 1.0, m * np.log(y) - gammaln(m + 1.0), 0.0)
+
+
+class TStep:
+    """T of a step weight on (0, 1]:
+
+        Tf(x) = inv_coeff/x + sum_k w_k Phi(theta_k/x),
+
+    since a piece of height h on (u1, u2] contributes
+    h ((u2 - u1)/x - Phi(u2/x) + Phi(u1/x)).  A subclass provides
+    phi_terms, the integer weights w_k and rational thetas 0 < theta_k <= 1
+    that the norm engine flattens, inv_coeff, and sup_bound >= |Tf|, as
+    attributes or properties.
+    """
+
+    def __call__(self, x) -> float:
+        if x <= 0:
+            raise ValueError(f"argument must be positive, got {x}")
+        w, num, den = self._lanes
+        return self.inv_coeff / float(x) + float(np.dot(w, _phi(num, den, x)))
+
+    @cached_property
+    def _lanes(self) -> tuple:
+        terms = self.phi_terms
+        return (np.array([w for w, _ in terms], dtype=np.float64),
+                np.array([t.numerator for _, t in terms], dtype=object),
+                np.array([t.denominator for _, t in terms], dtype=object))
+
+
+class Gn(TStep):
     """The transform of the truncated Mertens step weight.
 
     Pointwise values use the summation-by-parts form
@@ -48,44 +90,14 @@ class Gn:
             raise ValueError(f"n={n} beyond profile limit {profile.limit}")
         self.n = n
         self.profile = profile
-        self.gamma_n = profile.gamma(n)
+        self.inv_coeff = profile.gamma(n)
         self.m_tail = profile.M(n - 1) if n > 1 else 0
-        self._mu = profile.mu_values[:n - 1].astype(np.float64)
 
-    def __call__(self, x) -> float:
-        if x <= 0:
-            raise ValueError(f"argument must be positive, got {x}")
-        exact = isinstance(x, Rational) and not isinstance(x, float)
-        if exact:
-            x = Fraction(x)
-            total = self.gamma_n / float(x)
-            for k in range(1, self.n):
-                mu = self.profile.mu(k)
-                if mu:
-                    total -= mu * floor_log_integral(1 / (k * x))
-            total += self.m_tail * floor_log_integral(1 / (self.n * x))
-            return total
-        x = float(x)
-        n = self.n
-        if x >= 1.0 or n == 1:
-            return self.gamma_n / x
-        k = np.arange(1, n, dtype=np.float64)
-        y = 1.0 / (k * x)
-        m = np.floor(y)
-        phi = np.where(m >= 1.0, m * np.log(y) - gammaln(m + 1.0), 0.0)
-        return (self.gamma_n / x - float(np.dot(self._mu, phi))
-                + self.m_tail * floor_log_integral(1.0 / (n * x)))
-
-    # hooks for the piecewise flattener
     @property
     def phi_terms(self) -> list:
         terms = [(-int(self.profile.mu(k)), Fraction(1, k)) for k in range(1, self.n)]
         terms.append((self.m_tail, Fraction(1, self.n)))
         return [(w, t) for w, t in terms if w != 0]
-
-    @property
-    def inv_coeff(self) -> float:
-        return self.gamma_n
 
     @property
     def sup_bound(self) -> float:
@@ -97,8 +109,8 @@ class Gn:
                             np.log((k + 1.0) / k)))
 
 
-class TIndicator:
-    """T applied to the indicator of [a, b], 0 < a < b <= 1, in closed form."""
+class TIndicator(TStep):
+    """T applied to the indicator of [a, b], 0 < a < b <= 1."""
 
     def __init__(self, a, b):
         a, b = Fraction(a), Fraction(b)
@@ -106,26 +118,9 @@ class TIndicator:
             raise ValueError(f"need 0 < a < b <= 1, got a={a}, b={b}")
         self.a = a
         self.b = b
-
-    def __call__(self, x) -> float:
-        if x <= 0:
-            raise ValueError(f"argument must be positive, got {x}")
-        exact = isinstance(x, Rational) and not isinstance(x, float)
-        xq = Fraction(x) if exact else float(x)
-        lin = float((self.b - self.a) / xq) if exact else float(self.b - self.a) / xq
-        return lin - floor_log_integral(self.b / xq) + floor_log_integral(self.a / xq)
-
-    @property
-    def phi_terms(self) -> list:
-        return [(-1, self.b), (1, self.a)]
-
-    @property
-    def inv_coeff(self) -> float:
-        return float(self.b - self.a)
-
-    @property
-    def sup_bound(self) -> float:
-        return float((self.b - self.a) / self.a)
+        self.phi_terms = [(-1, b), (1, a)]
+        self.inv_coeff = float(b - a)
+        self.sup_bound = float((b - a) / a)
 
 
 def riemann_sum_T(a, b, n: int):
@@ -149,8 +144,8 @@ def riemann_sum_T(a, b, n: int):
 def mobius_log_identity(x, profile: ArithProfile):
     """Both sides of  chi_(1,inf)(x) log x = integral_1^x M(t) floor(x/t) dt/t.
 
-    The right-hand side is evaluated exactly piecewise; returns
-    (lhs, rhs, |lhs - rhs|).
+    The right-hand side is sum_{k <= x} M(k) (Phi(x/k) - Phi(x/(k+1))),
+    with exact floors for rational x; returns (lhs, rhs, |lhs - rhs|).
     """
     if x <= 0:
         raise ValueError(f"argument must be positive, got {x}")
@@ -159,14 +154,8 @@ def mobius_log_identity(x, profile: ArithProfile):
     kmax = math.floor(x)
     if kmax > profile.limit:
         raise ValueError(f"x={x} beyond profile limit {profile.limit}")
-    exact = isinstance(x, Rational) and not isinstance(x, float)
-    xq = Fraction(x) if exact else xf
-    parts = []
-    for k in range(1, kmax + 1):
-        m = profile.M(k)
-        if m == 0:
-            continue
-        t2 = min(k + 1, xq)
-        parts.append(m * (floor_log_integral(xq / k) - floor_log_integral(xq / t2)))
-    rhs = math.fsum(parts)
+    # Phi(x/k) = Phi(1/(k/x)); Phi(x/(kmax+1)) = 0 closes the last difference
+    k = np.arange(1, kmax + 2, dtype=object)
+    phi = _phi(np.ones_like(k), k, 1 / (Fraction(x) if isinstance(x, Rational) else xf))
+    rhs = math.fsum((profile.mertens[:kmax] * (phi[:-1] - phi[1:])).tolist())
     return lhs, rhs, abs(lhs - rhs)
