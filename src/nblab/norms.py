@@ -8,11 +8,12 @@ summed, including breakpoints where that sum is zero.  Integer jumps are
 carried exactly, so c is always exact and b is exact when every
 coefficient is an integer; drift_bound bounds what the remaining long
 double lane, the start state and the cast to float64 can round.  Closed
-forms integrate p = 1 and p = 2; general p uses Gauss-Legendre with an
-order-doubling error estimate.  The regions (0, eps) and (1, inf) are
-handled by a rigorous sup-bound and by the exact tail integral of
-(a / x)^p respectively, so every report is an interval certified to
-contain the true norm.
+forms integrate p = 1 and p = 2 (the p = 2 form, and the p = 1 sum when
+the segments are constant, bound their own float64 rounding); general p
+uses Gauss-Legendre with an order-doubling error estimate.  The regions
+(0, eps) and (1, inf) are handled by a rigorous sup-bound and by the exact
+tail integral of (a / x)^p respectively, so every report is an interval
+certified to contain the true norm.
 """
 
 from __future__ import annotations
@@ -437,9 +438,38 @@ def _near_zero_tail(pw: PiecewiseHyperbolic, p: float) -> float:
     return (cst * e ** (1.0 / p) + log_part ** (1.0 / p)) ** p
 
 
-def _antideriv_sq(a, b, c, lo, hi):
-    """integral_lo^hi (a/x + b + c log x)^2 dx, in difference form per segment."""
+def _sq_integral(pw: PiecewiseHyperbolic) -> tuple[float, float]:
+    """(integral of the squared segments, bound on its float64 rounding).
+
+    Each integral_lo^hi (a/x + b + c log x)^2 dx is taken in difference
+    form.  The bound assumes np.log and np.log1p within 1 ulp (NumPy's
+    float64 accuracy tests hold them to that), every other operation within
+    half an ulp, and np.sum adding pairwise (blocks of at most 128 in eight
+    accumulators), so a term meets at most log2(n) + 25 additions.  With
+    L = -log(eps) and d = hi - lo, log(hi/lo) <= d / sqrt(lo hi) and AM-GM
+    bound the six parts of a segment's integral by 3 (a^2 d/(lo hi) + b^2 d
+    + c^2 L^2 d); each part is within 5 eps, and adding them costs 2.5 eps
+    more.  The b c and c^2 parts subtract x (log x - 1) and
+    x (log^2 x - 2 log x + 2) at both ends, rounded within 2 eps of
+    x (L + 1) and 4 eps of x ((L + 1)^2 + 1).  Neighbouring segments share
+    that rounded end value, so the sum sees it only times the jump of 2 b c
+    or c^2 there (log 1 = 0 is exact), and through the 4 eps of roundings
+    after it on each segment, taken at the largest |2 b c| and c^2 with
+    lo + hi <= 2.  The slack in the constants absorbs the other
+    second-order terms.
+    """
+    a, lo, hi, b, c = pw.a, pw.lo, pw.hi, pw.b, pw.c
     d = hi - lo
+    L = -math.log(pw.eps)
+    err = 24.0 * (a * a / pw.eps + np.einsum("i,i,i->", b, b, d))
+    if np.any(c):
+        err += 24.0 * L * L * np.einsum("i,i,i->", c, c, d)
+        # q = b c: its r carries the 2 of 2 b c
+        for q, r in ((b * c, 4.0 * (L + 1.0)), (c * c, 4.0 * ((L + 1.0) ** 2 + 1.0))):
+            jumps = np.diff(q)
+            err += r * (abs(q[0]) * lo[0] + np.dot(lo[1:], np.abs(jumps, out=jumps))
+                        + 8.0 * _F64_EPS * len(q) * max(q.max(), -q.min()))
+        del q, jumps                    # free them before the closed form's arrays
     lr = np.log1p(d / lo)               # log(hi/lo)
     llo = np.log(lo)
     lhi = np.log(hi)
@@ -449,7 +479,9 @@ def _antideriv_sq(a, b, c, lo, hi):
     out += b * b * d
     out += 2.0 * b * c * (hi * (lhi - 1.0) - lo * (llo - 1.0))
     out += c * c * (hi * (lhi * lhi - 2.0 * lhi + 2.0) - lo * (llo * llo - 2.0 * llo + 2.0))
-    return out
+    power = float(np.sum(out))
+    err += (math.log2(len(out)) + 25.0) * 0.5 * np.sum(np.abs(out, out=out))
+    return power, float(_F64_EPS * err)
 
 
 def _signed_integral(a, b, c, u, w):
@@ -567,10 +599,12 @@ def lp_norm(pw: PiecewiseHyperbolic, p: float,
     quad_err = 0.0
 
     if p == 2.0:
-        power = float(np.sum(_antideriv_sq(a, b, c, lo, hi)))
+        power, quad_err = _sq_integral(pw)
     elif p == 1.0:
         if a == 0.0 and not np.any(c):
             power = float(np.sum(np.abs(b) * (hi - lo)))
+            # terms of one sign, each within eps, then np.sum as in _sq_integral
+            quad_err = (math.log2(len(lo)) + 27.0) * _F64_EPS * power
         else:
             power, quad_err = _abs_integral_l1(a, b, c, lo, hi)
     else:

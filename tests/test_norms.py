@@ -142,16 +142,30 @@ def test_cutoff_above_min_theta(profile):
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_drift_fold_brackets_mpmath(profile, p):
-    # sums whose b lane rounds: rational coefficients (vn, bn, rn), log jumps (gn)
+    # sums whose b lane rounds: rational coefficients (vn, bn, rn), log jumps
+    # (gn on the 1/m lattice, T of indicators off it)
     for f, gen in ((make_family("vn", 7, profile), NEG_CHI),
                    (make_family("bn", 6, profile), NEG_CHI),
                    (make_family("rn", 8, profile), NEG_CHI),
-                   (Gn(6, profile), LAMBDA)):
+                   (Gn(6, profile), LAMBDA),
+                   (TIndicator(Fraction(1, 3), Fraction(2, 3)), None),
+                   (TIndicator(Fraction(2, 7), Fraction(5, 6)), None)):
         assert to_piecewise(f, gen, 0.05).drift_bound > 0.0
         rep = lp_distance(f, gen, p, 0.05, include_far=False)
         true = lp_power_mpmath(f, gen, p, 0.05)
         assert abs(rep.power_value - true) <= rep.quad_error
         assert rep.lower <= true ** (1.0 / p) <= rep.upper
+
+
+def test_closed_form_rounding_brackets_mpmath(profile):
+    # no coefficient rounds here (drift_bound 0), so only the bound on the
+    # float64 evaluation of the p = 2 closed form keeps the truth inside
+    for f, gen in ((make_family("sn", 5, profile), NEG_CHI), (Gn(20, profile), LAMBDA)):
+        assert to_piecewise(f, gen, 0.05).drift_bound == 0.0
+        rep = lp_distance(f, gen, 2.0, 0.05, include_far=False)
+        true = lp_power_mpmath(f, gen, 2.0, 0.05)
+        assert abs(rep.power_value - true) <= rep.quad_error
+        assert rep.lower <= math.sqrt(true) <= rep.upper
 
 
 def test_drift_fold_uses_segment_norm(profile):

@@ -98,6 +98,17 @@ def test_tindicator_against_quadrature():
         assert math.isclose(ti(x), oracle(x), rel_tol=1e-8, abs_tol=1e-8)
 
 
+def test_tindicator_on_its_breakpoints():
+    # rational x = b/j and a/j put theta/x exactly on an integer, where the
+    # floor must come out exact; the oracle integrates the indicator piecewise
+    for a, b in ((Fraction(1, 3), Fraction(2, 3)), (Fraction(2, 7), Fraction(5, 6))):
+        ti = TIndicator(a, b)
+        w = StepWeight((Fraction(1), b, a), (0, 1))
+        for x in [b / j for j in range(1, 8)] + [a / j for j in range(1, 8)]:
+            assert math.isclose(ti(x), apply_T(w, x), rel_tol=1e-12, abs_tol=1e-14)
+            assert math.isclose(ti(float(x)), apply_T(w, x), rel_tol=1e-12, abs_tol=1e-14)
+
+
 def test_tindicator_validation():
     with pytest.raises(ValueError):
         TIndicator(Fraction(1, 2), Fraction(1, 3))
@@ -118,7 +129,8 @@ def test_mobius_log_identity_samples(profile):
     lhs, rhs, diff = mobius_log_identity(Fraction(2), profile)
     assert math.isclose(lhs, math.log(2), rel_tol=1e-15)
     assert diff <= 1e-10
-    for x in (0.5, 3.75, 17.2, 999.5, 1000):
+    # 360 and 720 put x/k on an integer for many k
+    for x in (0.5, 3.75, 17.2, 999.5, 1000, 360, 720, 720.0, Fraction(1441, 2)):
         _, _, diff = mobius_log_identity(x, profile)
         assert diff <= 1e-10
 
