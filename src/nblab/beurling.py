@@ -2,7 +2,7 @@
 
 theta_k are exact rationals in (0, 1]; coefficients are exact rationals
 whenever the arithmetic profile still carries exact values of g(n), floats
-beyond that.  Equal thetas are merged at construction so class membership
+beyond that.  make merges equal thetas of outside input so class membership
 (the tail coefficient sum c_k theta_k) is decided exactly.
 """
 
@@ -146,7 +146,9 @@ def make_family(family: str, n: int, profile: ArithProfile) -> BeurlingSum:
     fn: sum_{k<=n} (M(n/k) - M(n/(k+1))) rho(k/(nx)) - rho(1/(nx))
     rn: sum_{k<n} (1/k) M(n/k) rho(k/(nx))
 
-    fn and rn with n = 1 give the empty (identically zero) sum.
+    fn and rn with n = 1 give the empty (identically zero) sum.  The terms
+    are emitted in canonical order straight from the profile's mu and
+    Mertens arrays, each extra vn, bn or fn term folded into its slot.
     """
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
@@ -155,24 +157,23 @@ def make_family(family: str, n: int, profile: ArithProfile) -> BeurlingSum:
     if n > profile.limit:
         raise ValueError(f"n={n} beyond profile limit {profile.limit}")
 
-    def M(m: int) -> int:
-        return profile.M(m) if m >= 1 else 0
-
     if family in ("sn", "vn", "bn"):
-        terms = [(Fraction(profile.mu(k)), Fraction(1, k)) for k in range(1, n + 1)]
+        coeffs = profile.mu_values[:n].tolist()
         if family == "vn":
-            terms.append((-_g_of(profile, n), Fraction(1)))
+            coeffs[0] -= _g_of(profile, n)
         elif family == "bn":
-            terms.append((-n * _g_of(profile, n), Fraction(1, n)))
-        return BeurlingSum.make(terms)
+            coeffs[-1] -= n * _g_of(profile, n)
+        # the folded slot is already a Fraction, or a float beyond the exact limit
+        return BeurlingSum(tuple((Fraction(c) if isinstance(c, int) else c, Fraction(1, k))
+                                 for k, c in enumerate(coeffs, 1) if c))
+    mertens = [0] + profile.mertens[:n].tolist()        # M(0..n)
     if family == "fn":
-        terms = [(Fraction(M(n // k) - M(n // (k + 1))), Fraction(k, n))
-                 for k in range(1, n + 1)]
-        terms.append((Fraction(-1), Fraction(1, n)))
-        return BeurlingSum.make(terms)
+        coeffs = ((mertens[n // k] - mertens[n // (k + 1)] - (k == 1), k)
+                  for k in range(n, 0, -1))
+        return BeurlingSum(tuple((Fraction(c), Fraction(k, n)) for c, k in coeffs if c))
     # rn
-    terms = [(Fraction(M(n // k), k), Fraction(k, n)) for k in range(1, n)]
-    return BeurlingSum.make(terms)
+    return BeurlingSum(tuple((Fraction(mertens[n // k], k), Fraction(k, n))
+                             for k in range(n - 1, 0, -1) if mertens[n // k]))
 
 
 def step_values(f: BeurlingSum, n: int) -> list:

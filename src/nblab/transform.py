@@ -95,9 +95,8 @@ class Gn(TStep):
 
     @property
     def phi_terms(self) -> list:
-        terms = [(-int(self.profile.mu(k)), Fraction(1, k)) for k in range(1, self.n)]
-        terms.append((self.m_tail, Fraction(1, self.n)))
-        return [(w, t) for w, t in terms if w != 0]
+        w = (-self.profile.mu_values[:self.n - 1]).tolist() + [self.m_tail]
+        return [(m, Fraction(1, k)) for k, m in enumerate(w, 1) if m]
 
     @property
     def sup_bound(self) -> float:
@@ -137,8 +136,8 @@ def riemann_sum_T(a, b, n: int):
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     h = (b - a) / n
-    terms = [(h / (a + h * k), a + h * k) for k in range(1, n + 1)]
-    return BeurlingSum.make(terms)
+    thetas = (a + h * k for k in range(n, 0, -1))
+    return BeurlingSum(tuple((h / t, t) for t in thetas))
 
 
 def mobius_log_identity(x, profile: ArithProfile):

@@ -41,6 +41,50 @@ def naive_mobius(n: int) -> np.ndarray:
     return out
 
 
+def _g_of(profile: ArithProfile, n: int):
+    return profile.g_exact(n) if profile.has_exact(n) else profile.g(n)
+
+
+def family_via_make(family: str, n: int, profile: ArithProfile) -> BeurlingSum:
+    """nblab.beurling.make_family written term by term from the defining
+    formulas, each extra term appended on its own, and canonicalized by
+    BeurlingSum.make."""
+    def M(m: int) -> int:
+        return profile.M(m) if m >= 1 else 0
+
+    if family in ("sn", "vn", "bn"):
+        terms = [(Fraction(profile.mu(k)), Fraction(1, k)) for k in range(1, n + 1)]
+        if family == "vn":
+            terms.append((-_g_of(profile, n), Fraction(1)))
+        elif family == "bn":
+            terms.append((-n * _g_of(profile, n), Fraction(1, n)))
+        return BeurlingSum.make(terms)
+    if family == "fn":
+        terms = [(Fraction(M(n // k) - M(n // (k + 1))), Fraction(k, n))
+                 for k in range(1, n + 1)]
+        terms.append((Fraction(-1), Fraction(1, n)))
+        return BeurlingSum.make(terms)
+    if family == "rn":
+        terms = [(Fraction(M(n // k), k), Fraction(k, n)) for k in range(1, n)]
+        return BeurlingSum.make(terms)
+    raise ValueError(f"unknown family {family!r}")
+
+
+def riemann_sum_via_make(a, b, n: int) -> BeurlingSum:
+    """nblab.transform.riemann_sum_T from its formula through BeurlingSum.make."""
+    a, b = Fraction(a), Fraction(b)
+    h = (b - a) / n
+    return BeurlingSum.make([(h / (a + h * k), a + h * k) for k in range(1, n + 1)])
+
+
+def gn_phi_terms(n: int, profile: ArithProfile) -> list:
+    """The Phi terms of Gn(n): weight -mu(k) at 1/k for k < n and M(n-1) at
+    1/n, zero weights dropped."""
+    terms = [(-profile.mu(k), Fraction(1, k)) for k in range(1, n)]
+    terms.append((profile.M(n - 1) if n > 1 else 0, Fraction(1, n)))
+    return [(w, t) for w, t in terms if w != 0]
+
+
 @dataclass(frozen=True)
 class StepWeight:
     """A step function on (0, 1]: weight w_i on (cuts[i+1], cuts[i]].

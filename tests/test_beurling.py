@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nblab.beurling import (BeurlingSum, LAMBDA, NEG_CHI, make_family,
+from nblab.arith import build_profile
+from nblab.beurling import (FAMILIES, BeurlingSum, LAMBDA, NEG_CHI, make_family,
                             recover_coefficients, rho, step_values)
+from nblab.sieve import sieve_mobius
+from oracles import family_via_make
 
 fractions_01 = st.fractions(min_value=Fraction(1, 40), max_value=1,
                             max_denominator=40)
@@ -115,6 +118,31 @@ def test_vn_bn_shift_identities(profile):
     g = profile.g_exact(n)
     for x in (Fraction(2, 7), Fraction(3, 5), Fraction(9, 8)):
         assert vn(x) == sn(x) - g * rho(1 / x)
+
+
+def _same_terms(got, want):
+    assert got.terms == want.terms
+    assert [type(c) for c, _ in got.terms] == [type(c) for c, _ in want.terms]
+    assert all(type(t) is Fraction for _, t in got.terms)
+
+
+def test_families_match_make_oracle(profile):
+    # the builders emit canonical terms themselves; make is the reference
+    for family in FAMILIES:
+        for n in [*range(1, 201), *range(997, 1001)]:
+            _same_terms(make_family(family, n, profile),
+                        family_via_make(family, n, profile))
+
+
+def test_families_match_make_oracle_beyond_exact_limit():
+    # vn and bn fold a float g(n) into their slot once n passes the exact limit
+    table = sieve_mobius(10**4)
+    for exact_limit in (998, 10**4):
+        profile = build_profile(table, exact_limit=exact_limit)
+        for family in FAMILIES:
+            for n in (997, 998, 999, 1000, 10**4):
+                _same_terms(make_family(family, n, profile),
+                            family_via_make(family, n, profile))
 
 
 def test_empty_families(profile):

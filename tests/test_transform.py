@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from nblab.transform import (EULER_GAMMA, Gn, TIndicator, floor_log_integral,
                              mobius_log_identity, riemann_sum_T)
-from oracles import StepWeight, apply_T, rho_tail_ratio_bound
+from oracles import (StepWeight, apply_T, gn_phi_terms, rho_tail_ratio_bound,
+                     riemann_sum_via_make)
 
 
 @pytest.mark.parametrize("y", [0.3, 1.0, 1.5, 2.0, 3.7, 10.25])
@@ -121,6 +122,21 @@ def test_riemann_sum_terms():
     assert [t for _, t in s.terms] == [Fraction(1), Fraction(7, 8),
                                        Fraction(3, 4), Fraction(5, 8)]
     assert s.tail_coeff == Fraction(1, 2)
+
+
+def test_riemann_sum_matches_make_oracle():
+    for a, b, n in ((Fraction(1, 2), 1, 4), (Fraction(1, 3), Fraction(2, 3), 7),
+                    (Fraction(2, 7), Fraction(5, 3), 30), (Fraction(1, 100), 1, 999)):
+        got, want = riemann_sum_T(a, b, n), riemann_sum_via_make(a, b, n)
+        assert got.terms == want.terms
+        assert all(type(c) is Fraction and type(t) is Fraction for c, t in got.terms)
+
+
+def test_gn_phi_terms_match_oracle(profile):
+    for n in [*range(1, 201), *range(1995, 2001)]:
+        got = Gn(n, profile).phi_terms
+        assert got == gn_phi_terms(n, profile)
+        assert all(type(w) is int and type(t) is Fraction for w, t in got)
 
 
 def test_mobius_log_identity_samples(profile):
