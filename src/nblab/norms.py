@@ -18,6 +18,7 @@ certified to contain the true norm.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -497,11 +498,18 @@ _ROOT_TOL = 1e-14
 
 
 def _abs_integral_l1(a, b, c, lo, hi):
-    """(integral of |a/x + b + c log x| over the segments, root-slip bound).
+    """(integral of |a/x + b + c log x| over the segments, error bound).
 
     Each segment is split at the lone critical point x = a/c when interior,
     leaving monotone pieces with at most one sign change each; roots are
-    closed-form where possible, else resolved by vectorized bisection.
+    closed-form where possible, else resolved by vectorized bisection.  The
+    bound adds the float64 rounding of the pieces and their sum to the root
+    slip, under the assumptions of _sq_integral.  On a piece (u, w] of width
+    d, the a part is within 3 eps of |a| log(w/u) (the logs add up to
+    L = -log(lo[0])) and the b part within eps |b| d; an end value
+    x (log x - 1) is within eps x (2L + 1), so the c part is within
+    eps |c| (3L + 1)(u + w).  Adding the parts costs eps (|a| log(w/u) +
+    |b| d + |c| L d), and a root split one more addition.
     """
     # split at interior critical points
     has_crit = (c != 0.0)
@@ -522,6 +530,7 @@ def _abs_integral_l1(a, b, c, lo, hi):
 
     mix = ~same
     err = 0.0
+    ends = np.dot(np.abs(cc), u + w)    # |c| (u + w) summed over the pieces
     if np.any(mix):
         um, wm, bm, cm = u[mix], w[mix], bb[mix], cc[mix]
         vum = vu[mix]
@@ -554,17 +563,14 @@ def _abs_integral_l1(a, b, c, lo, hi):
         # a root off by tol contributes at most |v'| * tol^2 ~ vmax * tol
         vmax = np.max(np.abs(np.concatenate([vu, vw])))
         err = len(um) * _ROOT_TOL * vmax
-    return float(np.sum(total)), float(err)
+        ends += 2.0 * np.dot(np.abs(cm), root)
+    power, L = float(np.sum(total)), -math.log(lo[0])
+    err += _F64_EPS * (4.0 * abs(a) * L + 2.0 * np.dot(np.abs(b), hi - lo) + (4.0 * L + 2.0)
+                       * ends + (math.log2(len(total)) + 26.0) * 0.5 * power)
+    return power, float(err)
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl_nodes(order: int):
-    if order not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (x, w)
-    return _GL_CACHE[order]
+_gl_nodes = functools.cache(np.polynomial.legendre.leggauss)
 
 
 def _quad_abs_p(a, b, c, lo, hi, p, order):

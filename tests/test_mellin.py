@@ -4,7 +4,7 @@ import pytest
 from scipy.special import zeta as scipy_zeta
 
 from nblab.arith import CHUNK, build_profile
-from nblab.mellin import MellinResult, mellin_numeric, mellin_reference, zeta_real
+from nblab.mellin import MellinResult, mellin_numeric, mellin_reference
 from nblab.sieve import sieve_mobius
 
 from oracles import mellin_whole_array
@@ -12,17 +12,25 @@ from oracles import mellin_whole_array
 
 @pytest.mark.parametrize("s", [1.1, 1.5, 2.0, 2.5, 3.0, 4.0, 7.5, 12.0])
 def test_zeta_against_scipy(s):
-    assert math.isclose(zeta_real(s), float(scipy_zeta(s, 1)), rel_tol=1e-13)
+    # every kernel's reference against its closed form in scipy's Hurwitz zeta(s, 1)
+    assert math.isclose(mellin_reference("M", s), 1 / (s * scipy_zeta(s, 1)), rel_tol=1e-14)
+    assert math.isclose(mellin_reference("xg", s),
+                        1 / ((s - 1) * scipy_zeta(s, 1)), rel_tol=1e-14)
+    assert math.isclose(mellin_reference("hp", s + 1 / 3, 3.0),
+                        1 / ((s + 1 / 3) * s * scipy_zeta(s, 1)), rel_tol=1e-14)
+    assert type(mellin_reference("M", s)) is float
 
 
 def test_zeta_known_closed_forms():
-    assert math.isclose(zeta_real(2.0), math.pi ** 2 / 6, rel_tol=1e-14)
-    assert math.isclose(zeta_real(4.0), math.pi ** 4 / 90, rel_tol=1e-14)
+    # zeta(2) = pi^2/6 and zeta(4) = pi^4/90
+    assert math.isclose(mellin_reference("M", 2.0), 3 / math.pi ** 2, rel_tol=1e-14)
+    assert math.isclose(mellin_reference("M", 4.0), 90 / (4 * math.pi ** 4), rel_tol=1e-14)
 
 
 def test_zeta_requires_s_above_one():
-    with pytest.raises(ValueError):
-        zeta_real(1.0)
+    for kernel, s, p in (("M", 1.0, 2.0), ("xg", 0.5, 2.0), ("hp", 4 / 3, 3.0)):
+        with pytest.raises(ValueError):
+            mellin_reference(kernel, s, p)
 
 
 @pytest.fixture(scope="module")

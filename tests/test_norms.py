@@ -159,13 +159,18 @@ def test_drift_fold_brackets_mpmath(profile, p):
 
 def test_closed_form_rounding_brackets_mpmath(profile):
     # no coefficient rounds here (drift_bound 0), so only the bound on the
-    # float64 evaluation of the p = 2 closed form keeps the truth inside
-    for f, gen in ((make_family("sn", 5, profile), NEG_CHI), (Gn(20, profile), LAMBDA)):
+    # float64 evaluation of the closed forms keeps the truth inside: the p = 2
+    # form, and at p = 1 the signed pieces between roots and their sum
+    for f, gen, p in ((make_family("sn", 5, profile), NEG_CHI, 2.0),
+                      (Gn(20, profile), LAMBDA, 2.0),
+                      (make_family("sn", 7, profile), NEG_CHI, 1.0),
+                      (Gn(24, profile), LAMBDA, 1.0),
+                      (make_family("fn", 2, profile), LAMBDA, 1.0)):
         assert to_piecewise(f, gen, 0.05).drift_bound == 0.0
-        rep = lp_distance(f, gen, 2.0, 0.05, include_far=False)
-        true = lp_power_mpmath(f, gen, 2.0, 0.05)
+        rep = lp_distance(f, gen, p, 0.05, include_far=False)
+        true = lp_power_mpmath(f, gen, p, 0.05)
         assert abs(rep.power_value - true) <= rep.quad_error
-        assert rep.lower <= math.sqrt(true) <= rep.upper
+        assert rep.lower <= true ** (1.0 / p) <= rep.upper
 
 
 def test_drift_fold_uses_segment_norm(profile):
