@@ -8,12 +8,11 @@ summed, including breakpoints where that sum is zero.  Integer jumps are
 carried exactly, so c is always exact and b is exact when every
 coefficient is an integer; drift_bound bounds what the remaining long
 double lane, the start state and the cast to float64 can round.  Closed
-forms integrate p = 1 and p = 2 (the p = 2 form, and the p = 1 sum when
-the segments are constant, bound their own float64 rounding); general p
-uses Gauss-Legendre with an order-doubling error estimate.  The regions
-(0, eps) and (1, inf) are handled by a rigorous sup-bound and by the exact
-tail integral of (a / x)^p respectively, so every report is an interval
-certified to contain the true norm.
+forms integrate p = 1 and p = 2 and bound their own float64 rounding;
+general p uses Gauss-Legendre with an order-doubling error estimate.  The
+regions (0, eps) and (1, inf) are handled by a rigorous sup-bound and by
+the exact tail integral of (a / x)^p respectively, so every report is an
+interval certified to contain the true norm.
 """
 
 from __future__ import annotations
