@@ -8,8 +8,11 @@ summed, including breakpoints where that sum is zero.  Integer jumps are
 carried exactly, so c is always exact and b is exact when every
 coefficient is an integer; drift_bound bounds what the remaining long
 double lane, the start state and the cast to float64 can round.  Closed
-forms integrate p = 1 and p = 2 and bound their own float64 rounding;
-general p uses Gauss-Legendre with an order-doubling error estimate.  The
+forms integrate p = 1 and p = 2 and bound their own float64 rounding.
+General p splits the segments at critical points and roots into monotone
+pieces of one sign and integrates each by Gauss-Legendre at the lowest
+order whose Bernstein-ellipse bound meets a fixed relative target, cutting
+pieces toward roots; the truncation and rounding bounds are proofs.  The
 regions (0, eps) and (1, inf) are handled by a rigorous sup-bound and by
 the exact tail integral of (a / x)^p respectively, so every report is an
 interval certified to contain the true norm.
@@ -493,75 +496,140 @@ def _value(a, b, c, x):
     return a / x + b + c * np.log(x)
 
 
+def _value_err(a, b, c, x):
+    """Bound on the float64 rounding of _value at x (exact x): three
+    roundings of a/x, two of b, four of c log x (np.log within 1 ulp)."""
+    return 3.0 * _F64_EPS * (np.abs(a) / x + np.abs(b) + np.abs(c) * np.abs(np.log(x)))
+
+
 _ROOT_TOL = 1e-14
 
 
-def _abs_integral_l1(a, b, c, lo, hi):
-    """(integral of |a/x + b + c log x| over the segments, error bound).
+@dataclass(frozen=True)
+class _Pieces:
+    """Segments split at interior critical points x = a/c into monotone
+    pieces (u, w].  mix marks the pieces whose end values differ in sign;
+    for those, root is the split point the p = 1 closed form uses, [glo, ghi]
+    a bracket holding it and every root of the piece, and vbr bounds |v| on
+    the bracket."""
 
-    Each segment is split at the lone critical point x = a/c when interior,
-    leaving monotone pieces with at most one sign change each; roots are
-    closed-form where possible, else resolved by vectorized bisection.  The
-    bound adds the float64 rounding of the pieces and their sum to the root
-    slip, under the assumptions of _sq_integral.  On a piece (u, w] of width
-    d, the a part is within 3 eps of |a| log(w/u) (the logs add up to
-    L = -log(lo[0])) and the b part within eps |b| d; an end value
-    x (log x - 1) is within eps x (2L + 1), so the c part is within
-    eps |c| (3L + 1)(u + w).  Adding the parts costs eps (|a| log(w/u) +
-    |b| d + |c| L d), and a root split one more addition.
+    u: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    mix: np.ndarray
+    root: np.ndarray
+    glo: np.ndarray
+    ghi: np.ndarray
+    vbr: np.ndarray
+
+
+def _split(a, b, c, lo, hi) -> _Pieces:
+    """Split at critical points and isolate the lone root of each monotone
+    piece whose end values differ in sign.
+
+    The root is closed-form where possible (c = 0: -a/b; a = 0: exp(-b/c)),
+    else the midpoint of a vectorized bisection.  Its bracket starts at a
+    closed-form root or at the final bisection bracket, and each end steps
+    outward (one ulp first, then doubling) until its computed value has the
+    sign of its side of the piece and clears its rounding bound _value_err,
+    or reaches the piece's end.  A sign change of the exact v therefore lies
+    inside the bracket, and monotonicity bounds |v| there by the larger end.
     """
-    # split at interior critical points
     has_crit = (c != 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         crit = np.where(has_crit, a / np.where(has_crit, c, 1.0), np.nan)
     interior = has_crit & (crit > lo) & (crit < hi)
 
-    u = np.concatenate([lo, crit[interior]])
-    w = np.concatenate([np.where(interior, crit, hi), hi[interior]])
-    bb = np.concatenate([b, b[interior]])
-    cc = np.concatenate([c, c[interior]])
+    u, w, bb, cc = lo, hi, b, c
+    if np.any(interior):
+        u = np.concatenate([lo, crit[interior]])
+        w = np.concatenate([np.where(interior, crit, hi), hi[interior]])
+        bb = np.concatenate([b, b[interior]])
+        cc = np.concatenate([c, c[interior]])
+    if np.any(cc):
+        vu, vw = _value(a, bb, cc, u), _value(a, bb, cc, w)
+    else:
+        vu, vw = a / u + bb, a / w + bb
+    mix = vu * vw < 0.0
 
-    vu = _value(a, bb, cc, u)
-    vw = _value(a, bb, cc, w)
-    full = _signed_integral(a, bb, cc, u, w)
-    same = vu * vw >= 0.0
-    total = np.abs(np.where(same, full, 0.0))
+    um, wm, bm, cm = u[mix], w[mix], bb[mix], cc[mix]
+    sign = np.sign(vu[mix])
+    root = np.empty(len(um))
+    glo, ghi = root.copy(), root.copy()
+    # closed forms: c = 0 -> -a/b ; a = 0 -> exp(-b/c)
+    c0 = cm == 0.0
+    a0 = (~c0) & (a == 0.0)
+    gen = ~(c0 | a0)
+    if np.any(c0):
+        root[c0] = -a / bm[c0]
+    if np.any(a0):
+        root[a0] = np.exp(-bm[a0] / cm[a0])
+    glo[~gen] = ghi[~gen] = root[~gen]
+    if np.any(gen):
+        lo_g, hi_g = um[gen].copy(), wm[gen].copy()
+        gsign = sign[gen]
+        gb, gc = bm[gen], cm[gen]
+        for _ in range(60):
+            mid = 0.5 * (lo_g + hi_g)
+            vm = _value(a, gb, gc, mid)
+            left = np.sign(vm) == gsign
+            lo_g = np.where(left, mid, lo_g)
+            hi_g = np.where(left, hi_g, mid)
+            if np.max(hi_g - lo_g) < _ROOT_TOL:
+                break
+        root[gen] = 0.5 * (lo_g + hi_g)
+        glo[gen], ghi[gen] = lo_g, hi_g
+    root = np.clip(root, um, wm)
+    glo = np.clip(glo, um, root)
+    ghi = np.clip(ghi, root, wm)
 
-    mix = ~same
+    # step each bracket end outward until its sign is certain
+    step = np.maximum(ghi - glo, np.spacing(root))
+    vbr = np.zeros(len(um))
+    for end, limit, side, out, stop in ((glo, um, sign, -1.0, np.maximum),
+                                        (ghi, wm, -sign, 1.0, np.minimum)):
+        todo, grow = np.arange(len(um)), step.copy()
+        while len(todo):
+            x = end[todo]
+            v = _value(a, bm[todo], cm[todo], x)
+            err = _value_err(a, bm[todo], cm[todo], x)
+            vbr[todo] = np.maximum(vbr[todo], np.abs(v) + err)
+            todo = todo[((np.sign(v) != side[todo]) | (np.abs(v) <= err)) & (x != limit[todo])]
+            end[todo] = stop(end[todo] + out * grow[todo], limit[todo])
+            grow[todo] *= 2.0
+    return _Pieces(u, w, bb, cc, mix, root, glo, ghi, vbr)
+
+
+def _abs_integral_l1(a, b, c, lo, hi):
+    """(integral of |a/x + b + c log x| over the segments, error bound).
+
+    The segments are cut into monotone pieces with at most one sign change
+    each by _split, and a piece with a root is integrated in two signed
+    halves split there.  A split point off the exact root x* moves the value
+    by twice the integral of |v| between them, at most
+    2 max(root - glo, ghi - root) vbr with the bracket of _split.  The bound
+    adds the float64 rounding of the pieces and their sum under the
+    assumptions of _sq_integral.  On a piece (u, w] of width d, the a part is
+    within 3 eps of |a| log(w/u) (the logs add up to L = -log(lo[0])) and
+    the b part within eps |b| d; an end value x (log x - 1) is within
+    eps x (2L + 1), so the c part is within eps |c| (3L + 1)(u + w).  Adding
+    the parts costs eps (|a| log(w/u) + |b| d + |c| L d), and a root split
+    one more addition.
+    """
+    pc = _split(a, b, c, lo, hi)
+    full = _signed_integral(a, pc.b, pc.c, pc.u, pc.w)
+    total = np.abs(np.where(pc.mix, 0.0, full))
+
     err = 0.0
-    ends = np.dot(np.abs(cc), u + w)    # |c| (u + w) summed over the pieces
-    if np.any(mix):
-        um, wm, bm, cm = u[mix], w[mix], bb[mix], cc[mix]
-        vum = vu[mix]
-        root = np.empty(len(um))
-        # closed forms: c = 0 -> -a/b ; a = 0 -> exp(-b/c)
-        c0 = cm == 0.0
-        a0 = (~c0) & (a == 0.0)
-        gen = ~(c0 | a0)
-        if np.any(c0):
-            root[c0] = -a / bm[c0]
-        if np.any(a0):
-            root[a0] = np.exp(-bm[a0] / cm[a0])
-        if np.any(gen):
-            glo, ghi = um[gen].copy(), wm[gen].copy()
-            gsign = np.sign(vum[gen])
-            gb, gc = bm[gen], cm[gen]
-            for _ in range(60):
-                mid = 0.5 * (glo + ghi)
-                vm = _value(a, gb, gc, mid)
-                left = np.sign(vm) == gsign
-                glo = np.where(left, mid, glo)
-                ghi = np.where(left, mid, ghi)
-                if np.max(ghi - glo) < _ROOT_TOL:
-                    break
-            root[gen] = 0.5 * (glo + ghi)
-        root = np.clip(root, um, wm)
+    ends = np.dot(np.abs(pc.c), pc.u + pc.w)    # |c| (u + w) summed over the pieces
+    if np.any(pc.mix):
+        um, wm, bm, cm, root = pc.u[pc.mix], pc.w[pc.mix], pc.b[pc.mix], pc.c[pc.mix], pc.root
         left = _signed_integral(a, bm, cm, um, root)
         right = _signed_integral(a, bm, cm, root, wm)
-        total[mix] = np.abs(left) + np.abs(right)
-        # a root off by tol contributes at most |v'| * tol^2 ~ vmax * tol
-        vmax = np.max(np.abs(np.concatenate([vu, vw])))
-        err = len(um) * _ROOT_TOL * vmax
+        total[pc.mix] = np.abs(left) + np.abs(right)
+        slip = np.maximum(root - pc.glo, pc.ghi - root)
+        err = 2.0 * float(np.dot(slip, pc.vbr))
         ends += 2.0 * np.dot(np.abs(cm), root)
     power, L = float(np.sum(total)), -math.log(lo[0])
     err += _F64_EPS * (4.0 * abs(a) * L + 2.0 * np.dot(np.abs(b), hi - lo) + (4.0 * L + 2.0)
@@ -569,16 +637,179 @@ def _abs_integral_l1(a, b, c, lo, hi):
     return power, float(err)
 
 
-_gl_nodes = functools.cache(np.polynomial.legendre.leggauss)
+@functools.cache
+def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1].  leggauss's nodes take
+    Newton steps on the three-term recurrence in long double, and the
+    weights 2 / ((1 - x^2) P_n'(x)^2) come from the polished nodes: leggauss
+    itself leaves weights several hundred eps off at 24 points."""
+    def legendre(x):                    # (P_n(x), P_n'(x))
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (p0 - x * p1) / (1 - x * x)
+
+    x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
+    for _ in range(3):
+        pn, slope = legendre(x)
+        x = x - pn / slope
+    slope = legendre(x)[1]
+    return x.astype(np.float64), (2 / ((1 - x * x) * slope * slope)).astype(np.float64)
 
 
-def _quad_abs_p(a, b, c, lo, hi, p, order):
-    x0, w0 = _gl_nodes(order)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * x0[None, :]
-    vals = np.abs(_value(a, b[:, None], c[:, None], nodes)) ** p
-    return half * (vals @ w0)
+# Gauss orders tried on a piece, lowest first; _ORDER[k] is the lowest one
+# of at least k points (0 past the top)
+_LADDER = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
+_ORDER = np.array([0] + [min(n for n in _LADDER if n >= k) for k in range(1, 33)] + [0],
+                  dtype=np.uint8)
+_TARGET = 2.0 ** -50               # truncation share of a piece's lower bound
+_GAP = 0.75                        # share of min |v| the ellipse may use up
+_MAX_DEPTH = 60
+_BLOCK = 1 << 15                   # pieces per vectorized round, sized for the cache
+
+
+def _abs_power_integral(a, b, c, lo, hi, p):
+    """(integral of |a/x + b + c log x|^p over the segments, error bound).
+
+    The pieces of _split are monotone and of one sign, and a root's bracket
+    is a piece of its own, enclosed in [0, 2h vbr^p].  On a piece (u, w] of
+    half-width h, m <= |v| <= M, from the end values less or plus the
+    rounding bound Ev below.  Take r < u with r (|a|/(u-r)^2 + |c|/(u-r))
+    <= g m, g = _GAP: each z on the Bernstein ellipse of semi-minor axis r
+    lies within r of some x in [u, w], so |v(z) - v(x)| <= g m, sign(v) v(z)
+    keeps a positive real part and |v(z)| <= M + g m.  (sign(v) v)^p is then
+    analytic inside, and the Gauss n-point rule misses its integral by at
+    most h (64/15) (M + g m)^p rho^(2-2n) / (rho^2 - 1) for any rho up to
+    r/h + sqrt(1 + r^2/h^2) (Trefethen, SIAM Rev. 2008, Thm 4.5, whose I_n
+    has n + 1 points; at n = 1, |I(T_2) - I_1(T_2)| = 4/3 <= 32/15 keeps the
+    constant); rho = max(2r/h, 1 + r/h) saves a square root.  In t = r/u
+    the condition is implied by t/(1-t)^2 <= g m / (|a|/u + |c|), solved in
+    closed form.  The pieces are taken in blocks of _BLOCK, round by round.
+
+    A piece takes the lowest order of _LADDER whose bound is within its
+    tol, set on the pieces _split makes: a _TARGET share of the lower bound
+    2h m^p of its integral, or of 2h M^p/(p+1) if it touches a root, where
+    |v| grows about linearly from 0 to M.  A piece that needs more than the
+    top order is halved, the halves taking half its tol each.  One touching
+    a root (m <= 0) passes its whole tol to both halves instead and so is
+    cut geometrically toward the root, until the rest fits its trivial
+    enclosure [2h m^p, 2h M^p] within tol, lies below rounding noise
+    (M <= 4 Ev; a segment where v == 0 settles so at once, at no error), or
+    is _MAX_DEPTH halvings deep; the enclosure's half-width is then its
+    error.  The tol of every Gauss piece goes into the error.
+
+    Rounding, under the assumptions of _sq_integral plus pow within 1 ulp
+    and leggauss nodes within eps and weights within 2 eps relative (a test
+    checks the ladder against mpmath): a node is within 3 eps w of its exact
+    place and |v'| <= |a|/u^2 + |c|/u, so each computed |v| is within
+    Ev = 3 eps (1 + w/u) (|a|/u + |b| + |c| (1 - log u)) of the exact one
+    (the slack over 2 eps (|a|/x + |b| + |c| |log x|) also absorbs the
+    second-order slip of a split at a rounded critical point).  With
+    Z = M + max(g m, Ev), the mean value theorem puts a computed |v|^p within
+    p Ev Z^(p-1) + eps Z^p, and the weighted sum of n terms and the product
+    by h add (n + 6) eps / 2 relative: a piece's value is within
+    2h Z^p (p Ev / Z + (n + 9) eps / 2).  Each order's sum is pairwise.
+    """
+    pc = _split(a, b, c, lo, hi)
+    # a piece with a root becomes (u, glo], the bracket and (ghi, w]
+    w = pc.w.copy()
+    w[pc.mix] = pc.glo
+    pending = [np.concatenate([pc.u, pc.ghi]), np.concatenate([w, pc.w[pc.mix]]),
+               np.concatenate([pc.b, pc.b[pc.mix]]), np.concatenate([pc.c, pc.c[pc.mix]])]
+    brackets = 0.5 * (pc.ghi - pc.glo) * pc.vbr ** p
+    power = float(np.sum(brackets))
+    err = (1.0 + 64.0 * _F64_EPS) * power
+    if not np.all(pending[1] > pending[0]):
+        wide = pending[1] > pending[0]
+        pending = [x[wide] for x in pending]
+    pending.append(None)
+    logs = bool(np.any(pc.c))
+    for depth in range(_MAX_DEPTH + 1):
+        halves = []
+        for i in range(0, len(pending[0]), _BLOCK):
+            block = [None if x is None else x[i:i + _BLOCK] for x in pending]
+            order, part, bound, split = _triage(a, p, logs, *block, depth == _MAX_DEPTH)
+            total, rounding = _gauss_sum(a, p, logs, *block[:4], order)
+            power += part + total
+            err += bound + rounding
+            halves.append(split)
+        if not halves:
+            break
+        pending = [np.concatenate(col) for col in zip(*halves)]
+    return power, err * (1.0 + 1e-9)
+
+
+def _triage(a, p, logs, u, w, bb, cc, tol, last):
+    """One round of _abs_power_integral over pieces (u, w] with tolerances
+    tol (None on the pieces _split made): (the Gauss order of each piece, 0
+    for none; the value of the pieces settled by their enclosure; the error
+    bound of both kinds; the halves of the rest as (u, w, b, c, tol))."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ca = abs(a) / u
+        if logs:
+            lu = np.log(u)
+            vu = a / u + bb + cc * lu
+            vw = a / w + bb + cc * np.log(w)
+            slope = ca + np.abs(cc)
+            size = slope + np.abs(bb) - np.abs(cc) * lu
+        else:
+            vu, vw = a / u + bb, a / w + bb
+            slope, size = ca, ca + np.abs(bb)
+        h = 0.5 * (w - u)
+        ev = 3.0 * _F64_EPS * (1.0 + w / u) * size
+        av, aw = np.abs(vu), np.abs(vw)
+        m = np.minimum(av, aw) - ev
+        big = np.maximum(av, aw) + ev
+        if tol is None:
+            tol = (2.0 * _TARGET) * h * np.where(m > 0.0, m, (p + 1.0) ** (-1.0 / p) * big) ** p
+        s = slope / (_GAP * m)
+        t = 2.0 / (2.0 + s + np.sqrt(s * (4.0 + s)))
+        beta = t * u * (1.0 - 2.0 ** -30) / h
+        # below beta + sqrt(beta^2 + 1): the ellipse of a smaller rho lies inside
+        rho = np.maximum(2.0 * beta, 1.0 + beta)
+        z = big + np.maximum(_GAP * m, ev)
+        zp = z ** p
+        need = 1.0 + np.log((64.0 / 15.0) * zp * h / (tol * (rho * rho - 1.0))) / (2.0 * np.log(rho))
+        need = np.where((m > 0.0) & (tol > 0.0), np.ceil(need * (1.0 + 1e-12) + 1e-9), 33.0)
+    order = _ORDER[np.clip(need, 1.0, 33.0).astype(np.intp)]
+    done = order > 0
+    bound = float(np.sum(tol, where=done))
+    bound += float(np.sum(h * zp * (2.0 * p * ev / z + _F64_EPS * (order + 9.0)), where=done))
+    rest = np.flatnonzero(~done)
+    u, w, bb, cc, h, m, big, ev, tol = (v[rest] for v in (u, w, bb, cc, h, m, big, ev, tol))
+    low, high = np.maximum(m, 0.0) ** p, big ** p
+    mid = 0.5 * (u + w)
+    settle = (h * (high - low) <= tol) | (big <= 4.0 * ev) | (mid <= u) | (mid >= w) | last
+    hs, ls, gs = h[settle], low[settle], high[settle]
+    value = float(np.dot(hs, gs + ls))
+    bound += float(np.dot(hs, gs - ls)) + 64.0 * _F64_EPS * value
+    split = ~settle
+    # halves share tol, except near a root, where they are cut further
+    mid, tol = mid[split], np.tile(np.where(m[split] > 0.0, 0.5, 1.0) * tol[split], 2)
+    halves = (np.concatenate([u[split], mid]), np.concatenate([mid, w[split]]),
+              np.tile(bb[split], 2), np.tile(cc[split], 2), tol)
+    return order, value, bound, halves
+
+
+def _gauss_sum(a, p, logs, u, w, bb, cc, order):
+    """(sum of the Gauss rules of the given orders over the pieces, bound on
+    the rounding of the pairwise sum of each order's group and the Python
+    sum of the groups); order 0 pieces are skipped."""
+    power = err = 0.0
+    for n in np.flatnonzero(np.bincount(order)[1:]) + 1:
+        sel = np.flatnonzero(order == n)
+        x0, w0 = _gl_nodes(int(n))
+        gu, gw = u[sel], w[sel]
+        half = 0.5 * (gw - gu)
+        nodes = x0[:, None] * half + 0.5 * (gw + gu)
+        vals = a / nodes + bb[sel]
+        if logs:
+            vals += cc[sel] * np.log(nodes)
+        np.abs(vals, out=vals)
+        total = float(np.sum(half * (w0 @ vals ** p)))
+        power += total
+        err += ((math.log2(len(half)) + 25.0) * 0.5 + 1.0) * _F64_EPS * total
+    return power, err
 
 
 def check_p(p: float) -> None:
@@ -605,22 +836,15 @@ def lp_norm(pw: PiecewiseHyperbolic, p: float,
 
     if p == 2.0:
         power, quad_err = _sq_integral(pw)
+    elif a == 0.0 and not np.any(c):
+        power = float(np.sum(np.abs(b) ** p * (hi - lo)))
+        # terms of one sign, each within eps (two with a pow), then np.sum as
+        # in _sq_integral
+        quad_err = (math.log2(len(lo)) + 27.0 + 2.0 * (p != 1.0)) * _F64_EPS * power
     elif p == 1.0:
-        if a == 0.0 and not np.any(c):
-            power = float(np.sum(np.abs(b) * (hi - lo)))
-            # terms of one sign, each within eps, then np.sum as in _sq_integral
-            quad_err = (math.log2(len(lo)) + 27.0) * _F64_EPS * power
-        else:
-            power, quad_err = _abs_integral_l1(a, b, c, lo, hi)
+        power, quad_err = _abs_integral_l1(a, b, c, lo, hi)
     else:
-        power = 0.0
-        chunk = 200_000
-        for i in range(0, len(lo), chunk):
-            s = slice(i, i + chunk)
-            lo16 = _quad_abs_p(a, b[s], c[s], lo[s], hi[s], p, 16)
-            lo32 = _quad_abs_p(a, b[s], c[s], lo[s], hi[s], p, 32)
-            power += float(np.sum(lo32))
-            quad_err += float(np.sum(np.abs(lo32 - lo16)))
+        power, quad_err = _abs_power_integral(a, b, c, lo, hi, p)
 
     # the computed v is within delta = drift_bound of the exact difference,
     # so ||v+e|^p - |v|^p| <= p delta (|v| + delta)^(p-1); Hoelder and

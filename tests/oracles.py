@@ -180,8 +180,9 @@ def to_piecewise_exact(f: BeurlingSum, generator: Generator | None, eps) -> list
     return segments
 
 
-def lp_power_mpmath(f, generator: Generator | None, p: float, eps) -> float:
-    """integral_eps^1 |f - generator|^p dx by mpmath at 30 digits.
+def lp_power_mpmath(f, generator: Generator | None, p: float, eps, dps: int = 30) -> float:
+    """integral_eps^1 |f - generator|^p dx by mpmath at dps digits (more for
+    segments so narrow that 30 digits cannot place a point inside them).
 
     f is a BeurlingSum, or has phi_terms and inv_coeff (Gn, TIndicator):
     f(x) = inv_coeff/x + sum w Phi(theta/x), Phi(y) = floor(y) log y
@@ -194,7 +195,7 @@ def lp_power_mpmath(f, generator: Generator | None, p: float, eps) -> float:
     phi_terms = list(getattr(f, "phi_terms", ()))
     inv = Fraction(getattr(f, "inv_coeff", 0))
     kind = None if generator is None else generator.kind
-    with mpmath.workdps(30):
+    with mpmath.workdps(dps):
         def mpq(q):
             return mpmath.mpf(q.numerator) / q.denominator
 
@@ -244,6 +245,17 @@ def lp_power_mpmath(f, generator: Generator | None, p: float, eps) -> float:
                 pts.sort()
             total += mpmath.quad(lambda x: abs(diff(x)) ** p, pts)
         return float(total)
+
+
+def quad_abs_p(a, b, c, lo, hi, p, order):
+    """Per-segment Gauss-Legendre estimates of integral |a/x + b + c log x|^p
+    at one fixed order, with no error bound."""
+    x0, w0 = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    nodes = mid[:, None] + half[:, None] * x0[None, :]
+    vals = np.abs(a / nodes + b[:, None] + c[:, None] * np.log(nodes)) ** p
+    return half * (vals @ w0)
 
 
 def dilation_quotient_minus_chi(a_dil: float, eps: float = 1e-6) -> PiecewiseHyperbolic:

@@ -17,13 +17,14 @@ from nblab.arith import build_profile, floor_sum_check
 from nblab.beurling import (BeurlingSum, LAMBDA, NEG_CHI, make_family,
                             recover_coefficients, step_values)
 from nblab.mellin import mellin_numeric
-from nblab.norms import _quad_abs_p, lp_distance, lp_norm, to_piecewise
+from nblab.norms import lp_distance, lp_norm, to_piecewise
 from nblab.sieve import sieve_mobius
 from nblab.transform import Gn, TIndicator, mobius_log_identity, riemann_sum_T
 from nblab.uop import isometry_check, ut_direct, ut_head
 from nblab.witnesses import (convergence_trend, witness_gn,
                              witness_sn_hurdle)
 from nblab.norms import Difference
+from oracles import quad_abs_p
 
 
 @pytest.fixture(scope="module")
@@ -190,8 +191,8 @@ def test_a09_engine_cross_validation(profile):
             continue
         pw = to_piecewise(f, NEG_CHI, 1e-2)
         closed = lp_norm(pw, 2.0, include_far=False)
-        quad = float(np.sum(_quad_abs_p(pw.a, pw.b, pw.c, pw.lo, pw.hi,
-                                        2.0, 32)))
+        quad = float(np.sum(quad_abs_p(pw.a, pw.b, pw.c, pw.lo, pw.hi,
+                                       2.0, 32)))
         assert math.isclose(closed.power_value, quad, rel_tol=1e-9)
         checked += 1
     ti = TIndicator(Fraction(1, 2), 1)

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as si
@@ -9,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nblab.beurling import BeurlingSum, LAMBDA, NEG_CHI, make_family
-from nblab.norms import Difference, _quad_abs_p, lp_distance, lp_norm, to_piecewise
+from nblab.norms import (_LADDER, Difference, PiecewiseHyperbolic, _gl_nodes, lp_distance,
+                         lp_norm, to_piecewise)
 from nblab.transform import Gn, TIndicator, riemann_sum_T
-from oracles import dilation_quotient_minus_chi, lp_power_mpmath, to_piecewise_exact
+from oracles import (dilation_quotient_minus_chi, lp_power_mpmath, quad_abs_p,
+                     to_piecewise_exact)
 
 
 def _exact_value(segments, x):
@@ -173,6 +176,86 @@ def test_closed_form_rounding_brackets_mpmath(profile):
         assert rep.lower <= true ** (1.0 / p) <= rep.upper
 
 
+def test_l1_bisected_root_brackets_mpmath(profile):
+    # sn6 - lambda has a sign change on a segment where neither a nor c is
+    # zero, so its root comes from bisection, not a closed form
+    f = make_family("sn", 6, profile)
+    pw = to_piecewise(f, LAMBDA, 0.05)
+    lo_v = pw.values_at(pw.lo * (1.0 + 1e-12))
+    hi_v = pw.values_at(pw.hi)
+    assert pw.a != 0.0 and np.any((lo_v * hi_v < 0.0) & (pw.c != 0.0))
+    rep = lp_distance(f, LAMBDA, 1.0, 0.05, include_far=False)
+    true = lp_power_mpmath(f, LAMBDA, 1.0, 0.05)
+    assert abs(rep.power_value - true) <= rep.quad_error <= 1e-10 * true
+    assert rep.lower <= true <= rep.upper
+
+
+def _segment_features(pw):
+    """(sign changes, interior critical points, v == 0 segments) of pw."""
+    a, b, c, lo, hi = pw.a, pw.b, pw.c, pw.lo, pw.hi
+    vu, vw = a / lo + b + c * np.log(lo), a / hi + b + c * np.log(hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crit = np.where(c != 0.0, a / np.where(c != 0.0, c, 1.0), np.nan)
+    return (int(np.sum(vu * vw < 0.0)), int(np.sum((crit > lo) & (crit < hi))),
+            int(np.sum((a == 0.0) & (b == 0.0) & (c == 0.0))))
+
+
+# name: (build, generator, eps, mpmath digits, feature index it must have)
+_GENERAL_P_CASES = {
+    "sn10_roots": (lambda prof: make_family("sn", 10, prof), NEG_CHI, 0.02, 30, 0),
+    "gn9_critical_points": (lambda prof: Gn(9, prof), LAMBDA, 0.05, 30, 1),
+    "fn20_zero_segments": (lambda prof: make_family("fn", 20, prof), NEG_CHI, 0.02, 30, 2),
+    "t_indicator": (lambda prof: TIndicator(Fraction(2, 7), Fraction(5, 6)), None, 0.05, 30, 1),
+    # root (1 - theta)/2 = 1/5 + 1e-12, just above the breakpoint 1/5; theta's
+    # breakpoints pass within 1e-13 of those of rho(1/x), too close for 30 digits
+    "root_near_breakpoint": (lambda prof: BeurlingSum.make(
+        [(1, Fraction(1)), (-1, Fraction(3, 5) - Fraction(2, 10 ** 12))]), None, 0.05, 40, 0),
+}
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 4.5])
+@pytest.mark.parametrize("case", list(_GENERAL_P_CASES))
+def test_general_p_brackets_mpmath(profile, case, p):
+    build, gen, eps, dps, feature = _GENERAL_P_CASES[case]
+    f = build(profile)
+    assert _segment_features(to_piecewise(f, gen, eps))[feature] > 0
+    rep = lp_distance(f, gen, p, eps, include_far=False)
+    true = lp_power_mpmath(f, gen, p, eps, dps=dps)
+    assert abs(rep.power_value - true) <= rep.quad_error
+    assert rep.lower <= true ** (1.0 / p) <= rep.upper
+    assert rep.quad_error <= 1e-10 * true
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0])
+def test_general_p_pure_inverse_segments(p):
+    # v = a/x on (eps, 1], cut into wide and narrow segments: the narrow
+    # ones are 3e-5 to 1.6e-4 of their distance from 0 wide, where a single
+    # node looks enough; the exact power is |a|^p (eps^(1-p) - 1) / (p - 1)
+    eps, a = 1e-4, -0.002
+    lo = 1.5e-4 + np.array([-5e-5, 0.0, 5e-9, 1.5e-8, 3.9e-8])
+    hi = np.append(lo[1:], 1.0)
+    pw = PiecewiseHyperbolic(lo=lo, hi=hi, b=np.zeros(5), c=np.zeros(5), a=a, eps=eps,
+                             sup_const=0.0, has_log_tail=False)
+    rep = lp_norm(pw, p, include_far=False)
+    with mpmath.workdps(30):
+        q = mpmath.mpf(p)
+        true = abs(mpmath.mpf(a)) ** q * (mpmath.mpf(eps) ** (1 - q) - 1) / (q - 1)
+    assert abs(rep.power_value - true) <= rep.quad_error <= 1e-10 * true
+
+
+def test_gauss_nodes_match_mpmath():
+    # the general-p rounding bound takes nodes within eps and weights within
+    # 2 eps relative
+    eps = np.finfo(np.float64).eps
+    with mpmath.workdps(40):
+        for n in _LADDER:
+            for x, w in zip(*_gl_nodes(n)):
+                r = mpmath.findroot(lambda t: mpmath.legendre(n, t), mpmath.mpf(x))
+                exact = 2 / ((1 - r * r) * (n * mpmath.legendre(n - 1, r) / (1 - r * r)) ** 2)
+                assert abs(mpmath.mpf(x) - r) <= eps
+                assert abs(mpmath.mpf(w) - exact) <= 2 * eps * exact
+
+
 def test_drift_fold_uses_segment_norm(profile):
     # the fold reads ||v||_2 ~ 0.13, not the sup of |v| over the segments
     assert lp_distance(Gn(1000, profile), LAMBDA, 2.0, 1e-6).quad_error < 1e-9
@@ -214,8 +297,8 @@ def test_p2_closed_form_vs_quadrature_randomized(profile):
             continue
         pw = to_piecewise(f, NEG_CHI, 1e-2)
         closed = lp_norm(pw, 2.0, include_far=False)
-        quad = float(np.sum(_quad_abs_p(pw.a, pw.b, pw.c, pw.lo, pw.hi,
-                                        2.0, 32)))
+        quad = float(np.sum(quad_abs_p(pw.a, pw.b, pw.c, pw.lo, pw.hi,
+                                       2.0, 32)))
         assert math.isclose(closed.power_value, quad, rel_tol=1e-9)
 
 
@@ -340,3 +423,15 @@ def test_norm_nonnegative_and_certified(terms, p):
     rep = lp_distance(f, None, p, 1e-3, include_far=False)
     assert rep.value >= 0.0
     assert rep.upper >= rep.value >= rep.lower >= 0.0
+
+
+@given(small_sums, st.sampled_from([1.1, 1.5, 3.0]))
+@settings(max_examples=30, deadline=None)
+def test_general_p_brackets_mpmath_property(terms, p):
+    f = BeurlingSum.make(terms)
+    if not f.terms:
+        return
+    rep = lp_distance(f, NEG_CHI, p, 0.05, include_far=False)
+    true = lp_power_mpmath(f, NEG_CHI, p, 0.05)
+    assert abs(rep.power_value - true) <= rep.quad_error
+    assert rep.lower <= true ** (1.0 / p) <= rep.upper
