@@ -496,10 +496,11 @@ def _value(a, b, c, x):
     return a / x + b + c * np.log(x)
 
 
-def _value_err(a, b, c, x):
-    """Bound on the float64 rounding of _value at x (exact x): three
+def _value_and_err(a, b, c, x):
+    """(_value at x, bound on its float64 rounding at exact x): three
     roundings of a/x, two of b, four of c log x (np.log within 1 ulp)."""
-    return 3.0 * _F64_EPS * (np.abs(a) / x + np.abs(b) + np.abs(c) * np.abs(np.log(x)))
+    lx = np.log(x)
+    return a / x + b + c * lx, 3.0 * _F64_EPS * (np.abs(a) / x + np.abs(b) + np.abs(c * lx))
 
 
 _ROOT_TOL = 1e-14
@@ -532,7 +533,7 @@ def _split(a, b, c, lo, hi) -> _Pieces:
     else the midpoint of a vectorized bisection.  Its bracket starts at a
     closed-form root or at the final bisection bracket, and each end steps
     outward (one ulp first, then doubling) until its computed value has the
-    sign of its side of the piece and clears its rounding bound _value_err,
+    sign of its side of the piece and clears its rounding bound from _value_and_err,
     or reaches the piece's end.  A sign change of the exact v therefore lies
     inside the bracket, and monotonicity bounds |v| there by the larger end.
     """
@@ -547,10 +548,7 @@ def _split(a, b, c, lo, hi) -> _Pieces:
         w = np.concatenate([np.where(interior, crit, hi), hi[interior]])
         bb = np.concatenate([b, b[interior]])
         cc = np.concatenate([c, c[interior]])
-    if np.any(cc):
-        vu, vw = _value(a, bb, cc, u), _value(a, bb, cc, w)
-    else:
-        vu, vw = a / u + bb, a / w + bb
+    vu, vw = _value(a, bb, cc, u), _value(a, bb, cc, w)
     mix = vu * vw < 0.0
 
     um, wm, bm, cm = u[mix], w[mix], bb[mix], cc[mix]
@@ -592,8 +590,7 @@ def _split(a, b, c, lo, hi) -> _Pieces:
         todo, grow = np.arange(len(um)), step.copy()
         while len(todo):
             x = end[todo]
-            v = _value(a, bm[todo], cm[todo], x)
-            err = _value_err(a, bm[todo], cm[todo], x)
+            v, err = _value_and_err(a, bm[todo], cm[todo], x)
             vbr[todo] = np.maximum(vbr[todo], np.abs(v) + err)
             todo = todo[((np.sign(v) != side[todo]) | (np.abs(v) <= err)) & (x != limit[todo])]
             end[todo] = stop(end[todo] + out * grow[todo], limit[todo])
@@ -662,10 +659,11 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 _LADDER = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
 _ORDER = np.array([0] + [min(n for n in _LADDER if n >= k) for k in range(1, 33)] + [0],
                   dtype=np.uint8)
-_TARGET = 2.0 ** -50               # truncation share of a piece's lower bound
+_TARGET = 2.0 ** -50               # truncation share of a piece's integral
 _GAP = 0.75                        # share of min |v| the ellipse may use up
 _MAX_DEPTH = 60
-_BLOCK = 1 << 15                   # pieces per vectorized round, sized for the cache
+_MAX_SPLIT = 4                     # pieces per piece of _split a round may hold
+_BLOCK = 1 << 15                   # pieces per vectorized call: its arrays stay in cache
 
 
 def _abs_power_integral(a, b, c, lo, hi, p):
@@ -684,30 +682,37 @@ def _abs_power_integral(a, b, c, lo, hi, p):
     has n + 1 points; at n = 1, |I(T_2) - I_1(T_2)| = 4/3 <= 32/15 keeps the
     constant); rho = max(2r/h, 1 + r/h) saves a square root.  In t = r/u
     the condition is implied by t/(1-t)^2 <= g m / (|a|/u + |c|), solved in
-    closed form.  The pieces are taken in blocks of _BLOCK, round by round.
+    closed form.  The order is chosen in logarithms, so (M + g m)^p may
+    exceed the float range.
 
     A piece takes the lowest order of _LADDER whose bound is within its
-    tol, set on the pieces _split makes: a _TARGET share of the lower bound
-    2h m^p of its integral, or of 2h M^p/(p+1) if it touches a root, where
-    |v| grows about linearly from 0 to M.  A piece that needs more than the
-    top order is halved, the halves taking half its tol each.  One touching
-    a root (m <= 0) passes its whole tol to both halves instead and so is
-    cut geometrically toward the root, until the rest fits its trivial
-    enclosure [2h m^p, 2h M^p] within tol, lies below rounding noise
-    (M <= 4 Ev; a segment where v == 0 settles so at once, at no error), or
-    is _MAX_DEPTH halvings deep; the enclosure's half-width is then its
-    error.  The tol of every Gauss piece goes into the error.
+    tol, set on the pieces _split makes: a _TARGET share of
+    2h max(m, M (p+1)^(-1/p))^p, the larger of the lower bound 2h m^p of its
+    integral and 2h M^p/(p+1), its integral if |v| grew linearly from 0 to
+    M.  A piece that needs more than the top order is halved, the halves
+    taking half its tol each, except that one whose m lies below
+    M (p+1)^(-1/p) (it touches or nears a root) passes its whole tol to the
+    half at its small end, which is so cut geometrically toward the root.
+    A piece settles on its trivial enclosure [2h m^p, 2h M^p], whose
+    half-width is then its error, once that fits its tol, its tol has
+    underflowed to 0, it lies below rounding noise (M <= 4 Ev; a segment
+    where v == 0 settles so at once, at no error), or it is _MAX_DEPTH
+    halvings deep.  Should a round hold more than _MAX_SPLIT times the
+    pieces _split made (and more than 2^16), the pieces it cannot integrate
+    all settle there, so memory stays a fixed multiple of the first
+    round's.  The tol of every Gauss piece goes into the error.  A
+    power past the float range is reported as inf, with an inf error.
 
     Rounding, under the assumptions of _sq_integral plus pow within 1 ulp
     and leggauss nodes within eps and weights within 2 eps relative (a test
     checks the ladder against mpmath): a node is within 3 eps w of its exact
-    place and |v'| <= |a|/u^2 + |c|/u, so each computed |v| is within
-    Ev = 3 eps (1 + w/u) (|a|/u + |b| + |c| (1 - log u)) of the exact one
-    (the slack over 2 eps (|a|/x + |b| + |c| |log x|) also absorbs the
-    second-order slip of a split at a rounded critical point).  With
-    Z = M + max(g m, Ev), the mean value theorem puts a computed |v|^p within
-    p Ev Z^(p-1) + eps Z^p, and the weighted sum of n terms and the product
-    by h add (n + 6) eps / 2 relative: a piece's value is within
+    place and |v'| <= (|a|/u + |c|)/u, which moves v by at most
+    3 eps (w/u) (|a|/u + |c|); with the evaluation bound of _value_and_err
+    at u (which bounds it on the piece, u <= x <= 1) this makes Ev, whose
+    slack also absorbs the second-order slip of a split at a rounded
+    critical point.  With Z = M + Ev, the mean value theorem puts a computed |v|^p
+    within p Ev Z^(p-1) + eps Z^p, and the weighted sum of n terms and the
+    product by h add (n + 6) eps / 2 relative: a piece's value is within
     2h Z^p (p Ev / Z + (n + 9) eps / 2).  Each order's sum is pairwise.
     """
     pc = _split(a, b, c, lo, hi)
@@ -719,79 +724,85 @@ def _abs_power_integral(a, b, c, lo, hi, p):
     brackets = 0.5 * (pc.ghi - pc.glo) * pc.vbr ** p
     power = float(np.sum(brackets))
     err = (1.0 + 64.0 * _F64_EPS) * power
-    if not np.all(pending[1] > pending[0]):
-        wide = pending[1] > pending[0]
+    budget = max(_MAX_SPLIT * len(pending[0]), 1 << 16)
+    wide = pending[1] > pending[0]
+    if not np.all(wide):
         pending = [x[wide] for x in pending]
     pending.append(None)
-    logs = bool(np.any(pc.c))
     for depth in range(_MAX_DEPTH + 1):
+        if not len(pending[0]):
+            break
+        last = depth == _MAX_DEPTH or len(pending[0]) > budget
         halves = []
         for i in range(0, len(pending[0]), _BLOCK):
             block = [None if x is None else x[i:i + _BLOCK] for x in pending]
-            order, part, bound, split = _triage(a, p, logs, *block, depth == _MAX_DEPTH)
-            total, rounding = _gauss_sum(a, p, logs, *block[:4], order)
+            order, part, bound, split = _triage(a, p, *block, last)
+            total, rounding = _gauss_sum(a, p, *block[:4], order)
             power += part + total
             err += bound + rounding
             halves.append(split)
-        if not halves:
-            break
         pending = [np.concatenate(col) for col in zip(*halves)]
+    if math.isinf(power):
+        return math.inf, math.inf
     return power, err * (1.0 + 1e-9)
 
 
-def _triage(a, p, logs, u, w, bb, cc, tol, last):
+def _triage(a, p, u, w, bb, cc, tol, last):
     """One round of _abs_power_integral over pieces (u, w] with tolerances
     tol (None on the pieces _split made): (the Gauss order of each piece, 0
     for none; the value of the pieces settled by their enclosure; the error
     bound of both kinds; the halves of the rest as (u, w, b, c, tol))."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ca = abs(a) / u
-        if logs:
-            lu = np.log(u)
-            vu = a / u + bb + cc * lu
-            vw = a / w + bb + cc * np.log(w)
-            slope = ca + np.abs(cc)
-            size = slope + np.abs(bb) - np.abs(cc) * lu
-        else:
-            vu, vw = a / u + bb, a / w + bb
-            slope, size = ca, ca + np.abs(bb)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         h = 0.5 * (w - u)
-        ev = 3.0 * _F64_EPS * (1.0 + w / u) * size
-        av, aw = np.abs(vu), np.abs(vw)
+        slope = np.abs(a) / u + np.abs(cc)          # bounds u |v'| on the piece
+        vu, ev = _value_and_err(a, bb, cc, u)
+        ev += 3.0 * _F64_EPS * (w / u) * slope
+        av, aw = np.abs(vu), np.abs(_value(a, bb, cc, w))
         m = np.minimum(av, aw) - ev
         big = np.maximum(av, aw) + ev
+        floor = (p + 1.0) ** (-1.0 / p) * big
         if tol is None:
-            tol = (2.0 * _TARGET) * h * np.where(m > 0.0, m, (p + 1.0) ** (-1.0 / p) * big) ** p
+            tol = (2.0 * _TARGET) * h * np.maximum(m, floor) ** p
         s = slope / (_GAP * m)
         t = 2.0 / (2.0 + s + np.sqrt(s * (4.0 + s)))
         beta = t * u * (1.0 - 2.0 ** -30) / h
         # below beta + sqrt(beta^2 + 1): the ellipse of a smaller rho lies inside
         rho = np.maximum(2.0 * beta, 1.0 + beta)
-        z = big + np.maximum(_GAP * m, ev)
-        zp = z ** p
-        need = 1.0 + np.log((64.0 / 15.0) * zp * h / (tol * (rho * rho - 1.0))) / (2.0 * np.log(rho))
-        need = np.where((m > 0.0) & (tol > 0.0), np.ceil(need * (1.0 + 1e-12) + 1e-9), 33.0)
-    order = _ORDER[np.clip(need, 1.0, 33.0).astype(np.intp)]
-    done = order > 0
-    bound = float(np.sum(tol, where=done))
-    bound += float(np.sum(h * zp * (2.0 * p * ev / z + _F64_EPS * (order + 9.0)), where=done))
-    rest = np.flatnonzero(~done)
-    u, w, bb, cc, h, m, big, ev, tol = (v[rest] for v in (u, w, bb, cc, h, m, big, ev, tol))
-    low, high = np.maximum(m, 0.0) ** p, big ** p
-    mid = 0.5 * (u + w)
-    settle = (h * (high - low) <= tol) | (big <= 4.0 * ev) | (mid <= u) | (mid >= w) | last
-    hs, ls, gs = h[settle], low[settle], high[settle]
-    value = float(np.dot(hs, gs + ls))
-    bound += float(np.dot(hs, gs - ls)) + 64.0 * _F64_EPS * value
+        # log of the one-point bound over tol; NaN and inf fail need < 33
+        excess = (np.log((64.0 / 15.0) * h / (tol * (rho * rho - 1.0)))
+                  + p * np.log(big + _GAP * m))
+        need = 1.0 + excess / (2.0 * np.log(rho))
+        need = np.where((m > 0.0) & (tol > 0.0) & (need < 33.0),
+                        np.ceil(need * (1.0 + 1e-12) + 1e-9), 33.0)
+        order = _ORDER[np.maximum(need, 1.0).astype(np.intp)]
+        done = order > 0
+        z = big + ev
+        bound = float(np.sum(tol, where=done))
+        bound += float(np.sum(h * z ** p * (2.0 * p * ev / z + _F64_EPS * (order + 9.0)),
+                              where=done))
+        rest = np.flatnonzero(~done)
+        u, w, bb, cc, h, m, big, ev, tol, floor, left = (
+            v[rest] for v in (u, w, bb, cc, h, m, big, ev, tol, floor, av <= aw))
+        low, high = np.maximum(m, 0.0) ** p, big ** p
+        mid = 0.5 * (u + w)
+        settle = ((h * (high - low) <= tol) | (tol == 0.0) | (big <= 4.0 * ev)
+                  | (mid <= u) | (mid >= w) | last)
+        hs, ls, gs = h[settle], low[settle], high[settle]
+        value = float(np.dot(hs, gs + ls))
+        bound += float(np.dot(hs, gs - ls)) + 64.0 * _F64_EPS * value
     split = ~settle
-    # halves share tol, except near a root, where they are cut further
-    mid, tol = mid[split], np.tile(np.where(m[split] > 0.0, 0.5, 1.0) * tol[split], 2)
+    # halves share tol, except that near a root the half at the small end
+    # keeps it whole, so that the piece is cut geometrically toward the root
+    near, left, tol = (m < floor)[split], left[split], 0.5 * tol[split]
+    mid = mid[split]
     halves = (np.concatenate([u[split], mid]), np.concatenate([mid, w[split]]),
-              np.tile(bb[split], 2), np.tile(cc[split], 2), tol)
+              np.tile(bb[split], 2), np.tile(cc[split], 2),
+              np.concatenate([np.where(near & left, 2.0, 1.0) * tol,
+                              np.where(near & ~left, 2.0, 1.0) * tol]))
     return order, value, bound, halves
 
 
-def _gauss_sum(a, p, logs, u, w, bb, cc, order):
+def _gauss_sum(a, p, u, w, bb, cc, order):
     """(sum of the Gauss rules of the given orders over the pieces, bound on
     the rounding of the pairwise sum of each order's group and the Python
     sum of the groups); order 0 pieces are skipped."""
@@ -803,10 +814,11 @@ def _gauss_sum(a, p, logs, u, w, bb, cc, order):
         half = 0.5 * (gw - gu)
         nodes = x0[:, None] * half + 0.5 * (gw + gu)
         vals = a / nodes + bb[sel]
-        if logs:
+        if np.any(cc[sel]):
             vals += cc[sel] * np.log(nodes)
         np.abs(vals, out=vals)
-        total = float(np.sum(half * (w0 @ vals ** p)))
+        with np.errstate(over="ignore"):        # a power past the float range is inf
+            total = float(np.sum(half * (w0 @ vals ** p)))
         power += total
         err += ((math.log2(len(half)) + 25.0) * 0.5 + 1.0) * _F64_EPS * total
     return power, err

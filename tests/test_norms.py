@@ -243,6 +243,56 @@ def test_general_p_pure_inverse_segments(p):
     assert abs(rep.power_value - true) <= rep.quad_error <= 1e-10 * true
 
 
+@pytest.mark.parametrize("gen, p", [(NEG_CHI, 40.0), (LAMBDA, 40.0), (NEG_CHI, 300.0)],
+                         ids=["neg_chi-40", "lambda-40", "neg_chi-300"])
+def test_general_p_large_exponent_brackets_mpmath(profile, gen, p):
+    # next to the roots the lower bound 2h m^p of a piece underflows to 0,
+    # and its tolerance must not go with it
+    f = make_family("sn", 10, profile)
+    rep = lp_distance(f, gen, p, 0.02, include_far=False)
+    true = lp_power_mpmath(f, gen, p, 0.02)
+    assert abs(rep.power_value - true) <= rep.quad_error <= 1e-10 * true
+    assert rep.lower <= true ** (1.0 / p) <= rep.upper
+
+
+@pytest.mark.parametrize("p", [76.0, 200.0])
+def test_general_p_past_float_range(p):
+    # v = 1/x on (1e-4, 1]: at p = 76 the ellipse's (M + g m)^p overflows on
+    # the first segment but the power, 1.3e298, does not; at p = 200 the
+    # power does, and the report is inf
+    eps = 1e-4
+    lo = np.array([eps, 1.5e-4, 1e-3, 0.5])
+    pw = PiecewiseHyperbolic(lo=lo, hi=np.append(lo[1:], 1.0), b=np.zeros(4), c=np.zeros(4),
+                             a=1.0, eps=eps, sup_const=0.0, has_log_tail=False)
+    rep = lp_norm(pw, p, include_far=False)
+    with mpmath.workdps(30):
+        q = mpmath.mpf(p)
+        true = (mpmath.mpf(eps) ** (1 - q) - 1) / (q - 1)
+    if true < np.finfo(np.float64).max:
+        assert abs(rep.power_value - true) <= rep.quad_error <= 1e-10 * true
+    else:
+        assert rep.power_value == rep.value == rep.quad_error == math.inf
+
+
+def test_general_p_flat_extrema_bounded_rounds():
+    # 40 segments, each with its minimum v = 1e-14 at an interior critical
+    # point: within rounding noise of it no order fits, and halving every
+    # piece there took 22.7M pieces; the round budget settles them instead
+    x = np.linspace(0.2, 0.8, 40)
+    c = 1.0 / x
+    b = 1e-14 - (1.0 / x + c * np.log(x))
+    lo, hi = x - 0.25 / 40, x + 0.25 / 40
+    pw = PiecewiseHyperbolic(lo=lo, hi=hi, b=b, c=c, a=1.0, eps=0.1, sup_const=0.0,
+                             has_log_tail=False)
+    rep = lp_norm(pw, 1.5, include_far=False)
+    with mpmath.workdps(40):
+        true = 0
+        for u, w, bb, cc in zip(*(map(mpmath.mpf, col) for col in (lo, hi, b, c))):
+            true += mpmath.quad(lambda t: abs(1 / t + cc * mpmath.log(t) + bb) ** 1.5,
+                                [u, 1 / cc, w])
+    assert abs(rep.power_value - true) <= rep.quad_error <= 1e-4 * true
+
+
 def test_gauss_nodes_match_mpmath():
     # the general-p rounding bound takes nodes within eps and weights within
     # 2 eps relative
