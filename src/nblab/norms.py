@@ -533,9 +533,10 @@ def _split(a, b, c, lo, hi) -> _Pieces:
     else the midpoint of a vectorized bisection.  Its bracket starts at a
     closed-form root or at the final bisection bracket, and each end steps
     outward (one ulp first, then doubling) until its computed value has the
-    sign of its side of the piece and clears its rounding bound from _value_and_err,
-    or reaches the piece's end.  A sign change of the exact v therefore lies
-    inside the bracket, and monotonicity bounds |v| there by the larger end.
+    sign of its side of the piece and clears its rounding bound (from
+    _value_and_err), or reaches the piece's end.  A sign change of the
+    exact v therefore lies inside the bracket, and monotonicity bounds |v|
+    there by the larger end.
     """
     has_crit = (c != 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -710,10 +711,11 @@ def _abs_power_integral(a, b, c, lo, hi, p):
     3 eps (w/u) (|a|/u + |c|); with the evaluation bound of _value_and_err
     at u (which bounds it on the piece, u <= x <= 1) this makes Ev, whose
     slack also absorbs the second-order slip of a split at a rounded
-    critical point.  With Z = M + Ev, the mean value theorem puts a computed |v|^p
-    within p Ev Z^(p-1) + eps Z^p, and the weighted sum of n terms and the
-    product by h add (n + 6) eps / 2 relative: a piece's value is within
-    2h Z^p (p Ev / Z + (n + 9) eps / 2).  Each order's sum is pairwise.
+    critical point.  With Z = M + Ev, the mean value theorem puts a
+    computed |v|^p within p Ev Z^(p-1) + eps Z^p, and the weighted sum of n
+    terms and the product by h add (n + 6) eps / 2 relative: a piece's
+    value is within 2h Z^p (p Ev / Z + (n + 9) eps / 2).  Each order's sum
+    is pairwise.
     """
     pc = _split(a, b, c, lo, hi)
     # a piece with a root becomes (u, glo], the bracket and (ghi, w]
@@ -793,8 +795,7 @@ def _triage(a, p, u, w, bb, cc, tol, last):
     split = ~settle
     # halves share tol, except that near a root the half at the small end
     # keeps it whole, so that the piece is cut geometrically toward the root
-    near, left, tol = (m < floor)[split], left[split], 0.5 * tol[split]
-    mid = mid[split]
+    near, left, mid, tol = (m < floor)[split], left[split], mid[split], 0.5 * tol[split]
     halves = (np.concatenate([u[split], mid]), np.concatenate([mid, w[split]]),
               np.tile(bb[split], 2), np.tile(cc[split], 2),
               np.concatenate([np.where(near & left, 2.0, 1.0) * tol,
