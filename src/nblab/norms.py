@@ -4,18 +4,20 @@ A difference  f - generator  is flattened over (eps, 1] into segments on
 which it equals exactly  a/x + b + c log x  (a is global: the 1/x tail
 coefficient).  The segments are the exact breakpoint lattice {theta_k / j}:
 one segment per distinct breakpoint, with the jumps of coincident terms
-summed, including breakpoints where that sum is zero.  Integer jumps are
-carried exactly, so c is always exact and b is exact when every
-coefficient is an integer; drift_bound bounds what the remaining long
-double lane, the start state and the cast to float64 can round.  Closed
-forms integrate p = 1 and p = 2 and bound their own float64 rounding.
-General p splits the segments at critical points and roots into monotone
-pieces of one sign and integrates each by Gauss-Legendre at the lowest
-order whose Bernstein-ellipse bound meets a fixed relative target, cutting
-pieces toward roots; the truncation and rounding bounds are proofs.  The
-regions (0, eps) and (1, inf) are handled by a rigorous sup-bound and by
-the exact tail integral of (a / x)^p respectively, so every report is an
-interval certified to contain the true norm.
+summed, including breakpoints where that sum is zero; one ascending edge
+array holds them.  Integer jumps are carried exactly, so c is always exact
+and b is exact when every coefficient is an integer; drift_bound bounds
+what the remaining long double lane, the start state and the cast to
+float64 can round.  p = 2 takes a closed form from values at the edges.
+At any other p, _split cuts the segments at critical points into monotone
+pieces and cuts a bracket out around each root, enclosed at its midpoint;
+p = 1 integrates the pieces in closed form, and general p by
+Gauss-Legendre at the lowest order whose Bernstein-ellipse bound meets a
+fixed relative target, cutting pieces toward roots.  Every integrator
+bounds its own float64 rounding, and the truncation and rounding bounds
+are proofs.  The regions (0, eps) and (1, inf) are handled by a rigorous
+sup-bound and by the exact tail integral of (a / x)^p respectively, so
+every report is an interval certified to contain the true norm.
 """
 
 from __future__ import annotations
@@ -44,33 +46,44 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class PiecewiseHyperbolic:
-    """Segments of a/x + b[i] + c[i] log x on (lo[i], hi[i]], ascending in x.
+    """Segments of a/x + b[i] + c[i] log x on (edges[i], edges[i+1]].
 
-    The segments tile (eps, 1]; on (1, inf) the difference equals a / x
-    exactly; on (0, eps) it is bounded by sup_const (+ |log x| when
-    has_log_tail).  drift_bound bounds |b - b_exact| and |c - c_exact| on
-    every segment: the rounding of non-integer coefficients and of the log
-    jumps, the long double sums and the final cast to float64.
+    The ascending edges run from eps to 1, so the segments tile (eps, 1];
+    on (1, inf) the difference equals a / x exactly; on (0, eps) it is
+    bounded by sup_const (+ |log x| when has_log_tail).  drift_bound bounds
+    |b - b_exact| and |c - c_exact| on every segment: the rounding of
+    non-integer coefficients and of the log jumps, the long double sums and
+    the final cast to float64.
     """
 
-    lo: np.ndarray
-    hi: np.ndarray
+    edges: np.ndarray
     b: np.ndarray
     c: np.ndarray
     a: float
-    eps: float
     sup_const: float
     has_log_tail: bool
     drift_bound: float = 0.0
 
     @property
+    def lo(self) -> np.ndarray:
+        return self.edges[:-1]
+
+    @property
+    def hi(self) -> np.ndarray:
+        return self.edges[1:]
+
+    @property
+    def eps(self) -> float:
+        return float(self.edges[0])
+
+    @property
     def segment_count(self) -> int:
-        return len(self.lo)
+        return len(self.edges) - 1
 
     def values_at(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the piecewise difference at points in (eps, 1]."""
-        idx = np.searchsorted(self.lo, x, side="left") - 1
-        idx = np.clip(idx, 0, len(self.lo) - 1)
+        idx = np.searchsorted(self.edges, x, side="left") - 1
+        idx = np.clip(idx, 0, self.segment_count - 1)
         return self.a / x + self.b[idx] + self.c[idx] * np.log(x)
 
 
@@ -402,10 +415,7 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     jumps = (_lattice_jumps if dense else _merged_jumps)(rho_terms, phi_terms, eps)
 
     n = len(jumps.xs)
-    lo = np.empty(n + 1)
-    hi = np.empty(n + 1)
-    lo[0], lo[1:] = eps, jumps.xs[::-1]
-    hi[:-1], hi[-1] = jumps.xs[::-1], 1.0
+    edges = np.concatenate([[eps], jumps.xs[::-1], [1.0]])
     c_state = _int_state(jumps.dc, n) + c0
     # b drift: the start state, the jumps, their cumulative sum and the
     # rounding to float64; c is exact
@@ -423,73 +433,80 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     drift = float(drift) * (1.0 + 1e-9)
 
     return PiecewiseHyperbolic(
-        lo=lo, hi=hi, b=b[::-1].copy(), c=c_state[::-1].astype(np.float64),
-        a=a, eps=eps, sup_const=float(sup_bound), has_log_tail=log_tail,
+        edges=edges, b=b[::-1].copy(), c=c_state[::-1].astype(np.float64),
+        a=a, sup_const=float(sup_bound), has_log_tail=log_tail,
         drift_bound=drift,
     )
 
 
 def _near_zero_tail(pw: PiecewiseHyperbolic, p: float) -> float:
-    """Bound integral_0^eps |difference|^p dx."""
+    """Bound integral_0^eps |difference|^p dx; inf only when the bound
+    itself passes the float range."""
     e, cst = pw.eps, pw.sup_const
-    if not pw.has_log_tail:
-        return cst ** p * e
-    # Minkowski: ||C + |log x|||_p <= C e^(1/p) + (integral |log|^p)^(1/p);
-    # the log integral is the upper incomplete gamma Gamma(p+1, -log eps)
-    l0 = -math.log(e)
-    log_part = float(gammaincc(p + 1.0, l0)) * math.exp(math.lgamma(p + 1.0))
-    return (cst * e ** (1.0 / p) + log_part ** (1.0 / p)) ** p
+    try:
+        if not pw.has_log_tail:
+            return cst ** p * e
+        # Minkowski: ||C + |log x|||_p <= C e^(1/p) + (integral |log|^p)^(1/p);
+        # the log integral is the upper incomplete gamma Gamma(p+1, -log eps)
+        log_part = float(gammaincc(p + 1.0, -math.log(e))) * math.exp(math.lgamma(p + 1.0))
+        return (cst * e ** (1.0 / p) + log_part ** (1.0 / p)) ** p
+    except OverflowError:
+        # a factor passed the float range: the bound is R^p for its p-th
+        # root R, taken as exp(p log R) with slack for the logarithms
+        root = cst * e ** (1.0 / p)
+        if pw.has_log_tail:
+            root += math.exp((math.log(gammaincc(p + 1.0, -math.log(e)))
+                              + math.lgamma(p + 1.0)) / p)
+        t = p * math.log(root)
+        with np.errstate(over="ignore"):
+            return float(np.exp(t + 1e-12 * (abs(t) + 1.0)))
 
 
 def _sq_integral(pw: PiecewiseHyperbolic) -> tuple[float, float]:
     """(integral of the squared segments, bound on its float64 rounding).
 
     Each integral_lo^hi (a/x + b + c log x)^2 dx is taken in difference
-    form.  The bound assumes np.log and np.log1p within 1 ulp (NumPy's
-    float64 accuracy tests hold them to that), every other operation within
-    half an ulp, and np.sum adding pairwise (blocks of at most 128 in eight
-    accumulators), so a term meets at most log2(n) + 25 additions.  With
-    L = -log(eps) and d = hi - lo, log(hi/lo) <= d / sqrt(lo hi) and AM-GM
-    bound the six parts of a segment's integral by 3 (a^2 d/(lo hi) + b^2 d
-    + c^2 L^2 d); each part is within 5 eps, and adding them costs 2.5 eps
-    more.  The b c and c^2 parts subtract x (log x - 1) and
-    x (log^2 x - 2 log x + 2) at both ends, rounded within 2 eps of
-    x (L + 1) and 4 eps of x ((L + 1)^2 + 1).  Neighbouring segments share
-    that rounded end value, so the sum sees it only times the jump of 2 b c
-    or c^2 there (log 1 = 0 is exact), and through the 4 eps of roundings
-    after it on each segment, taken at the largest |2 b c| and c^2 with
-    lo + hi <= 2.  The slack in the constants absorbs the other
-    second-order terms.
+    form, from log x, x (log x - 1) and x (log^2 x - 2 log x + 2) taken once
+    at each edge.  The bound assumes np.log and np.log1p within 1 ulp
+    (NumPy's float64 accuracy tests hold them to that), every other
+    operation within half an ulp, and np.sum adding pairwise (blocks of at
+    most 128 in eight accumulators), so a term meets at most log2(n) + 25
+    additions.  With L = -log(eps) and d = hi - lo, log(hi/lo) <= d /
+    sqrt(lo hi) and AM-GM bound the six parts of a segment's integral by
+    3 (a^2 d/(lo hi) + b^2 d + c^2 L^2 d); each part is within 5 eps, and
+    adding them costs 2.5 eps more.  The b c and c^2 parts difference the
+    edge values x (log x - 1) and x (log^2 x - 2 log x + 2), rounded within
+    2 eps of x (L + 1) and 4 eps of x ((L + 1)^2 + 1).  Neighbouring
+    segments share the rounded value at their common edge, so the sum sees
+    it only times the jump of 2 b c or c^2 there (log 1 = 0 is exact), and
+    through the 4 eps of roundings after it on each segment, taken at the
+    largest |2 b c| and c^2 with lo + hi <= 2.  The slack in the constants
+    absorbs the other second-order terms.
     """
-    a, lo, hi, b, c = pw.a, pw.lo, pw.hi, pw.b, pw.c
-    d = hi - lo
-    L = -math.log(pw.eps)
-    err = 24.0 * (a * a / pw.eps + np.einsum("i,i,i->", b, b, d))
+    a, x, b, c = pw.a, pw.edges, pw.b, pw.c
+    lo, hi = x[:-1], x[1:]
+    d = np.diff(x)
+    L = -math.log(x[0])
+    err = 24.0 * (a * a / x[0] + np.einsum("i,i,i->", b, b, d))
     if np.any(c):
         err += 24.0 * L * L * np.einsum("i,i,i->", c, c, d)
         # q = b c: its r carries the 2 of 2 b c
         for q, r in ((b * c, 4.0 * (L + 1.0)), (c * c, 4.0 * ((L + 1.0) ** 2 + 1.0))):
             jumps = np.diff(q)
-            err += r * (abs(q[0]) * lo[0] + np.dot(lo[1:], np.abs(jumps, out=jumps))
+            err += r * (abs(q[0]) * x[0] + np.dot(x[1:-1], np.abs(jumps, out=jumps))
                         + 8.0 * _F64_EPS * len(q) * max(q.max(), -q.min()))
         del q, jumps                    # free them before the closed form's arrays
     lr = np.log1p(d / lo)               # log(hi/lo)
-    llo = np.log(lo)
-    lhi = np.log(hi)
+    lx = np.log(x)
     out = a * a * d / (lo * hi)
     out += 2.0 * a * b * lr
-    out += a * c * lr * (lhi + llo)     # a c (log^2 hi - log^2 lo)
+    out += a * c * lr * (lx[1:] + lx[:-1])     # a c (log^2 hi - log^2 lo)
     out += b * b * d
-    out += 2.0 * b * c * (hi * (lhi - 1.0) - lo * (llo - 1.0))
-    out += c * c * (hi * (lhi * lhi - 2.0 * lhi + 2.0) - lo * (llo * llo - 2.0 * llo + 2.0))
+    out += 2.0 * b * c * np.diff(x * (lx - 1.0))
+    out += c * c * np.diff(x * (lx * lx - 2.0 * lx + 2.0))
     power = float(np.sum(out))
     err += (math.log2(len(out)) + 25.0) * 0.5 * np.sum(np.abs(out, out=out))
     return power, float(_F64_EPS * err)
-
-
-def _signed_integral(a, b, c, u, w):
-    """integral_u^w (a/x + b + c log x) dx, difference form."""
-    return a * np.log1p((w - u) / u) + b * (w - u) + c * (w * (np.log(w) - 1.0) - u * (np.log(u) - 1.0))
 
 
 def _value(a, b, c, x):
@@ -503,41 +520,41 @@ def _value_and_err(a, b, c, x):
     return a / x + b + c * lx, 3.0 * _F64_EPS * (np.abs(a) / x + np.abs(b) + np.abs(c * lx))
 
 
-_ROOT_TOL = 1e-14
-
-
 @dataclass(frozen=True)
 class _Pieces:
-    """Segments split at interior critical points x = a/c into monotone
-    pieces (u, w].  mix marks the pieces whose end values differ in sign;
-    for those, root is the split point the p = 1 closed form uses, [glo, ghi]
-    a bracket holding it and every root of the piece, and vbr bounds |v| on
-    the bracket."""
+    """The segments cut into pieces (u, w] with coefficients b, c on which
+    v is monotone and of one sign, and the root brackets [glo, ghi] cut out
+    between them, on which |v| <= vbr."""
 
     u: np.ndarray
     w: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    mix: np.ndarray
-    root: np.ndarray
     glo: np.ndarray
     ghi: np.ndarray
     vbr: np.ndarray
 
+    def bracket_power(self, p: float) -> float:
+        """Sum of the midpoints h vbr^p of the brackets' enclosures
+        [0, 2h vbr^p] of integral |v|^p, and so also of their half-widths."""
+        return float(np.sum(0.5 * (self.ghi - self.glo) * self.vbr ** p))
 
-def _split(a, b, c, lo, hi) -> _Pieces:
-    """Split at critical points and isolate the lone root of each monotone
-    piece whose end values differ in sign.
 
-    The root is closed-form where possible (c = 0: -a/b; a = 0: exp(-b/c)),
-    else the midpoint of a vectorized bisection.  Its bracket starts at a
-    closed-form root or at the final bisection bracket, and each end steps
-    outward (one ulp first, then doubling) until its computed value has the
-    sign of its side of the piece and clears its rounding bound (from
-    _value_and_err), or reaches the piece's end.  A sign change of the
-    exact v therefore lies inside the bracket, and monotonicity bounds |v|
-    there by the larger end.
+def _split(pw: PiecewiseHyperbolic) -> _Pieces:
+    """Split the segments at interior critical points x = a/c into monotone
+    pieces, and cut a bracket around the lone root of each piece whose end
+    values differ in sign, which leaves (u, glo] and (ghi, w] of it.
+
+    The bracket starts at a closed-form root where there is one (c = 0:
+    -a/b; a = 0: exp(-b/c)), else at the final bracket of a vectorized
+    bisection, and each end steps outward (one ulp first, then doubling)
+    until its computed value has the sign of its side of the piece and
+    clears its rounding bound (from _value_and_err), or reaches the piece's
+    end.  A sign change of the exact v therefore lies inside the bracket,
+    and monotonicity bounds |v| there by the larger end.  The (ghi, w] cuts
+    follow all other pieces.
     """
+    a, b, c, lo, hi = pw.a, pw.b, pw.c, pw.lo, pw.hi
     has_crit = (c != 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         crit = np.where(has_crit, a / np.where(has_crit, c, 1.0), np.nan)
@@ -554,19 +571,16 @@ def _split(a, b, c, lo, hi) -> _Pieces:
 
     um, wm, bm, cm = u[mix], w[mix], bb[mix], cc[mix]
     sign = np.sign(vu[mix])
-    root = np.empty(len(um))
-    glo, ghi = root.copy(), root.copy()
-    # closed forms: c = 0 -> -a/b ; a = 0 -> exp(-b/c)
+    glo, ghi = um.copy(), wm.copy()
     c0 = cm == 0.0
     a0 = (~c0) & (a == 0.0)
-    gen = ~(c0 | a0)
     if np.any(c0):
-        root[c0] = -a / bm[c0]
+        glo[c0] = ghi[c0] = np.clip(-a / bm[c0], um[c0], wm[c0])
     if np.any(a0):
-        root[a0] = np.exp(-bm[a0] / cm[a0])
-    glo[~gen] = ghi[~gen] = root[~gen]
+        glo[a0] = ghi[a0] = np.clip(np.exp(-bm[a0] / cm[a0]), um[a0], wm[a0])
+    gen = ~(c0 | a0)
     if np.any(gen):
-        lo_g, hi_g = um[gen].copy(), wm[gen].copy()
+        lo_g, hi_g = glo[gen], ghi[gen]
         gsign = sign[gen]
         gb, gc = bm[gen], cm[gen]
         for _ in range(60):
@@ -575,16 +589,12 @@ def _split(a, b, c, lo, hi) -> _Pieces:
             left = np.sign(vm) == gsign
             lo_g = np.where(left, mid, lo_g)
             hi_g = np.where(left, hi_g, mid)
-            if np.max(hi_g - lo_g) < _ROOT_TOL:
+            if np.max(hi_g - lo_g) < 1e-14:
                 break
-        root[gen] = 0.5 * (lo_g + hi_g)
         glo[gen], ghi[gen] = lo_g, hi_g
-    root = np.clip(root, um, wm)
-    glo = np.clip(glo, um, root)
-    ghi = np.clip(ghi, root, wm)
 
     # step each bracket end outward until its sign is certain
-    step = np.maximum(ghi - glo, np.spacing(root))
+    step = np.maximum(ghi - glo, np.spacing(0.5 * (glo + ghi)))
     vbr = np.zeros(len(um))
     for end, limit, side, out, stop in ((glo, um, sign, -1.0, np.maximum),
                                         (ghi, wm, -sign, 1.0, np.minimum)):
@@ -596,42 +606,36 @@ def _split(a, b, c, lo, hi) -> _Pieces:
             todo = todo[((np.sign(v) != side[todo]) | (np.abs(v) <= err)) & (x != limit[todo])]
             end[todo] = stop(end[todo] + out * grow[todo], limit[todo])
             grow[todo] *= 2.0
-    return _Pieces(u, w, bb, cc, mix, root, glo, ghi, vbr)
+    w = w.copy()
+    w[mix] = glo
+    return _Pieces(np.concatenate([u, ghi]), np.concatenate([w, wm]),
+                   np.concatenate([bb, bm]), np.concatenate([cc, cm]), glo, ghi, vbr)
 
 
-def _abs_integral_l1(a, b, c, lo, hi):
+def _abs_integral_l1(pw: PiecewiseHyperbolic) -> tuple[float, float]:
     """(integral of |a/x + b + c log x| over the segments, error bound).
 
-    The segments are cut into monotone pieces with at most one sign change
-    each by _split, and a piece with a root is integrated in two signed
-    halves split there.  A split point off the exact root x* moves the value
-    by twice the integral of |v| between them, at most
-    2 max(root - glo, ghi - root) vbr with the bracket of _split.  The bound
-    adds the float64 rounding of the pieces and their sum under the
-    assumptions of _sq_integral.  On a piece (u, w] of width d, the a part is
-    within 3 eps of |a| log(w/u) (the logs add up to L = -log(lo[0])) and
-    the b part within eps |b| d; an end value x (log x - 1) is within
-    eps x (2L + 1), so the c part is within eps |c| (3L + 1)(u + w).  Adding
-    the parts costs eps (|a| log(w/u) + |b| d + |c| L d), and a root split
-    one more addition.
+    On the pieces of _split, v is monotone and of one sign, so each integral
+    is the absolute value of the signed one, taken in difference form; each
+    root bracket is enclosed in [0, 2h vbr] and counted at its midpoint, as
+    in _abs_power_integral.  The bound adds the float64 rounding of the
+    pieces and their sum under the assumptions of _sq_integral.  On a piece
+    (u, w] of width d, the a part is within 3 eps of |a| log(w/u) (the logs
+    add up to at most L = -log(eps)) and the b part within eps |b| d; an end
+    value x (log x - 1) is within eps x (2L + 1), so the c part is within
+    eps |c| (3L + 1)(u + w).  Adding the parts costs
+    eps (|a| log(w/u) + |b| d + |c| L d), and the brackets one more addition.
     """
-    pc = _split(a, b, c, lo, hi)
-    full = _signed_integral(a, pc.b, pc.c, pc.u, pc.w)
-    total = np.abs(np.where(pc.mix, 0.0, full))
-
-    err = 0.0
-    ends = np.dot(np.abs(pc.c), pc.u + pc.w)    # |c| (u + w) summed over the pieces
-    if np.any(pc.mix):
-        um, wm, bm, cm, root = pc.u[pc.mix], pc.w[pc.mix], pc.b[pc.mix], pc.c[pc.mix], pc.root
-        left = _signed_integral(a, bm, cm, um, root)
-        right = _signed_integral(a, bm, cm, root, wm)
-        total[pc.mix] = np.abs(left) + np.abs(right)
-        slip = np.maximum(root - pc.glo, pc.ghi - root)
-        err = 2.0 * float(np.dot(slip, pc.vbr))
-        ends += 2.0 * np.dot(np.abs(cm), root)
-    power, L = float(np.sum(total)), -math.log(lo[0])
-    err += _F64_EPS * (4.0 * abs(a) * L + 2.0 * np.dot(np.abs(b), hi - lo) + (4.0 * L + 2.0)
-                       * ends + (math.log2(len(total)) + 26.0) * 0.5 * power)
+    pc = _split(pw)
+    u, w = pc.u, pc.w
+    pieces = np.abs(pw.a * np.log1p((w - u) / u) + pc.b * (w - u)
+                    + pc.c * (w * (np.log(w) - 1.0) - u * (np.log(u) - 1.0)))
+    brackets = pc.bracket_power(1.0)
+    power, L = float(np.sum(pieces)) + brackets, -math.log(pw.eps)
+    err = (1.0 + 64.0 * _F64_EPS) * brackets + _F64_EPS * (
+        4.0 * abs(pw.a) * L + 2.0 * np.dot(np.abs(pc.b), w - u)
+        + (4.0 * L + 2.0) * np.dot(np.abs(pc.c), u + w)
+        + (math.log2(len(pieces)) + 26.0) * 0.5 * power)
     return power, float(err)
 
 
@@ -667,13 +671,13 @@ _MAX_SPLIT = 4                     # pieces per piece of _split a round may hold
 _BLOCK = 1 << 15                   # pieces per vectorized call: its arrays stay in cache
 
 
-def _abs_power_integral(a, b, c, lo, hi, p):
+def _abs_power_integral(pw: PiecewiseHyperbolic, p: float) -> tuple[float, float]:
     """(integral of |a/x + b + c log x|^p over the segments, error bound).
 
-    The pieces of _split are monotone and of one sign, and a root's bracket
-    is a piece of its own, enclosed in [0, 2h vbr^p].  On a piece (u, w] of
-    half-width h, m <= |v| <= M, from the end values less or plus the
-    rounding bound Ev below.  Take r < u with r (|a|/(u-r)^2 + |c|/(u-r))
+    The pieces of _split are monotone and of one sign, and each root
+    bracket is enclosed in [0, 2h vbr^p] (_Pieces.bracket_power).  On a
+    piece (u, w] of half-width h, m <= |v| <= M, from the end values less
+    or plus the rounding bound Ev below.  Take r < u with r (|a|/(u-r)^2 + |c|/(u-r))
     <= g m, g = _GAP: each z on the Bernstein ellipse of semi-minor axis r
     lies within r of some x in [u, w], so |v(z) - v(x)| <= g m, sign(v) v(z)
     keeps a positive real part and |v(z)| <= M + g m.  (sign(v) v)^p is then
@@ -717,14 +721,9 @@ def _abs_power_integral(a, b, c, lo, hi, p):
     value is within 2h Z^p (p Ev / Z + (n + 9) eps / 2).  Each order's sum
     is pairwise.
     """
-    pc = _split(a, b, c, lo, hi)
-    # a piece with a root becomes (u, glo], the bracket and (ghi, w]
-    w = pc.w.copy()
-    w[pc.mix] = pc.glo
-    pending = [np.concatenate([pc.u, pc.ghi]), np.concatenate([w, pc.w[pc.mix]]),
-               np.concatenate([pc.b, pc.b[pc.mix]]), np.concatenate([pc.c, pc.c[pc.mix]])]
-    brackets = 0.5 * (pc.ghi - pc.glo) * pc.vbr ** p
-    power = float(np.sum(brackets))
+    a, pc = pw.a, _split(pw)
+    pending = [pc.u, pc.w, pc.b, pc.c]
+    power = pc.bracket_power(p)
     err = (1.0 + 64.0 * _F64_EPS) * power
     budget = max(_MAX_SPLIT * len(pending[0]), 1 << 16)
     wide = pending[1] > pending[0]
@@ -844,20 +843,18 @@ def lp_norm(pw: PiecewiseHyperbolic, p: float,
     check_p(p)
     if include_far is None:
         include_far = p > 1.0
-    lo, hi, b, c, a = pw.lo, pw.hi, pw.b, pw.c, pw.a
-    quad_err = 0.0
-
+    a = pw.a
     if p == 2.0:
         power, quad_err = _sq_integral(pw)
-    elif a == 0.0 and not np.any(c):
-        power = float(np.sum(np.abs(b) ** p * (hi - lo)))
+    elif a == 0.0 and not np.any(pw.c):
+        power = float(np.sum(np.abs(pw.b) ** p * np.diff(pw.edges)))
         # terms of one sign, each within eps (two with a pow), then np.sum as
         # in _sq_integral
-        quad_err = (math.log2(len(lo)) + 27.0 + 2.0 * (p != 1.0)) * _F64_EPS * power
+        quad_err = (math.log2(pw.segment_count) + 27.0 + 2.0 * (p != 1.0)) * _F64_EPS * power
     elif p == 1.0:
-        power, quad_err = _abs_integral_l1(a, b, c, lo, hi)
+        power, quad_err = _abs_integral_l1(pw)
     else:
-        power, quad_err = _abs_power_integral(a, b, c, lo, hi, p)
+        power, quad_err = _abs_power_integral(pw, p)
 
     # the computed v is within delta = drift_bound of the exact difference,
     # so ||v+e|^p - |v|^p| <= p delta (|v| + delta)^(p-1); Hoelder and

@@ -180,15 +180,52 @@ def to_piecewise_exact(f: BeurlingSum, generator: Generator | None, eps) -> list
     return segments
 
 
+# relative error estimate lp_power_mpmath must reach: the engine's own
+# rounding bounds are a few 1e-15 of the power at the least
+_MPMATH_REL = 1e-20
+
+
+def _quad_refined(intervals, rel: float = _MPMATH_REL, rounds: int = 16):
+    """Sum of mpmath.quad of g over (u, w) for each (u, w, g) of intervals,
+    bisecting every interval whose error estimate exceeds its share of rel
+    times the sum until the estimates add up to at most rel times the sum.
+
+    mpmath.quad derives its estimate from the logarithms of the differences
+    of successive levels, which reads as absolute, so each integrand is
+    scaled to its value at the interval's midpoint first."""
+    def quad(u, w, g):
+        scale = abs(g((u + w) / 2)) or 1
+        v, e = mpmath.quad(lambda x: g(x) / scale, [u, w], error=True)
+        return u, w, g, v * scale, e * scale
+
+    parts = [quad(*iv) for iv in intervals]
+    for _ in range(rounds):
+        total = mpmath.fsum(v for *_, v, _ in parts)
+        if mpmath.fsum(e for *_, e in parts) <= rel * abs(total):
+            return total
+        share = rel * abs(total) / len(parts)
+        refined = []
+        for u, w, g, v, e in parts:
+            if e <= share:
+                refined.append((u, w, g, v, e))
+            else:
+                mid = (u + w) / 2
+                refined += [quad(u, mid, g), quad(mid, w, g)]
+        parts = refined
+    raise ArithmeticError(f"mpmath.quad's error estimate stays above {rel} of the integral")
+
+
 def lp_power_mpmath(f, generator: Generator | None, p: float, eps, dps: int = 30) -> float:
-    """integral_eps^1 |f - generator|^p dx by mpmath at dps digits (more for
-    segments so narrow that 30 digits cannot place a point inside them).
+    """integral_eps^1 |f - generator|^p dx by mpmath at dps digits, refined
+    until mpmath.quad's error estimate is _MPMATH_REL of it.
 
     f is a BeurlingSum, or has phi_terms and inv_coeff (Gn, TIndicator):
     f(x) = inv_coeff/x + sum w Phi(theta/x), Phi(y) = floor(y) log y
     - log floor(y)!.  Between consecutive breakpoints theta/j the difference
-    is A/x + B + C log x with A = inv_coeff + sum c theta and C the log
-    coefficient, so splitting each piece at x = A/C and at the roots leaves
+    is A/x + B + C log x with A = inv_coeff + sum c theta, and B and C come
+    from the floors at the segment's exact rational midpoint, so a node that
+    the rounding of a segment's end puts just outside it stays on its
+    formula.  Splitting each segment at x = A/C and at the roots leaves
     |.|^p analytic on every subinterval, where tanh-sinh converges.
     """
     rho_terms = [(Fraction(c), t) for c, t in getattr(f, "terms", ())]
@@ -199,25 +236,6 @@ def lp_power_mpmath(f, generator: Generator | None, p: float, eps, dps: int = 30
         def mpq(q):
             return mpmath.mpf(q.numerator) / q.denominator
 
-        rho_mp = [(mpq(c), mpq(t)) for c, t in rho_terms]
-        phi_mp = [(w, mpq(t)) for w, t in phi_terms]
-
-        def diff(x):
-            v = mpq(inv) / x
-            if kind is GeneratorKind.NEG_CHI:
-                v += 1
-            elif kind is GeneratorKind.LAMBDA:
-                v -= mpmath.log(x)
-            for c, t in rho_mp:
-                y = t / x
-                v += c * (y - mpmath.floor(y))
-            for w, t in phi_mp:
-                y = t / x
-                m = mpmath.floor(y)
-                if m >= 1:
-                    v += w * (m * mpmath.log(y) - mpmath.loggamma(m + 1))
-            return v
-
         eps = Fraction(eps)
         cuts = {eps, Fraction(1)}
         for _, t in rho_terms + phi_terms:
@@ -225,26 +243,32 @@ def lp_power_mpmath(f, generator: Generator | None, p: float, eps, dps: int = 30
                         if eps < t / j < 1)
         cuts = sorted(cuts)
         a = mpq(inv + sum((c * t for c, t in rho_terms), start=Fraction(0)))
-        noise = mpmath.mpf(10) ** -20
-        total = mpmath.mpf(0)
+        intervals = []
         for lo, hi in zip(cuts, cuts[1:]):
+            mid = (lo + hi) / 2
+            b = Fraction(kind is GeneratorKind.NEG_CHI) - sum(
+                (c * math.floor(t / mid) for c, t in rho_terms), start=Fraction(0))
+            floors = [(w, t, math.floor(t / mid)) for w, t in phi_terms]
+            c = -(kind is GeneratorKind.LAMBDA) - sum(w * m for w, _, m in floors)
+            b = mpq(b) + mpmath.fsum(w * (m * mpmath.log(mpq(t)) - mpmath.loggamma(m + 1))
+                                     for w, t, m in floors if m)
+
+            def diff(x, b=b, c=c):
+                return a / x + b + c * mpmath.log(x)
+
             pts = [mpq(lo), mpq(hi)]
             if p != 2:
-                mid = (lo + hi) / 2
-                c = -(kind is GeneratorKind.LAMBDA) - sum(
-                    w * math.floor(t / mid) for w, t in phi_terms)
                 if c and pts[0] < a / c < pts[1]:
                     pts.insert(1, a / c)
                 # each monotone piece holds at most one root
-                inner = pts[0] + noise * (pts[-1] - pts[0])
-                ends = [inner] + pts[1:-1] + [pts[-1] - noise * (pts[-1] - pts[0])]
-                vals = [diff(x) for x in ends]
-                for x0, x1, f0, f1 in zip(ends, ends[1:], vals, vals[1:]):
-                    if f0 * f1 < 0 and min(abs(f0), abs(f1)) > noise:
+                vals = [diff(x) for x in pts]
+                for x0, x1, f0, f1 in zip(pts, pts[1:], vals, vals[1:]):
+                    if f0 * f1 < 0:
                         pts.append(mpmath.findroot(diff, (x0, x1), solver="illinois"))
                 pts.sort()
-            total += mpmath.quad(lambda x: abs(diff(x)) ** p, pts)
-        return float(total)
+            intervals += [(x0, x1, lambda x, diff=diff: abs(diff(x)) ** p)
+                          for x0, x1 in zip(pts, pts[1:])]
+        return float(_quad_refined(intervals))
 
 
 def quad_abs_p(a, b, c, lo, hi, p, order):
@@ -270,11 +294,9 @@ def dilation_quotient_minus_chi(a_dil: float, eps: float = 1e-6) -> PiecewiseHyp
     const = math.log(a_dil) / (a_dil - 1.0) - 1.0
     if eps >= cut:
         raise ValueError(f"cutoff {eps} must be below 1/a = {cut}")
-    lo = np.array([eps, cut])
-    hi = np.array([cut, 1.0])
     b = np.array([const, -1.0])
     c = np.array([0.0, -1.0 / (a_dil - 1.0)])
-    return PiecewiseHyperbolic(lo=lo, hi=hi, b=b, c=c, a=0.0, eps=eps,
+    return PiecewiseHyperbolic(edges=np.array([eps, cut, 1.0]), b=b, c=c, a=0.0,
                                sup_const=abs(const), has_log_tail=False)
 
 

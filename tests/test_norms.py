@@ -9,12 +9,13 @@ import scipy.integrate as si
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nblab import norms
 from nblab.beurling import BeurlingSum, LAMBDA, NEG_CHI, make_family
 from nblab.norms import (_LADDER, Difference, PiecewiseHyperbolic, _gl_nodes, lp_distance,
                          lp_norm, to_piecewise)
 from nblab.transform import Gn, TIndicator, riemann_sum_T
-from oracles import (dilation_quotient_minus_chi, lp_power_mpmath, quad_abs_p,
-                     to_piecewise_exact)
+from oracles import (_quad_refined, dilation_quotient_minus_chi, lp_power_mpmath,
+                     quad_abs_p, to_piecewise_exact)
 
 
 def _exact_value(segments, x):
@@ -213,7 +214,7 @@ _GENERAL_P_CASES = {
 }
 
 
-@pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 4.5])
+@pytest.mark.parametrize("p", [1.0, 1.1, 1.5, 3.0, 4.5])
 @pytest.mark.parametrize("case", list(_GENERAL_P_CASES))
 def test_general_p_brackets_mpmath(profile, case, p):
     build, gen, eps, dps, feature = _GENERAL_P_CASES[case]
@@ -232,9 +233,8 @@ def test_general_p_pure_inverse_segments(p):
     # ones are 3e-5 to 1.6e-4 of their distance from 0 wide, where a single
     # node looks enough; the exact power is |a|^p (eps^(1-p) - 1) / (p - 1)
     eps, a = 1e-4, -0.002
-    lo = 1.5e-4 + np.array([-5e-5, 0.0, 5e-9, 1.5e-8, 3.9e-8])
-    hi = np.append(lo[1:], 1.0)
-    pw = PiecewiseHyperbolic(lo=lo, hi=hi, b=np.zeros(5), c=np.zeros(5), a=a, eps=eps,
+    edges = np.append(1.5e-4 + np.array([-5e-5, 0.0, 5e-9, 1.5e-8, 3.9e-8]), 1.0)
+    pw = PiecewiseHyperbolic(edges=edges, b=np.zeros(5), c=np.zeros(5), a=a,
                              sup_const=0.0, has_log_tail=False)
     rep = lp_norm(pw, p, include_far=False)
     with mpmath.workdps(30):
@@ -261,9 +261,8 @@ def test_general_p_past_float_range(p):
     # the first segment but the power, 1.3e298, does not; at p = 200 the
     # power does, and the report is inf
     eps = 1e-4
-    lo = np.array([eps, 1.5e-4, 1e-3, 0.5])
-    pw = PiecewiseHyperbolic(lo=lo, hi=np.append(lo[1:], 1.0), b=np.zeros(4), c=np.zeros(4),
-                             a=1.0, eps=eps, sup_const=0.0, has_log_tail=False)
+    pw = PiecewiseHyperbolic(edges=np.array([eps, 1.5e-4, 1e-3, 0.5, 1.0]), b=np.zeros(4),
+                             c=np.zeros(4), a=1.0, sup_const=0.0, has_log_tail=False)
     rep = lp_norm(pw, p, include_far=False)
     with mpmath.workdps(30):
         q = mpmath.mpf(p)
@@ -274,23 +273,55 @@ def test_general_p_past_float_range(p):
         assert rep.power_value == rep.value == rep.quad_error == math.inf
 
 
-def test_general_p_flat_extrema_bounded_rounds():
-    # 40 segments, each with its minimum v = 1e-14 at an interior critical
-    # point: within rounding noise of it no order fits, and halving every
-    # piece there took 22.7M pieces; the round budget settles them instead
-    x = np.linspace(0.2, 0.8, 40)
+@pytest.mark.parametrize("gen, p", [(NEG_CHI, 700.0), (LAMBDA, 300.0)],
+                         ids=["neg_chi-700", "lambda-300"])
+def test_near_zero_tail_past_float_range(profile, gen, p):
+    # the power is finite (7.2e142, 4.6e179) but a factor of the near-zero
+    # tail bound passes the float range, and so does the bound
+    rep = lp_distance(make_family("sn", 10, profile), gen, p, 0.02)
+    assert math.isfinite(rep.power_value) and rep.tail_low == rep.upper == math.inf
+
+
+def test_near_zero_tail_in_logarithms():
+    # sup_const^p = 1e310 passes the float range, the bound 1e310 eps does not
+    pw = PiecewiseHyperbolic(edges=np.array([1e-6, 1.0]), b=np.zeros(1), c=np.zeros(1),
+                             a=0.0, sup_const=10.0, has_log_tail=False)
+    assert math.isclose(lp_norm(pw, 310.0).tail_low, 1e304, rel_tol=1e-9)
+
+
+def test_general_p_flat_extrema_bounded_rounds(monkeypatch):
+    # 40 segments tiling (0.1, 1], each with its minimum v = 1e-14 at an
+    # interior critical point: within rounding noise of it no order fits,
+    # and halving every piece there triaged 6.6M pieces in all; the
+    # round budget settles them once a round holds 2^16
+    edges = np.linspace(0.1, 1.0, 41)
+    x = 0.5 * (edges[:-1] + edges[1:])
     c = 1.0 / x
     b = 1e-14 - (1.0 / x + c * np.log(x))
-    lo, hi = x - 0.25 / 40, x + 0.25 / 40
-    pw = PiecewiseHyperbolic(lo=lo, hi=hi, b=b, c=c, a=1.0, eps=0.1, sup_const=0.0,
-                             has_log_tail=False)
+    pw = PiecewiseHyperbolic(edges=edges, b=b, c=c, a=1.0, sup_const=0.0, has_log_tail=False)
+    triaged, triage = [], norms._triage
+    monkeypatch.setattr(norms, "_triage",
+                        lambda a, p, u, *rest: triaged.append(len(u)) or triage(a, p, u, *rest))
     rep = lp_norm(pw, 1.5, include_far=False)
+    assert sum(triaged) <= 1 << 20
     with mpmath.workdps(40):
         true = 0
-        for u, w, bb, cc in zip(*(map(mpmath.mpf, col) for col in (lo, hi, b, c))):
+        for u, w, bb, cc in zip(*(map(mpmath.mpf, col) for col in (pw.lo, pw.hi, b, c))):
             true += mpmath.quad(lambda t: abs(1 / t + cc * mpmath.log(t) + bb) ** 1.5,
                                 [u, 1 / cc, w])
     assert abs(rep.power_value - true) <= rep.quad_error <= 1e-4 * true
+
+
+def test_mpmath_oracle_refines_until_its_estimate_is_small():
+    # one tanh-sinh pass misses a peak of width 1e-5 by a factor of about 400; the
+    # oracle bisects until mpmath's estimates are 1e-20 of the integral
+    with mpmath.workdps(30):
+        d = mpmath.mpf("1e-10")
+        iv = [(mpmath.mpf(-1), mpmath.mpf(1), lambda x: 1 / (x * x + d))]
+        exact = 2 / mpmath.sqrt(d) * mpmath.atan(1 / mpmath.sqrt(d))
+        assert abs(_quad_refined(iv) - exact) <= 1e-20 * exact
+        with pytest.raises(ArithmeticError):
+            _quad_refined(iv, rounds=1)
 
 
 def test_gauss_nodes_match_mpmath():
