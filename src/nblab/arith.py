@@ -1,9 +1,9 @@
 """Arithmetic profiles: M(n), g(n), gamma(n), H_p(n) over a sieved range.
 
 A profile stores mu and M (int32, so its range ends below 2^31).  g and
-gamma are built on first read: as exact rationals up to ``exact_limit``
-(identity tests need exactness there) and as float64 lanes summed in long
-double, chunk by chunk.  The profile does not fix p: an H_p lane is
+gamma are built on first read: as exact rationals up to EXACT_LIMIT (the
+families' folded coefficients are exact there) and as float64 lanes summed
+in long double, chunk by chunk.  The profile does not fix p: an H_p lane is
 accumulated from M on request, for any p > 1.  The defining relations are
 
     M(n) = sum_{k<=n} mu(k)
@@ -16,6 +16,7 @@ and g(n) = M(n)/n + gamma(n) holds exactly for every n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -24,7 +25,7 @@ import numpy as np
 
 from .sieve import MobiusTable
 
-DEFAULT_EXACT_LIMIT = 10**4
+EXACT_LIMIT = 10**4
 # terms per chunk of every long double running sum (and of the Mellin sums)
 CHUNK = 1 << 16
 
@@ -65,7 +66,6 @@ class ArithProfile:
     """M(1..limit), with the float and exact lanes built on first read."""
 
     limit: int
-    exact_limit: int
     mu_values: np.ndarray        # int8, mu(1..limit)
     mertens: np.ndarray          # int32, M(1..limit)
 
@@ -95,19 +95,17 @@ class ArithProfile:
 
     @cached_property
     def _exact(self) -> tuple:
-        """g(1..exact_limit) and gamma(1..exact_limit) as Fractions."""
-        g_exact: list[Fraction] = []
-        gamma_exact: list[Fraction] = []
-        acc_g = Fraction(0)
-        acc_gamma = Fraction(0)
-        for i in range(self.exact_limit):
-            m = int(self.mu_values[i])
-            if m:
-                acc_g += Fraction(m, i + 1)
+        """g and gamma up to min(limit, EXACT_LIMIT) as Fractions."""
+        upto = min(self.limit, EXACT_LIMIT)
+        g_exact, gamma_exact = [], []
+        acc_g = acc_gamma = Fraction(0)
+        for k, mu, m in zip(range(1, upto + 1), self.mu_values[:upto].tolist(),
+                            self.mertens[:upto].tolist()):
+            if mu:
+                acc_g += Fraction(mu, k)
             g_exact.append(acc_g)
-            if i >= 1:
-                acc_gamma += Fraction(int(self.mertens[i - 1]), i * (i + 1))
             gamma_exact.append(acc_gamma)
+            acc_gamma += Fraction(m, k * (k + 1))
         return g_exact, gamma_exact
 
     def mu(self, n: int) -> int:
@@ -154,37 +152,36 @@ class ArithProfile:
     def hp(self, n: int, p: float = 2.0) -> float:
         return float(self.hp_values(p, n)[-1])
 
-    def g_exact(self, n: int) -> Fraction:
+    def _exact_value(self, lane: int, n: int) -> Fraction:
         self._check(n)
-        if n > self.exact_limit:
-            raise ValueError(f"n={n} beyond exact limit {self.exact_limit}")
-        return self._exact[0][n - 1]
+        if n > EXACT_LIMIT:
+            raise ValueError(f"n={n} beyond exact limit {EXACT_LIMIT}")
+        return self._exact[lane][n - 1]
+
+    def g_exact(self, n: int) -> Fraction:
+        return self._exact_value(0, n)
 
     def gamma_exact(self, n: int) -> Fraction:
-        self._check(n)
-        if n > self.exact_limit:
-            raise ValueError(f"n={n} beyond exact limit {self.exact_limit}")
-        return self._exact[1][n - 1]
+        return self._exact_value(1, n)
 
-    def has_exact(self, n: int) -> bool:
-        return 1 <= n <= self.exact_limit
+    def exact_or_float(self, series: str, n: int):
+        """g(n) or gamma(n): a Fraction up to EXACT_LIMIT, a float beyond."""
+        lane = ("g", "gamma").index(series)
+        if n <= EXACT_LIMIT:
+            return self._exact_value(lane, n)
+        return self.g(n) if lane == 0 else self.gamma(n)
 
 
-def build_profile(table: MobiusTable,
-                  exact_limit: int | None = None) -> ArithProfile:
+def build_profile(table: MobiusTable) -> ArithProfile:
     """Accumulate M from a sieved Moebius table; the other lanes follow on
     first read."""
     n = table.limit
     check_limit(n)
-    if exact_limit is None:
-        exact_limit = min(n, DEFAULT_EXACT_LIMIT)
-    exact_limit = min(exact_limit, n)
     mu = table.mu_array()
     # in place: cumsum(mu, dtype=int32) would first cast all of mu to int32
     mertens = mu.astype(np.int32)
     np.cumsum(mertens, out=mertens)
-    return ArithProfile(limit=n, exact_limit=exact_limit, mu_values=mu,
-                        mertens=mertens)
+    return ArithProfile(limit=n, mu_values=mu, mertens=mertens)
 
 
 _SERIES = ("M", "g", "gamma")
@@ -221,10 +218,42 @@ def floor_sum_check(profile: ArithProfile, j_max: int) -> bool:
         raise ValueError(f"j_max={j_max} beyond profile limit {profile.limit}")
     # difference-array form: floor(j/k) increments exactly at multiples of k
     diff = np.zeros(j_max + 1, dtype=np.int64)
-    mu = profile.mu_values
-    for k in range(1, j_max + 1):
-        m = int(mu[k - 1])
-        if m:
-            diff[k::k] += m
-    sums = np.cumsum(diff[1:])
-    return bool(np.all(sums == 1))
+    for k in np.flatnonzero(profile.mu_values[:j_max]).tolist():
+        diff[k + 1::k + 1] += profile.mu_values[k]
+    return bool(np.all(np.cumsum(diff[1:]) == 1))
+
+
+def decomposition_checks(profile: ArithProfile, n_max: int) -> tuple[bool, bool]:
+    """(g(n) == M(n)/n + gamma(n) exactly, the float gamma lane within its
+    rounding bound of gamma(n)) for every n <= n_max.
+
+    Both stream integer numerators over L = lcm(1..n_max), O(n_max) bits
+    each: G = L g(n) = sum_{k<=n} mu(k) L/k, and Gam = L gamma(n) =
+    sum_{k<n} M(k) (L/k - L/(k+1)) from the piecewise integral of M t^-2.
+    The float lane rounds each term t_k = M(k)/(k(k+1)) and each partial
+    sum once in long double, then the result to float64, so it lies within
+    eps_ld sum_{k<n} (|t_k| + |gamma(k+1)|) + eps64 |gamma(n)| of Gam/L
+    rounded: each eps is twice the unit roundoff, so eps64 covers the two
+    last roundings and half of eps_ld the second-order terms.
+    """
+    if n_max > profile.limit:
+        raise ValueError(f"n_max={n_max} beyond profile limit {profile.limit}")
+    gamma = profile.gamma_float[:n_max]
+    k = np.arange(1, n_max, dtype=np.float64)
+    bound = np.finfo(np.float64).eps * np.abs(gamma)
+    bound[1:] += np.finfo(np.longdouble).eps * np.cumsum(
+        np.abs(profile.mertens[:len(k)]) / (k * (k + 1.0)) + np.abs(gamma[1:]))
+    big_l = math.lcm(*range(1, n_max + 1))
+    g_num = gam_num = 0
+    m_prev = q_prev = 0               # M(n-1) and L/(n-1)
+    exact_ok = float_ok = True
+    lanes = (profile.mu_values[:n_max].tolist(), profile.mertens[:n_max].tolist(),
+             gamma.tolist(), bound.tolist())
+    for n, mu, m, gam, err in zip(range(1, n_max + 1), *lanes):
+        q = big_l // n
+        gam_num += m_prev * (q_prev - q)
+        g_num += mu * q
+        exact_ok = exact_ok and g_num == m * q + gam_num
+        float_ok = float_ok and abs(gam - gam_num / big_l) <= err
+        m_prev, q_prev = m, q
+    return exact_ok, float_ok

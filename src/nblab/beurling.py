@@ -133,10 +133,6 @@ class BeurlingSum:
 FAMILIES = ("sn", "vn", "bn", "fn", "rn")
 
 
-def _g_of(profile: ArithProfile, n: int):
-    return profile.g_exact(n) if profile.has_exact(n) else profile.g(n)
-
-
 def make_family(family: str, n: int, profile: ArithProfile) -> BeurlingSum:
     """Construct one of the standard approximating families.
 
@@ -160,9 +156,9 @@ def make_family(family: str, n: int, profile: ArithProfile) -> BeurlingSum:
     if family in ("sn", "vn", "bn"):
         coeffs = profile.mu_values[:n].tolist()
         if family == "vn":
-            coeffs[0] -= _g_of(profile, n)
+            coeffs[0] -= profile.exact_or_float("g", n)
         elif family == "bn":
-            coeffs[-1] -= n * _g_of(profile, n)
+            coeffs[-1] -= n * profile.exact_or_float("g", n)
         # the folded slot is already a Fraction, or a float beyond the exact limit
         return BeurlingSum(tuple((Fraction(c) if isinstance(c, int) else c, Fraction(1, k))
                                  for k, c in enumerate(coeffs, 1) if c))

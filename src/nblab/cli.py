@@ -90,10 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _profile(limit: int, exact_limit: int | None = None) -> arith.ArithProfile:
+def _profile(limit: int) -> arith.ArithProfile:
     arith.check_limit(limit)
     table, _ = sieve.sieve_mobius_cached(limit)
-    return arith.build_profile(table, exact_limit)
+    return arith.build_profile(table)
 
 
 def _profile_for(limit: int, grid) -> arith.ArithProfile:
@@ -202,37 +202,17 @@ def cmd_witness(args) -> int:
 
 
 def cmd_identity(args) -> int:
-    profile = _profile(args.limit, exact_limit=args.limit)
-    checks = []
-
-    checks.append(("floor_sum", arith.floor_sum_check(profile, args.limit)))
-
-    ok = all(profile.g_exact(n) ==
-             Fraction(profile.M(n), n) + profile.gamma_exact(n)
-             for n in range(1, min(args.limit, profile.exact_limit) + 1))
-    checks.append(("g_decomposition", ok))
-
-    # gamma(n) as a sum versus the piecewise integral of M t^-2 on [1, n]
-    acc = Fraction(0)
-    ok = True
-    for k in range(1, min(args.limit, profile.exact_limit)):
-        acc += profile.M(k) * (Fraction(1, k) - Fraction(1, k + 1))
-        ok = ok and acc == profile.gamma_exact(k + 1)
-    checks.append(("gamma_integral", ok))
-
+    profile = _profile(args.limit)
+    floor_ok = arith.floor_sum_check(profile, args.limit)
+    g_ok, gamma_ok = arith.decomposition_checks(profile, args.limit)
     xs = [Fraction(1), Fraction(2)] + [
         Fraction(j * args.limit, 20) + Fraction(1, 3) for j in range(1, 19)]
-    worst = 0.0
-    for x in xs:
-        _, _, diff = transform.mobius_log_identity(min(x, args.limit), profile)
-        worst = max(worst, diff)
-    checks.append(("mobius_log", worst <= 1e-10))
-
-    failed = False
+    worst = max(transform.mobius_log_identity(min(x, args.limit), profile)[2] for x in xs)
+    checks = (("floor_sum", floor_ok), ("g_decomposition", g_ok),
+              ("gamma_integral", gamma_ok), ("mobius_log", worst <= 1e-10))
     for name, ok in checks:
         print(f"{name}: {'pass' if ok else 'FAIL'}")
-        failed = failed or not ok
-    return EXIT_WITNESS_FAILED if failed else EXIT_OK
+    return EXIT_OK if all(ok for _, ok in checks) else EXIT_WITNESS_FAILED
 
 
 def cmd_mellin(args) -> int:
@@ -253,11 +233,9 @@ def _expected_head(family: str, n: int, profile):
     if family == "sn":
         return Fraction(profile.M(n))
     if family == "vn":
-        return profile.M(n) - (profile.g_exact(n) if profile.has_exact(n)
-                               else profile.g(n))
+        return profile.M(n) - profile.exact_or_float("g", n)
     if family == "bn":
-        return -n * (profile.gamma_exact(n) if profile.has_exact(n)
-                     else profile.gamma(n))
+        return -n * profile.exact_or_float("gamma", n)
     if family == "fn":
         return Fraction(profile.M(n) - 1) if n > 1 else Fraction(0)
     return None
@@ -283,7 +261,7 @@ def cmd_u(args) -> int:
                     if expected is None:
                         expected = actual   # measured only
                         ok = True
-                    elif profile.has_exact(n) or family in ("sn", "fn"):
+                    elif isinstance(expected, Fraction):
                         ok = expected == actual
                     else:
                         ok = math.isclose(float(expected), float(actual),

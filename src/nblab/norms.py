@@ -700,7 +700,8 @@ def _abs_power_integral(pw: PiecewiseHyperbolic, p: float) -> tuple[float, float
     half at its small end, which is so cut geometrically toward the root.
     A piece settles on its trivial enclosure [2h m^p, 2h M^p], whose
     half-width is then its error, once that fits its tol, its tol has
-    underflowed to 0, it lies below rounding noise (M <= 4 Ev; a segment
+    underflowed to 0 or overflowed to inf (the top of its enclosure is then
+    inf as well), it lies below rounding noise (M <= 4 Ev; a segment
     where v == 0 settles so at once, at no error), or it is _MAX_DEPTH
     halvings deep.  Should a round hold more than _MAX_SPLIT times the
     pieces _split made (and more than 2^16), the pieces it cannot integrate
@@ -773,7 +774,7 @@ def _triage(a, p, u, w, bb, cc, tol, last):
         excess = (np.log((64.0 / 15.0) * h / (tol * (rho * rho - 1.0)))
                   + p * np.log(big + _GAP * m))
         need = 1.0 + excess / (2.0 * np.log(rho))
-        need = np.where((m > 0.0) & (tol > 0.0) & (need < 33.0),
+        need = np.where((m > 0.0) & (tol > 0.0) & (tol < math.inf) & (need < 33.0),
                         np.ceil(need * (1.0 + 1e-12) + 1e-9), 33.0)
         order = _ORDER[np.maximum(need, 1.0).astype(np.intp)]
         done = order > 0

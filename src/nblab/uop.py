@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-import numpy as np
 from scipy.special import digamma, sici
 
 from .arith import ArithProfile
@@ -113,11 +112,6 @@ def isometry_check(f: BeurlingSum, x_max: float = 1e4,
     tol = (src.upper - src.lower) + (img.upper - img.lower) + 1e-12
     return IsometryReport(source=src, image=img, discrepancy=disc,
                           tolerance=tol, satisfied=disc <= tol)
-
-
-def u_chi(x):
-    """The image of the unit-interval indicator: sin(2 pi x)/(pi x)."""
-    return 2.0 * np.sinc(2.0 * np.asarray(x, dtype=np.float64))
 
 
 def rho_tail_integral(y: float) -> float:

@@ -13,7 +13,7 @@ from numbers import Rational
 import mpmath
 import numpy as np
 
-from nblab.arith import ArithProfile
+from nblab.arith import EXACT_LIMIT, ArithProfile
 from nblab.beurling import BeurlingSum, Generator, GeneratorKind
 from nblab.norms import PiecewiseHyperbolic, _gen_offsets
 from nblab.transform import EULER_GAMMA, floor_log_integral
@@ -42,7 +42,7 @@ def naive_mobius(n: int) -> np.ndarray:
 
 
 def _g_of(profile: ArithProfile, n: int):
-    return profile.g_exact(n) if profile.has_exact(n) else profile.g(n)
+    return profile.g_exact(n) if n <= EXACT_LIMIT else profile.g(n)
 
 
 def family_via_make(family: str, n: int, profile: ArithProfile) -> BeurlingSum:
@@ -298,6 +298,11 @@ def dilation_quotient_minus_chi(a_dil: float, eps: float = 1e-6) -> PiecewiseHyp
     c = np.array([0.0, -1.0 / (a_dil - 1.0)])
     return PiecewiseHyperbolic(edges=np.array([eps, cut, 1.0]), b=b, c=c, a=0.0,
                                sup_const=abs(const), has_log_tail=False)
+
+
+def u_chi(x):
+    """The image of the unit-interval indicator: sin(2 pi x)/(pi x)."""
+    return 2.0 * np.sinc(2.0 * np.asarray(x, dtype=np.float64))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from oracles import quad_abs_p
 @pytest.fixture(scope="module")
 def exact_profile():
     # exact rational lanes all the way to 10^4 for the identity suite
-    return build_profile(sieve_mobius(10_000), exact_limit=10_000)
+    return build_profile(sieve_mobius(10_000))
 
 
 def test_a01_exact_identity_suite(exact_profile):
@@ -169,7 +169,7 @@ def test_a07_isometry_spot_checks(profile):
 def test_a08_mellin_checks():
     t0 = time.perf_counter()
     table = sieve_mobius(10 ** 6)
-    prof = build_profile(table, exact_limit=1)
+    prof = build_profile(table)
     res = mellin_numeric(prof, "M", 2.0, 10 ** 6)
     assert abs(res.value - 3.0 / math.pi ** 2) <= 1e-6
     res_g = mellin_numeric(prof, "xg", 2.0, 10 ** 6)

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nblab.arith import CHUNK, build_profile, floor_sum_check, sign_changes
+from nblab.arith import CHUNK, EXACT_LIMIT, build_profile, floor_sum_check, sign_changes
 from nblab.sieve import sieve_mobius
 
 from oracles import whole_array_lanes
 
 
 def test_g_decomposition_exact(profile):
-    for n in range(1, profile.exact_limit + 1):
+    for n in range(1, min(profile.limit, EXACT_LIMIT) + 1):
         assert profile.g_exact(n) == (Fraction(profile.M(n), n)
                                       + profile.gamma_exact(n))
 
@@ -113,7 +113,7 @@ def test_range_validation(profile):
     with pytest.raises(ValueError):
         profile.M(0)
     with pytest.raises(ValueError):
-        profile.g_exact(profile.exact_limit + 1)
+        profile.g_exact(min(profile.limit, EXACT_LIMIT) + 1)
     with pytest.raises(ValueError):
         sign_changes(profile, "bogus")
     with pytest.raises(ValueError):
@@ -130,7 +130,7 @@ def test_chunked_lanes_equal_whole_array():
     # three full chunks plus a ragged end: the carry between chunks must
     # round exactly as one cumsum over the whole range does
     table = sieve_mobius(3 * CHUNK + 123)
-    prof = build_profile(table, exact_limit=3000)
+    prof = build_profile(table)
     ref = whole_array_lanes(table.mu_array(), 3000)
     assert np.array_equal(prof.g_float, ref["g"])
     assert np.array_equal(prof.gamma_float, ref["gamma"])

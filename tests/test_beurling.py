@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nblab.arith import build_profile
+from nblab.arith import EXACT_LIMIT, build_profile
 from nblab.beurling import (FAMILIES, BeurlingSum, LAMBDA, NEG_CHI, make_family,
                             recover_coefficients, rho, step_values)
 from nblab.sieve import sieve_mobius
@@ -136,13 +136,11 @@ def test_families_match_make_oracle(profile):
 
 def test_families_match_make_oracle_beyond_exact_limit():
     # vn and bn fold a float g(n) into their slot once n passes the exact limit
-    table = sieve_mobius(10**4)
-    for exact_limit in (998, 10**4):
-        profile = build_profile(table, exact_limit=exact_limit)
-        for family in FAMILIES:
-            for n in (997, 998, 999, 1000, 10**4):
-                _same_terms(make_family(family, n, profile),
-                            family_via_make(family, n, profile))
+    profile = build_profile(sieve_mobius(EXACT_LIMIT + 10))
+    for family in FAMILIES:
+        for n in (EXACT_LIMIT - 1, EXACT_LIMIT, EXACT_LIMIT + 1):
+            _same_terms(make_family(family, n, profile),
+                        family_via_make(family, n, profile))
 
 
 def test_empty_families(profile):

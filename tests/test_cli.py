@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from nblab import cli, norms, sieve, witnesses
+from nblab import arith, cli, norms, sieve, witnesses
 from nblab.norms import NormReport
 from nblab.witnesses import WitnessReport
 
@@ -111,6 +111,24 @@ def test_identity_suite(capsys):
     for name in ("floor_sum", "g_decomposition", "gamma_integral",
                  "mobius_log"):
         assert f"{name}: pass" in out
+
+
+def test_identity_catches_float_gamma_error(monkeypatch, capsys):
+    # one entry of the float gamma lane off by 1e-13: the exact lanes still
+    # agree, but that entry leaves its rounding bound of the exact gamma(n)
+    profile = arith.build_profile(sieve.sieve_mobius(2000))
+    profile.gamma_float[1000] += 1e-13
+    monkeypatch.setattr(cli, "_profile", lambda limit: profile)
+    assert cli.main(["identity", "--limit", "2000"]) == 2
+    out = capsys.readouterr().out
+    assert "g_decomposition: pass" in out and "gamma_integral: FAIL" in out
+
+
+def test_identity_suite_past_exact_limit(capsys):
+    assert cli.main(["identity", "--limit", str(arith.EXACT_LIMIT + 50)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}: pass" for name in ("floor_sum", "g_decomposition",
+                                     "gamma_integral", "mobius_log")]
 
 
 def test_mellin_command(capsys):

@@ -35,7 +35,7 @@ def test_zeta_requires_s_above_one():
 
 @pytest.fixture(scope="module")
 def big_profile():
-    return build_profile(sieve_mobius(10 ** 5), exact_limit=1)
+    return build_profile(sieve_mobius(10 ** 5))
 
 
 def test_mertens_kernel_at_s2(big_profile):
@@ -80,7 +80,7 @@ def test_complex_s_runs(big_profile):
 
 def test_piecewise_exactness_tiny():
     # cutoff 2 integrates M = 1 on [1, 2): integral_1^2 x^(-s-1) dx
-    prof = build_profile(sieve_mobius(10), exact_limit=1)
+    prof = build_profile(sieve_mobius(10))
     res = mellin_numeric(prof, "M", 2.0, 2)
     assert math.isclose(res.value.real, (1 - 2.0 ** -2) / 2.0, rel_tol=1e-14)
 
@@ -98,7 +98,7 @@ def test_domain_validation(big_profile):
 
 @pytest.fixture(scope="module")
 def chunks_profile():
-    return build_profile(sieve_mobius(3 * CHUNK + 77), exact_limit=1)
+    return build_profile(sieve_mobius(3 * CHUNK + 77))
 
 
 @pytest.mark.parametrize("kernel,p", [("M", 2.0), ("xg", 2.0), ("hp", 2.0), ("hp", 1.5)])

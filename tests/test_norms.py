@@ -255,14 +255,26 @@ def test_general_p_large_exponent_brackets_mpmath(profile, gen, p):
     assert rep.lower <= true ** (1.0 / p) <= rep.upper
 
 
-@pytest.mark.parametrize("p", [76.0, 200.0])
-def test_general_p_past_float_range(p):
+_FOUR_SEGMENTS = (1e-4, 1.5e-4, 1e-3, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("edges, p", [
+    pytest.param(_FOUR_SEGMENTS, 76.0, id="76.0"),
+    pytest.param(_FOUR_SEGMENTS, 200.0, id="200.0"),
+    pytest.param((1e-6, 1.0), 76.0, id="one_segment-76.0"),
+    pytest.param((1e-6, 1.0), 150.0, id="one_segment-150.0"),
+    pytest.param((1e-6, 1.0), 310.0, id="one_segment-310.0"),
+])
+def test_general_p_past_float_range(edges, p):
     # v = 1/x on (1e-4, 1]: at p = 76 the ellipse's (M + g m)^p overflows on
     # the first segment but the power, 1.3e298, does not; at p = 200 the
-    # power does, and the report is inf
-    eps = 1e-4
-    pw = PiecewiseHyperbolic(edges=np.array([eps, 1.5e-4, 1e-3, 0.5, 1.0]), b=np.zeros(4),
-                             c=np.zeros(4), a=1.0, sup_const=0.0, has_log_tail=False)
+    # power does, and the report is inf.  On the one segment (1e-6, 1] the
+    # tolerance itself passes the float range, and the power must not take
+    # a one-node Gauss value (7.6e22 at p = 76) in place of inf
+    eps = edges[0]
+    pw = PiecewiseHyperbolic(edges=np.array(edges), b=np.zeros(len(edges) - 1),
+                             c=np.zeros(len(edges) - 1), a=1.0, sup_const=0.0,
+                             has_log_tail=False)
     rep = lp_norm(pw, p, include_far=False)
     with mpmath.workdps(30):
         q = mpmath.mpf(p)

@@ -11,8 +11,10 @@ from nblab.arith import build_profile
 from nblab.beurling import BeurlingSum, make_family
 from nblab.sieve import sieve_mobius
 from nblab.uop import (BudgetError, apply_u, gn_chain_lower, head_constant,
-                       isometry_check, rho_tail_integral, u_chi, u_l2_norm,
+                       isometry_check, rho_tail_integral, u_l2_norm,
                        usn_lower_integral, ut_direct, ut_head)
+
+from oracles import u_chi
 
 
 def test_single_term_image():
