@@ -138,7 +138,7 @@ def _emit_plot_script(path: str, csv_path: str, ycol: str) -> None:
 
 def cmd_sieve(args) -> int:
     table, hit = sieve.sieve_mobius_cached(args.limit)
-    mertens = int(table.mu_array().sum())
+    mertens = table.mertens()
     status = "cache hit" if hit else "sieved"
     print(f"limit={args.limit} mertens={mertens} ({status}, "
           f"{sieve.cache_path(args.limit)})")

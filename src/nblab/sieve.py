@@ -7,10 +7,12 @@ unsigned little-endian 64-bit limit N, then ceil(N/4) packed bytes.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,26 +23,29 @@ DEFAULT_CACHE_DIR = ".nbcache"
 
 # code -> mu value (code 3 is reserved and decodes to 0)
 _DECODE = np.array([0, 1, -1, 0], dtype=np.int8)
+# packed byte -> its four mu values, lowest bits first, and their sum
+_LUT = _DECODE[(np.arange(256)[:, None] >> np.array([0, 2, 4, 6])) & 3]
+_BYTE_SUM = _LUT.sum(axis=1, dtype=np.int8)
+
+# 2, 3, 5 and 7 are sieved once into a pattern of period 4 * 9 * 25 * 49
+# that every segment copies; the strided loop starts at 11
+_PRESIEVED = (2, 3, 5, 7)
+_PERIOD = math.prod(p * p for p in _PRESIEVED)
 
 
 def _pack(values: np.ndarray) -> np.ndarray:
     """Pack an int8 array of mu values (k = 1..N) into 2-bit codes."""
-    codes = np.zeros(len(values), dtype=np.uint8)
-    codes[values == 1] = 1
-    codes[values == -1] = 2
-    pad = (-len(codes)) % 4
-    if pad:
-        codes = np.concatenate([codes, np.zeros(pad, dtype=np.uint8)])
-    q = codes.reshape(-1, 4)
-    return (q[:, 0] | (q[:, 1] << 2) | (q[:, 2] << 4) | (q[:, 3] << 6)).astype(np.uint8)
+    codes = np.zeros(-(-len(values) // 4) * 4, dtype=np.uint8)
+    c = codes[:len(values)]
+    np.bitwise_and(values.view(np.uint8), 3, out=c)  # -1 is 0xff -> 3
+    c ^= c >> 1                                     # 3 -> 2; 0 and 1 stay
+    w = codes.view("<u4")
+    return ((w | w >> 6 | w >> 12 | w >> 18) & 0xFF).astype(np.uint8)
 
 
 def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
     """Unpack n leading mu values from a packed byte array."""
-    out = np.empty(len(packed) * 4, dtype=np.int8)
-    for lane in range(4):
-        out[lane::4] = _DECODE[(packed >> 2 * lane) & 3]
-    return out[:n]
+    return _LUT[packed].reshape(-1)[:n]
 
 
 @dataclass(frozen=True)
@@ -70,6 +75,10 @@ class MobiusTable:
     def mu_array(self) -> np.ndarray:
         """All values mu(1..limit) as int8."""
         return _unpack(self.packed, self.limit)
+
+    def mertens(self) -> int:
+        """M(limit), the sum of mu(k) over 1 <= k <= limit."""
+        return int(_BYTE_SUM[self.packed].sum(dtype=np.int64))
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:
@@ -108,43 +117,74 @@ def _base_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(is_p).astype(np.int64)
 
 
-def sieve_mobius(n: int, segment_size: int = 1 << 21) -> MobiusTable:
+def sieve_mobius(n: int, segment_size: int = 1 << 19) -> MobiusTable:
     """Compute mu(k) for 1 <= k <= n by a segmented sieve.
 
-    Peak working memory beyond the packed output is O(segment_size).
+    Segments run on one thread per available core; each owns a disjoint
+    slice of the packed output.  Peak working memory beyond the packed
+    output is O(segment_size) per thread.
     """
     if n < 1:
         raise ValueError(f"sieve limit must be >= 1, got {n}")
+    if segment_size < 4 or segment_size % 4:
+        raise ValueError(f"segment size must be a positive multiple of 4, got {segment_size}")
     primes = _base_primes(math.isqrt(n))
     packed = np.empty((n + 3) // 4, dtype=np.uint8)
-    for lo in range(1, n + 1, segment_size):
+
+    def fill(lo: int) -> None:
         hi = min(lo + segment_size, n + 1)
-        mu = _sieve_segment(lo, hi, primes)
-        # segment boundaries are multiples of 4 in the 1-based index
-        packed[(lo - 1) // 4:(lo - 1) // 4 + (hi - lo + 3) // 4] = _pack(mu)
+        # lo - 1 is a multiple of 4, so the segment's codes fill whole bytes
+        packed[(lo - 1) // 4:(hi + 2) // 4] = _pack(_sieve_segment(lo, hi, primes))
+
+    starts = range(1, n + 1, segment_size)
+    with ThreadPoolExecutor(max_workers=min(_cores(), len(starts))) as pool:
+        for _ in pool.map(fill, starts):  # re-raises a segment's exception
+            pass
     return MobiusTable(limit=n, packed=packed)
+
+
+def _cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _presieve_pattern() -> tuple[np.ndarray, np.ndarray]:
+    """mu(k) over the primes of _PRESIEVED alone, squares zeroed, and the
+    product of those primes dividing k, at index (k - 1) % _PERIOD, over
+    two periods so that any window of one period is a slice."""
+    sign = np.ones(2 * _PERIOD, dtype=np.int8)
+    prod = np.ones(2 * _PERIOD, dtype=np.int32)
+    for p in _PRESIEVED:
+        sign[p - 1::p] *= -1
+        prod[p - 1::p] *= p
+        sign[p * p - 1::p * p] = 0
+    sign.flags.writeable = prod.flags.writeable = False
+    return sign, prod
 
 
 def _sieve_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
     """mu(k) for lo <= k < hi.  primes must cover sqrt(hi - 1)."""
-    size = hi - lo
-    mu = np.ones(size, dtype=np.int8)
+    # the product lane holds a divisor of k, so int32 suffices below 2**31
+    lane = np.int32 if hi <= 2 ** 31 else np.int64
+    sign, small = _presieve_pattern()
+    window = slice((lo - 1) % _PERIOD, (lo - 1) % _PERIOD + _PERIOD)
+    # np.resize repeats the window into a new, writable array
+    mu = np.resize(sign[window], hi - lo)
+    prod = np.resize(small[window], hi - lo).astype(lane, copy=False)
     # product of the distinct sieved primes dividing k; a remaining
     # cofactor > 1 is a single prime above sqrt and flips the sign once more
-    prod = np.ones(size, dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        start = ((lo + p - 1) // p) * p - lo
-        mu[start::p] = -mu[start::p]
+    for p in primes[primes > _PRESIEVED[-1]].tolist():
+        start = (-lo) % p
+        view = mu[start::p]
+        np.negative(view, out=view)
         prod[start::p] *= p
         p2 = p * p
         if p2 < hi:
-            start2 = ((lo + p2 - 1) // p2) * p2 - lo
-            mu[start2::p2] = 0
-    ks = np.arange(lo, hi, dtype=np.int64)
-    mu[prod != ks] = -mu[prod != ks]
-    if lo == 1:
-        mu[0] = 1
+            mu[(-lo) % p2::p2] = 0
+    ks = np.arange(lo, hi, dtype=lane)
+    np.negative(mu, out=mu, where=prod != ks)
     return mu
 
 

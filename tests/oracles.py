@@ -19,26 +19,25 @@ from nblab.norms import PiecewiseHyperbolic, _gen_offsets
 from nblab.transform import EULER_GAMMA, floor_log_integral
 
 
+def naive_mu(k: int) -> int:
+    """mu(k) by trial factorization; independent oracle for the sieve."""
+    m, val = k, 1
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            val = -val
+        d += 1
+    return -val if m > 1 else val
+
+
 def naive_mobius(n: int) -> np.ndarray:
-    """mu(1..n) by trial factorization; independent oracle for the sieve."""
+    """mu(1..n) by trial factorization."""
     if n < 1:
         raise ValueError(f"limit must be >= 1, got {n}")
-    out = np.empty(n, dtype=np.int8)
-    for k in range(1, n + 1):
-        m, val = k, 1
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                m //= d
-                if m % d == 0:
-                    val = 0
-                    break
-                val = -val
-            d += 1
-        if val != 0 and m > 1:
-            val = -val
-        out[k - 1] = val
-    return out
+    return np.array([naive_mu(k) for k in range(1, n + 1)], dtype=np.int8)
 
 
 def _g_of(profile: ArithProfile, n: int):

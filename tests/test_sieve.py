@@ -1,11 +1,15 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nblab.sieve import (CorruptCacheError, MobiusTable, _pack, _unpack,
-                         cache_path, sieve_mobius, sieve_mobius_cached)
-from oracles import naive_mobius
+from nblab.sieve import (CorruptCacheError, MobiusTable, _base_primes, _pack,
+                         _sieve_segment, _unpack, cache_path, sieve_mobius,
+                         sieve_mobius_cached)
+from oracles import naive_mobius, naive_mu
 
 # frozen oracle values: mu and Mertens spot checks computed by trial
 # factorization independently of the sieve
@@ -35,11 +39,44 @@ def test_larger_mertens_values():
         assert int(csum[n - 1]) == m
 
 
+def test_mertens_from_packed_bytes():
+    for n, m in KNOWN_MERTENS.items():
+        assert sieve_mobius(n).mertens() == m
+
+
 def test_segment_size_independence():
     big = sieve_mobius(500)
     for seg in (4, 16, 64, 100):
         assert np.array_equal(sieve_mobius(500, segment_size=seg).mu_array(),
                               big.mu_array())
+    # segments that start at many phases of the period-44100 pattern
+    whole = sieve_mobius(200_000, segment_size=1 << 20)
+    for seg in (44_100, 44_104, 65_536, 99_996):
+        assert np.array_equal(sieve_mobius(200_000, segment_size=seg).packed,
+                              whole.packed)
+
+
+def test_default_segments_on_all_threads():
+    table = sieve_mobius(10 ** 6)  # two default segments
+    assert table.mertens() == 212
+    assert int(table.mu_array().sum(dtype=np.int64)) == 212
+    assert np.array_equal(sieve_mobius(10 ** 6, segment_size=10 ** 6 + 4).packed,
+                          table.packed)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (2 ** 31 - 64, 2 ** 31 + 64),
+    # 18 * 2**32 + 1 is prime, and congruent to its product lane 1 mod 2**32
+    (18 * 2 ** 32 - 15, 18 * 2 ** 32 + 17),
+])
+def test_segment_beyond_int32(lo, hi):
+    mu = _sieve_segment(lo, hi, _base_primes(math.isqrt(hi - 1)))
+    assert mu.tolist() == [naive_mu(k) for k in range(lo, hi)]
+
+
+def test_segment_size_validated():
+    with pytest.raises(ValueError, match="multiple of 4"):
+        sieve_mobius(100, segment_size=6)
 
 
 @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=200))
@@ -72,6 +109,19 @@ def test_save_load_roundtrip(tmp_path, table):
     assert np.array_equal(loaded.mu_array(), table.mu_array())
     with open(path, "rb") as fh:
         assert fh.read(4) == b"NBL1"
+
+
+def test_on_disk_format_is_pinned(tmp_path):
+    # codes 00 -> 0, 01 -> +1, 10 -> -1, the lowest bits holding the lowest k
+    assert _pack(np.array([1, -1, 0, 1], dtype=np.int8)).tobytes() == b"\x49"
+    # mu(1..10) = 1 -1 -1 0 | -1 1 -1 0 | 0 1
+    blob = b"NBL1" + struct.pack("<Q", 10) + b"\x29\x26\x04"
+    path = tmp_path / "m.bin"
+    sieve_mobius(10).save(str(path))
+    assert path.read_bytes() == blob
+    old = tmp_path / "old.bin"
+    old.write_bytes(blob)
+    assert MobiusTable.load(str(old)).mu_array().tolist() == naive_mobius(10).tolist()
 
 
 def test_load_rejects_bad_magic(tmp_path):
