@@ -110,25 +110,6 @@ class BeurlingSum:
         a = Fraction(a) if isinstance(a, Rational) and not isinstance(a, float) else a
         return BeurlingSum.make([(c, t / a) for c, t in self.terms])
 
-    def to_text(self) -> str:
-        lines = []
-        for c, t in self.terms:
-            cs = f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else repr(float(c))
-            lines.append(f"{cs} {t.numerator}/{t.denominator}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @staticmethod
-    def from_text(text: str) -> "BeurlingSum":
-        terms = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            cs, ts = line.split()
-            c = Fraction(cs) if "/" in cs else float(cs)
-            terms.append((c, Fraction(ts)))
-        return BeurlingSum.make(terms)
-
 
 FAMILIES = ("sn", "vn", "bn", "fn", "rn")
 

@@ -57,19 +57,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--p", type=float, default=2.0)
     p_norm.add_argument("--n-grid", type=_n_grid, default=(10, 100, 1000))
     p_norm.add_argument("--epsilon", type=float, default=1e-6)
-    p_norm.add_argument("--limit", type=int, default=None,
-                        help="sieve limit (default: largest grid point)")
     p_norm.add_argument("--out", default="-")
-    p_norm.add_argument("--plot-script", default=None)
 
     p_wit = sub.add_parser("witness", help="lower-bound witnesses over an n-grid")
     p_wit.add_argument("--family", choices=("sn", "gn", "rn"), required=True)
     p_wit.add_argument("--p", type=float, default=2.0)
     p_wit.add_argument("--n-grid", type=_n_grid, default=(10, 100, 1000))
     p_wit.add_argument("--epsilon", type=float, default=1e-6)
-    p_wit.add_argument("--limit", type=int, default=None)
     p_wit.add_argument("--out", default="-")
-    p_wit.add_argument("--plot-script", default=None)
 
     p_id = sub.add_parser("identity", help="exact arithmetic identity suite")
     p_id.add_argument("--limit", type=int, default=10_000)
@@ -83,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_u = sub.add_parser("u", help="head constants and isometry spot checks")
     p_u.add_argument("--family", choices=witnesses.ALL_FAMILIES, default=None)
     p_u.add_argument("--n-grid", type=_n_grid, default=(10, 100, 1000))
-    p_u.add_argument("--limit", type=int, default=None)
     p_u.add_argument("--isometry", action="store_true",
                      help="also run small-sum isometry checks with far cutoff 1e4")
     p_u.add_argument("--out", default="-")
@@ -94,12 +88,6 @@ def _profile(limit: int) -> arith.ArithProfile:
     arith.check_limit(limit)
     table, _ = sieve.sieve_mobius_cached(limit)
     return arith.build_profile(table)
-
-
-def _profile_for(limit: int, grid) -> arith.ArithProfile:
-    if limit is not None and limit < max(grid):
-        raise ValueError(f"--limit {limit} below largest grid point {max(grid)}")
-    return _profile(max(grid) if limit is None else limit)
 
 
 class _Writer:
@@ -122,20 +110,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _emit_plot_script(path: str, csv_path: str, ycol: str) -> None:
-    lines = [
-        "set datafile separator ','",
-        "set key autotitle columnhead",
-        "set logscale xy",
-        "set xlabel 'n'",
-        f"set ylabel '{ycol}'",
-        f"plot '{csv_path}' using 'n':'{ycol}' with linespoints",
-        "pause -1",
-    ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def cmd_sieve(args) -> int:
     table, hit = sieve.sieve_mobius_cached(args.limit)
     mertens = table.mertens()
@@ -148,7 +122,7 @@ def cmd_sieve(args) -> int:
 def cmd_norm(args) -> int:
     norms.check_p(args.p)
     norms.check_cutoff(args.epsilon)
-    profile = _profile_for(args.limit, args.n_grid)
+    profile = _profile(max(args.n_grid))
     gen = witnesses.DEFAULT_GENERATOR[args.family]
     writer = _Writer(args.out, NORM_COLUMNS)
     try:
@@ -163,8 +137,6 @@ def cmd_norm(args) -> int:
                         rep.segments, f"{dt:.3f}"])
     finally:
         writer.close()
-    if args.plot_script:
-        _emit_plot_script(args.plot_script, args.out, "value")
     return EXIT_OK
 
 
@@ -184,7 +156,7 @@ def _witness_reports(args, profile):
 def cmd_witness(args) -> int:
     witnesses.check_p(args.family, args.p)
     norms.check_cutoff(args.epsilon)
-    profile = _profile_for(args.limit, args.n_grid)
+    profile = _profile(max(args.n_grid))
     writer = _Writer(args.out, WITNESS_COLUMNS)
     failed = False
     try:
@@ -196,8 +168,6 @@ def cmd_witness(args) -> int:
                         int(ok), _fmt(rep.margin)])
     finally:
         writer.close()
-    if args.plot_script:
-        _emit_plot_script(args.plot_script, args.out, "lhs_low")
     return EXIT_WITNESS_FAILED if failed else EXIT_OK
 
 
@@ -242,14 +212,13 @@ def _expected_head(family: str, n: int, profile):
 
 
 def cmd_u(args) -> int:
-    grid = args.n_grid
-    profile = _profile_for(args.limit, grid)
+    profile = _profile(max(args.n_grid))
     writer = _Writer(args.out, U_COLUMNS)
     failed = False
     try:
         fams = [args.family] if args.family else list(witnesses.ALL_FAMILIES)
         for family in fams:
-            for n in grid:
+            for n in args.n_grid:
                 if family == "gn":
                     expected = uop.ut_head(n, profile)
                     actual = uop.ut_direct(n, profile, 1.0 / (2 * n))

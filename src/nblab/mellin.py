@@ -8,6 +8,7 @@ from |M(x)| <= x, |g(x)| <= 1 and |H_p(x)| <= (q/2) x^(2/q).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,10 @@ def check_arguments(kernel: str, s: complex, cutoff: int, p: float = 2.0) -> Non
     profile that covers the cutoff."""
     if kernel not in _KERNELS:
         raise ValueError(f"kernel must be one of {_KERNELS}, got {kernel!r}")
-    if kernel == "hp" and not p > 1:
-        raise ValueError(f"p must be > 1, got {p}")
+    if kernel == "hp" and not 1 < p < cmath.inf:
+        raise ValueError(f"p must be > 1 and finite, got {p}")
+    if not cmath.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     sigma = complex(s).real
     min_sigma = 2.0 - 2.0 / p if kernel == "hp" else 1.0
     if not sigma > min_sigma:

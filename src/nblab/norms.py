@@ -80,12 +80,6 @@ class PiecewiseHyperbolic:
     def segment_count(self) -> int:
         return len(self.edges) - 1
 
-    def values_at(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the piecewise difference at points in (eps, 1]."""
-        idx = np.searchsorted(self.edges, x, side="left") - 1
-        idx = np.clip(idx, 0, self.segment_count - 1)
-        return self.a / x + self.b[idx] + self.c[idx] * np.log(x)
-
 
 @dataclass(frozen=True)
 class NormReport:
@@ -109,7 +103,8 @@ class NormReport:
     @property
     def lower(self) -> float:
         if not math.isfinite(self.power_value):
-            return math.inf
+            # an inf error means the power only passed the float range
+            return 0.0 if math.isinf(self.quad_error) else math.inf
         return max(self.power_value - self.quad_error, 0.0) ** (1.0 / self.p)
 
     @property
@@ -827,8 +822,8 @@ def _gauss_sum(a, p, u, w, bb, cc, order):
 
 def check_p(p: float) -> None:
     """Raise ValueError unless the engine integrates the p-th power."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be >= 1 and finite, got {p}")
 
 
 def lp_norm(pw: PiecewiseHyperbolic, p: float,

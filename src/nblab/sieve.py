@@ -62,16 +62,6 @@ class MobiusTable:
         code = (byte >> (2 * ((k - 1) & 3))) & 3
         return int(_DECODE[code])
 
-    def mu_range(self, lo: int, hi: int) -> np.ndarray:
-        """mu(k) for lo <= k < hi as int8."""
-        if not (1 <= lo <= hi <= self.limit + 1):
-            raise ValueError(f"range [{lo}, {hi}) outside table [1, {self.limit}]")
-        first_byte = (lo - 1) >> 2
-        last_byte = (hi - 2) >> 2 if hi > lo else first_byte
-        vals = _unpack(self.packed[first_byte:last_byte + 1], (last_byte + 1 - first_byte) * 4)
-        off = (lo - 1) & 3
-        return vals[off:off + (hi - lo)]
-
     def mu_array(self) -> np.ndarray:
         """All values mu(1..limit) as int8."""
         return _unpack(self.packed, self.limit)

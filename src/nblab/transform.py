@@ -24,14 +24,6 @@ from .arith import ArithProfile
 EULER_GAMMA = 0.5772156649015328606
 
 
-def floor_log_integral(y) -> float:
-    """Phi(y) = integral_1^y floor(u) du/u, exact floor for rational y."""
-    m = math.floor(y)
-    if m < 1:
-        return 0.0
-    return m * math.log(y) - math.lgamma(m + 1)
-
-
 def _phi(num, den, x) -> np.ndarray:
     """Phi(num_k / (den_k x)) for int arrays num, den of dtype object.  For
     rational x each floor is a floor division of Python ints, exact with no

@@ -19,8 +19,6 @@ from .norms import NormReport, lp_distance
 from .transform import Gn
 from .uop import gn_chain_lower, usn_lower_integral
 
-DEFAULT_N_GRID = (10, 31, 100, 316, 1000, 3162, 10000)
-
 ALL_FAMILIES = FAMILIES + ("gn",)
 
 DEFAULT_GENERATOR = {
@@ -62,8 +60,8 @@ def check_p(family: str, p: float) -> None:
     if family == "rn":
         if p != 2.0:
             raise ValueError(f"the rn witness measures the L_2 norm; p must be 2, got {p}")
-    elif not p > 1:
-        raise ValueError(f"p must be > 1, got {p}")
+    elif not 1 < p < math.inf:
+        raise ValueError(f"p must be > 1 and finite, got {p}")
 
 
 def _power_mean_bound(p: float, scale: float, n: int) -> float:
@@ -153,13 +151,10 @@ class TrendTable:
 
 
 def convergence_trend(family: str, generator: Generator | None, p: float,
-                      n_grid=DEFAULT_N_GRID, profile: ArithProfile = None,
-                      eps: float = 1e-6) -> TrendTable:
+                      n_grid, profile: ArithProfile, eps: float = 1e-6) -> TrendTable:
     """Certified ||f_n - generator||_p over an ascending n-grid."""
     if family not in ALL_FAMILIES:
         raise ValueError(f"family must be one of {ALL_FAMILIES}, got {family!r}")
-    if profile is None:
-        raise ValueError("an arithmetic profile is required")
     rows = []
     for n in sorted(n_grid):
         t0 = time.perf_counter()

@@ -16,7 +16,7 @@ import numpy as np
 from nblab.arith import EXACT_LIMIT, ArithProfile
 from nblab.beurling import BeurlingSum, Generator, GeneratorKind
 from nblab.norms import PiecewiseHyperbolic, _gen_offsets
-from nblab.transform import EULER_GAMMA, floor_log_integral
+from nblab.transform import EULER_GAMMA
 
 
 def naive_mu(k: int) -> int:
@@ -131,6 +131,21 @@ def apply_T(weight: StepWeight, x) -> float:
         phi = floor_log_integral(u2 / xq) - floor_log_integral(u1 / xq)
         total += w * (lin - phi)
     return total
+
+
+def floor_log_integral(y) -> float:
+    """Phi(y) = integral_1^y floor(u) du/u, exact floor for rational y."""
+    m = math.floor(y)
+    if m < 1:
+        return 0.0
+    return m * math.log(y) - math.lgamma(m + 1)
+
+
+def values_at(pw: PiecewiseHyperbolic, x: np.ndarray) -> np.ndarray:
+    """Evaluate a flattened difference at points in (eps, 1]."""
+    idx = np.searchsorted(pw.edges, x, side="left") - 1
+    idx = np.clip(idx, 0, pw.segment_count - 1)
+    return pw.a / x + pw.b[idx] + pw.c[idx] * np.log(x)
 
 
 def to_piecewise_exact(f: BeurlingSum, generator: Generator | None, eps) -> list:

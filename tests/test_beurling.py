@@ -64,13 +64,6 @@ def test_dilation_action(terms, a, x):
     assert f.dilate(a)(x) == f(a * x)
 
 
-@given(term_lists)
-@settings(max_examples=60, deadline=None)
-def test_text_roundtrip(terms):
-    f = BeurlingSum.make(terms)
-    assert BeurlingSum.from_text(f.to_text()).terms == f.terms
-
-
 def test_sup_bound(profile):
     f = make_family("sn", 30, profile)
     bound = f.sup_bound

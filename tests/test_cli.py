@@ -46,16 +46,6 @@ def test_norm_csv_schema_and_determinism(tmp_path):
     assert [r[:8] for r in rows1] == [r[:8] for r in rows2]
 
 
-def test_norm_stdout_and_plot_script(tmp_path, capsys):
-    plot = tmp_path / "trend.gp"
-    assert cli.main(["norm", "--family", "sn", "--n-grid", "5",
-                     "--epsilon", "1e-3", "--plot-script", str(plot)]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert out[0] == ",".join(cli.NORM_COLUMNS)
-    text = plot.read_text()
-    assert "plot '-'" in text and "'n':'value'" in text
-
-
 def test_norm_cutoff_above_min_theta(capsys):
     # sn at n = 5 has smallest theta 1/5; the cutoff may lie above it
     assert cli.main(["norm", "--family", "sn", "--epsilon", "0.5",
@@ -184,6 +174,9 @@ def test_witness_rn_rejects_p_other_than_two(monkeypatch, capsys):
      "cutoff must lie in (0, 1)"),
     (["mellin", "--kernel", "hp", "--p", "1", "--cutoff", "30000000"], "p must be > 1"),
     (["mellin", "--kernel", "M", "--cutoff", "3000000000"], "below 2^31"),
+    (["norm", "--family", "sn", "--p", "nan", "--n-grid", "10"], "p must be >= 1 and finite"),
+    (["witness", "--family", "sn", "--p", "inf", "--n-grid", "10"], "p must be > 1 and finite"),
+    (["mellin", "--kernel", "M", "--s", "inf", "--cutoff", "1000"], "s must be finite"),
 ])
 def test_arguments_rejected_before_any_sieve(argv, message, monkeypatch, capsys):
     def no_sieve(*args, **kwargs):
@@ -221,12 +214,29 @@ def test_u_isometry(tmp_path):
     ["norm", "--family", "sn", "--n-grid", "0,5"],     # nonpositive grid
     ["norm", "--family", "sn", "--n-grid", "x"],       # unparsable grid
     ["witness", "--family", "sn", "--n-grid", "10",
-     "--limit", "5"],                                  # limit below grid
+     "--limit", "5"],                                  # removed flag
     ["norm", "--family", "sn", "--epsilon", "1.5",
      "--n-grid", "5"],                                 # cutoff out of range
     ["bogus"],                                         # unknown subcommand
     ["norm", "--family", "rn", "--n-grid", "100",
      "--epsilon", "1e-6"],                             # flatten budget
+    ["norm", "--family", "sn", "--p", "nan", "--n-grid", "10",
+     "--epsilon", "1e-2"],                             # p not a number
+    ["norm", "--family", "sn", "--p", "inf", "--n-grid", "10",
+     "--epsilon", "1e-2"],                             # p infinite
+    ["witness", "--family", "sn", "--p", "inf", "--n-grid", "10",
+     "--epsilon", "1e-2"],                             # p infinite
+    ["mellin", "--kernel", "M", "--s", "inf",
+     "--cutoff", "1000"],                              # s infinite
+    ["mellin", "--kernel", "hp", "--p", "inf", "--s", "3",
+     "--cutoff", "1000"],                              # p infinite
+    ["norm", "--family", "sn", "--n-grid", "10",
+     "--limit", "20000"],                              # removed flag
+    ["u", "--n-grid", "10", "--limit", "20000"],       # removed flag
+    ["norm", "--family", "sn", "--n-grid", "10",
+     "--plot-script", "trend.gp"],                     # removed flag
+    ["witness", "--family", "sn", "--n-grid", "10",
+     "--plot-script", "trend.gp"],                     # removed flag
 ])
 def test_config_errors_exit_three(argv, capsys):
     assert cli.main(argv) == 3

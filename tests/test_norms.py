@@ -15,7 +15,7 @@ from nblab.norms import (_LADDER, Difference, PiecewiseHyperbolic, _gl_nodes, lp
                          lp_norm, to_piecewise)
 from nblab.transform import Gn, TIndicator, riemann_sum_T
 from oracles import (_quad_refined, dilation_quotient_minus_chi, lp_power_mpmath,
-                     quad_abs_p, to_piecewise_exact)
+                     quad_abs_p, to_piecewise_exact, values_at)
 
 
 def _exact_value(segments, x):
@@ -31,7 +31,7 @@ def test_single_term_flatten():
     # chi + rho(1/x) equals 1 + 1/x - j on (1/(j+1), 1/j]
     for j in (1, 2, 5, 9):
         x = 1.0 / j - 1e-9
-        assert math.isclose(float(pw.values_at(np.array([x]))[0]),
+        assert math.isclose(float(values_at(pw, np.array([x]))[0]),
                             1.0 + 1.0 / x - j, rel_tol=1e-12)
     assert pw.a == 1.0
 
@@ -47,7 +47,7 @@ def test_fast_flattener_matches_exact(profile):
         assert np.all(pw.hi > pw.lo)
         for lo, hi, a, b, c in segs[::5]:
             mid = (float(lo) + float(hi)) / 2.0
-            assert math.isclose(float(pw.values_at(np.array([mid]))[0]),
+            assert math.isclose(float(values_at(pw, np.array([mid]))[0]),
                                 _exact_value(segs, mid), rel_tol=0,
                                 abs_tol=1e-10)
     # G_n breaks at every 1/m in (eps, 1)
@@ -182,8 +182,8 @@ def test_l1_bisected_root_brackets_mpmath(profile):
     # zero, so its root comes from bisection, not a closed form
     f = make_family("sn", 6, profile)
     pw = to_piecewise(f, LAMBDA, 0.05)
-    lo_v = pw.values_at(pw.lo * (1.0 + 1e-12))
-    hi_v = pw.values_at(pw.hi)
+    lo_v = values_at(pw, pw.lo * (1.0 + 1e-12))
+    hi_v = values_at(pw, pw.hi)
     assert pw.a != 0.0 and np.any((lo_v * hi_v < 0.0) & (pw.c != 0.0))
     rep = lp_distance(f, LAMBDA, 1.0, 0.05, include_far=False)
     true = lp_power_mpmath(f, LAMBDA, 1.0, 0.05)
@@ -283,6 +283,7 @@ def test_general_p_past_float_range(edges, p):
         assert abs(rep.power_value - true) <= rep.quad_error <= 1e-10 * true
     else:
         assert rep.power_value == rep.value == rep.quad_error == math.inf
+        assert rep.lower == 0.0
 
 
 @pytest.mark.parametrize("gen, p", [(NEG_CHI, 700.0), (LAMBDA, 300.0)],
@@ -292,6 +293,17 @@ def test_near_zero_tail_past_float_range(profile, gen, p):
     # tail bound passes the float range, and so does the bound
     rep = lp_distance(make_family("sn", 10, profile), gen, p, 0.02)
     assert math.isfinite(rep.power_value) and rep.tail_low == rep.upper == math.inf
+
+
+@pytest.mark.parametrize("family, gen", [("sn", NEG_CHI), ("gn", LAMBDA)])
+def test_power_past_float_range_bounds_norm_below_by_zero(profile, family, gen):
+    # on (0.02, 1] |sn10 + chi| <= 1.62 and the near-zero sup is 8, so the
+    # norm is finite; only its 2000th power passes the float range, which
+    # says nothing about how small the norm is
+    f = make_family(family, 10, profile) if family == "sn" else Gn(10, profile)
+    rep = lp_distance(f, gen, 2000.0, 0.02)
+    assert rep.power_value == rep.quad_error == math.inf
+    assert rep.lower == 0.0 and rep.upper == math.inf
 
 
 def test_near_zero_tail_in_logarithms():
@@ -366,6 +378,8 @@ def test_l1_infinite_when_tail_present(profile):
                       include_far=True)
     assert rep.value == math.inf
     assert rep.err == math.inf
+    # a true divergence: the quadrature error stays finite and so does nothing else
+    assert math.isfinite(rep.quad_error) and rep.lower == rep.upper == math.inf
 
 
 def test_vn_sn_gap_is_scaled_single_term(profile):
@@ -504,7 +518,7 @@ def test_flatten_matches_pointwise(terms):
     mids = ((pw.lo + pw.hi) / 2.0)[wide]
     take = mids[:: max(1, len(mids) // 25)]
     direct = np.array([f(float(x)) + 1.0 for x in take])
-    assert np.allclose(pw.values_at(take), direct, atol=1e-9, rtol=0)
+    assert np.allclose(values_at(pw, take), direct, atol=1e-9, rtol=0)
 
 
 @given(small_sums, st.sampled_from([1.0, 2.0, 1.5, 3.0]))

@@ -85,15 +85,6 @@ def test_pack_unpack_roundtrip(values):
     assert np.array_equal(_unpack(_pack(arr), len(arr)), arr)
 
 
-@given(st.integers(min_value=1, max_value=400))
-@settings(max_examples=25, deadline=None)
-def test_mu_range_matches_mu_array(n):
-    t = sieve_mobius(400)
-    lo = 1 + (n * 7) % 300
-    hi = min(lo + n, 401)
-    assert np.array_equal(t.mu_range(lo, hi), t.mu_array()[lo - 1:hi - 1])
-
-
 def test_mu_bounds_checked(table):
     with pytest.raises(ValueError):
         table.mu(0)

@@ -6,10 +6,10 @@ import scipy.integrate as si
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nblab.transform import (EULER_GAMMA, Gn, TIndicator, floor_log_integral,
-                             mobius_log_identity, riemann_sum_T)
-from oracles import (StepWeight, apply_T, gn_phi_terms, rho_tail_ratio_bound,
-                     riemann_sum_via_make)
+from nblab.transform import (EULER_GAMMA, Gn, TIndicator, mobius_log_identity,
+                             riemann_sum_T)
+from oracles import (StepWeight, apply_T, floor_log_integral, gn_phi_terms,
+                     rho_tail_ratio_bound, riemann_sum_via_make)
 
 
 @pytest.mark.parametrize("y", [0.3, 1.0, 1.5, 2.0, 3.7, 10.25])

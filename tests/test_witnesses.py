@@ -4,14 +4,9 @@ import pytest
 
 from nblab.beurling import LAMBDA, NEG_CHI
 from nblab.norms import NormReport
-from nblab.witnesses import (DEFAULT_N_GRID, TrendRow, TrendTable,
-                             convergence_trend, make_target, witness_gn,
-                             witness_rn_measured, witness_sn_hurdle,
-                             witness_sn_l2_max)
-
-
-def test_default_grid_is_geometric():
-    assert DEFAULT_N_GRID == (10, 31, 100, 316, 1000, 3162, 10000)
+from nblab.witnesses import (TrendRow, TrendTable, convergence_trend,
+                             make_target, witness_gn, witness_rn_measured,
+                             witness_sn_hurdle, witness_sn_l2_max)
 
 
 def test_sn_hurdle_p2(profile):
@@ -93,6 +88,14 @@ def test_trend_not_fooled_by_overlap():
     assert not TrendTable("bn", 1.0, rows).decreasing(3)
 
 
+def test_trend_not_fooled_by_overflow(profile):
+    # G_10's 2000th power passes the float range; the row then bounds the
+    # norm below by 0, not inf, so no later row can be certified below it
+    over = convergence_trend("gn", LAMBDA, 2000.0, (10,), profile, eps=0.02).rows
+    tail = (TrendRow(100, _report(1.0, 1e-6), 0.0),)
+    assert not TrendTable("gn", 2000.0, over + tail).decreasing(2)
+
+
 def test_bn_l1_trend(profile):
     t = convergence_trend("bn", NEG_CHI, 1.0, (10, 100, 1000), profile)
     assert t.decreasing(3)
@@ -122,5 +125,3 @@ def test_make_target_and_validation(profile):
     assert isinstance(make_target("gn", 5, profile), Gn)
     with pytest.raises(ValueError):
         convergence_trend("zz", NEG_CHI, 1.0, (10,), profile)
-    with pytest.raises(ValueError):
-        convergence_trend("bn", NEG_CHI, 1.0, (10,), None)
