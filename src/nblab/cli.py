@@ -8,8 +8,8 @@ environment variable consulted is NB_CACHE_DIR (sieve cache directory).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import math
 import sys
 import time
 from fractions import Fraction
@@ -21,6 +21,8 @@ NORM_COLUMNS = ("family", "n", "p", "value", "err", "tail_low", "tail_high",
 WITNESS_COLUMNS = ("anchor", "family", "n", "p", "lhs_low", "lhs_high", "rhs",
                    "satisfied", "margin")
 U_COLUMNS = ("check", "family", "n", "expected", "actual", "satisfied")
+# small sums whose ||f||_2 and ||Uf||_2 `u --isometry` compares
+ISOMETRY_PROBES = (("sn", 1), ("sn", 2), ("sn", 3), ("vn", 3), ("bn", 5))
 
 EXIT_OK = 0
 EXIT_WITNESS_FAILED = 2
@@ -48,23 +50,23 @@ def _n_grid(text: str) -> tuple:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nblab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    rows = argparse.ArgumentParser(add_help=False)      # norm, witness, u
+    rows.add_argument("--n-grid", type=_n_grid, default=(10, 100, 1000))
+    rows.add_argument("--out", default="-")
+    lp = argparse.ArgumentParser(add_help=False)        # norm, witness
+    lp.add_argument("--p", type=float, default=2.0)
+    lp.add_argument("--epsilon", type=float, default=1e-6)
 
     p_sieve = sub.add_parser("sieve", help="build or reuse a Moebius cache")
     p_sieve.add_argument("--limit", type=int, required=True)
 
-    p_norm = sub.add_parser("norm", help="certified norm sweep over an n-grid")
+    p_norm = sub.add_parser("norm", parents=[rows, lp],
+                            help="certified norm sweep over an n-grid")
     p_norm.add_argument("--family", choices=witnesses.ALL_FAMILIES, required=True)
-    p_norm.add_argument("--p", type=float, default=2.0)
-    p_norm.add_argument("--n-grid", type=_n_grid, default=(10, 100, 1000))
-    p_norm.add_argument("--epsilon", type=float, default=1e-6)
-    p_norm.add_argument("--out", default="-")
 
-    p_wit = sub.add_parser("witness", help="lower-bound witnesses over an n-grid")
+    p_wit = sub.add_parser("witness", parents=[rows, lp],
+                           help="lower-bound witnesses over an n-grid")
     p_wit.add_argument("--family", choices=("sn", "gn", "rn"), required=True)
-    p_wit.add_argument("--p", type=float, default=2.0)
-    p_wit.add_argument("--n-grid", type=_n_grid, default=(10, 100, 1000))
-    p_wit.add_argument("--epsilon", type=float, default=1e-6)
-    p_wit.add_argument("--out", default="-")
 
     p_id = sub.add_parser("identity", help="exact arithmetic identity suite")
     p_id.add_argument("--limit", type=int, default=10_000)
@@ -75,12 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_mel.add_argument("--cutoff", type=int, default=10**6)
     p_mel.add_argument("--p", type=float, default=2.0)
 
-    p_u = sub.add_parser("u", help="head constants and isometry spot checks")
+    p_u = sub.add_parser("u", parents=[rows],
+                         help="head constants and isometry spot checks")
     p_u.add_argument("--family", choices=witnesses.ALL_FAMILIES, default=None)
-    p_u.add_argument("--n-grid", type=_n_grid, default=(10, 100, 1000))
     p_u.add_argument("--isometry", action="store_true",
                      help="also run small-sum isometry checks with far cutoff 1e4")
-    p_u.add_argument("--out", default="-")
     return parser
 
 
@@ -90,20 +91,20 @@ def _profile(limit: int) -> arith.ArithProfile:
     return arith.build_profile(table)
 
 
-class _Writer:
-    def __init__(self, path: str, columns):
-        self._own = path != "-"
-        self._fh = open(path, "w", newline="") if self._own else sys.stdout
-        self._csv = csv.writer(self._fh)
-        self._csv.writerow(columns)
-
-    def row(self, values):
-        self._csv.writerow(values)
-        self._fh.flush()
-
-    def close(self):
-        if self._own:
-            self._fh.close()
+def _write_rows(path: str, columns, rows) -> int:
+    """Write (row, ok) pairs to path ("-" is stdout) as CSV, flushing each
+    row and sending the header with the first; 2 if any row's check failed."""
+    failed = False
+    sink = contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="")
+    with sink as fh:
+        out = csv.writer(fh)
+        for i, (row, ok) in enumerate(rows):
+            if i == 0:
+                out.writerow(columns)
+            out.writerow(row)
+            fh.flush()
+            failed = failed or not ok
+    return EXIT_WITNESS_FAILED if failed else EXIT_OK
 
 
 def _fmt(x: float) -> str:
@@ -124,51 +125,31 @@ def cmd_norm(args) -> int:
     norms.check_cutoff(args.epsilon)
     profile = _profile(max(args.n_grid))
     gen = witnesses.DEFAULT_GENERATOR[args.family]
-    writer = _Writer(args.out, NORM_COLUMNS)
-    try:
+
+    def rows():
         for n in args.n_grid:
             t0 = time.perf_counter()
             rep = witnesses.lp_distance(
                 witnesses.make_target(args.family, n, profile),
                 gen, args.p, args.epsilon)
-            dt = time.perf_counter() - t0
-            writer.row([args.family, n, _fmt(args.p), _fmt(rep.value),
-                        _fmt(rep.err), _fmt(rep.tail_low), _fmt(rep.tail_high),
-                        rep.segments, f"{dt:.3f}"])
-    finally:
-        writer.close()
-    return EXIT_OK
-
-
-def _witness_reports(args, profile):
-    for n in args.n_grid:
-        if args.family == "sn":
-            if args.p == 2.0:
-                yield witnesses.witness_sn_l2_max(n, profile, args.epsilon)
-            else:
-                yield witnesses.witness_sn_hurdle(n, args.p, profile, args.epsilon)
-        elif args.family == "gn":
-            yield witnesses.witness_gn(n, args.p, profile, args.epsilon)
-        else:
-            yield witnesses.witness_rn_measured(n, profile, args.epsilon)
+            yield ([args.family, n, _fmt(args.p), _fmt(rep.value), _fmt(rep.err),
+                    _fmt(rep.tail_low), _fmt(rep.tail_high), rep.segments,
+                    f"{time.perf_counter() - t0:.3f}"], True)
+    return _write_rows(args.out, NORM_COLUMNS, rows())
 
 
 def cmd_witness(args) -> int:
     witnesses.check_p(args.family, args.p)
     norms.check_cutoff(args.epsilon)
     profile = _profile(max(args.n_grid))
-    writer = _Writer(args.out, WITNESS_COLUMNS)
-    failed = False
-    try:
-        for rep in _witness_reports(args, profile):
-            ok = rep.satisfied
-            failed = failed or (rep.theorem_backed and not ok)
-            writer.row([rep.anchor, rep.family, rep.n, _fmt(rep.p),
-                        _fmt(rep.lhs.lower), _fmt(rep.lhs.upper), _fmt(rep.rhs),
-                        int(ok), _fmt(rep.margin)])
-    finally:
-        writer.close()
-    return EXIT_WITNESS_FAILED if failed else EXIT_OK
+
+    def rows():
+        for n in args.n_grid:
+            rep = witnesses.witness(args.family, n, args.p, profile, args.epsilon)
+            yield ([rep.anchor, rep.family, rep.n, _fmt(rep.p), _fmt(rep.lhs.lower),
+                    _fmt(rep.lhs.upper), _fmt(rep.rhs), int(rep.satisfied),
+                    _fmt(rep.margin)], rep.satisfied or not rep.theorem_backed)
+    return _write_rows(args.out, WITNESS_COLUMNS, rows())
 
 
 def cmd_identity(args) -> int:
@@ -199,57 +180,21 @@ def cmd_mellin(args) -> int:
     return EXIT_OK if ok else EXIT_WITNESS_FAILED
 
 
-def _expected_head(family: str, n: int, profile):
-    if family == "sn":
-        return Fraction(profile.M(n))
-    if family == "vn":
-        return profile.M(n) - profile.exact_or_float("g", n)
-    if family == "bn":
-        return -n * profile.exact_or_float("gamma", n)
-    if family == "fn":
-        return Fraction(profile.M(n) - 1) if n > 1 else Fraction(0)
-    return None
-
-
 def cmd_u(args) -> int:
-    profile = _profile(max(args.n_grid))
-    writer = _Writer(args.out, U_COLUMNS)
-    failed = False
-    try:
-        fams = [args.family] if args.family else list(witnesses.ALL_FAMILIES)
-        for family in fams:
+    probes = ISOMETRY_PROBES if args.isometry else ()
+    profile = _profile(max(args.n_grid + tuple(n for _, n in probes)))
+
+    def rows():
+        for family in (args.family,) if args.family else witnesses.ALL_FAMILIES:
             for n in args.n_grid:
-                if family == "gn":
-                    expected = uop.ut_head(n, profile)
-                    actual = uop.ut_direct(n, profile, 1.0 / (2 * n))
-                    ok = math.isclose(expected, actual, rel_tol=1e-10, abs_tol=1e-10)
-                else:
-                    f = beurling.make_family(family, n, profile)
-                    actual = uop.head_constant(f)
-                    expected = _expected_head(family, n, profile)
-                    if expected is None:
-                        expected = actual   # measured only
-                        ok = True
-                    elif isinstance(expected, Fraction):
-                        ok = expected == actual
-                    else:
-                        ok = math.isclose(float(expected), float(actual),
-                                          rel_tol=1e-9, abs_tol=1e-12)
-                failed = failed or not ok
-                writer.row([f"head_{family}", family, n, _fmt(expected),
-                            _fmt(actual), int(ok)])
-        if args.isometry:
-            probes = [("sn", 1), ("sn", 2), ("sn", 3), ("vn", 3), ("bn", 5)]
-            for family, n in probes:
-                f = beurling.make_family(family, n, profile)
-                rep = uop.isometry_check(f, x_max=1e4)
-                failed = failed or not rep.satisfied
-                writer.row([f"isometry_{family}", family, n,
-                            _fmt(rep.source.value), _fmt(rep.image.value),
-                            int(rep.satisfied)])
-    finally:
-        writer.close()
-    return EXIT_WITNESS_FAILED if failed else EXIT_OK
+                expected, actual, ok = uop.head_check(family, n, profile)
+                yield ([f"head_{family}", family, n, _fmt(expected), _fmt(actual),
+                        int(ok)], ok)
+        for family, n in probes:
+            rep = uop.isometry_check(beurling.make_family(family, n, profile), x_max=1e4)
+            yield ([f"isometry_{family}", family, n, _fmt(rep.source.value),
+                    _fmt(rep.image.value), int(rep.satisfied)], rep.satisfied)
+    return _write_rows(args.out, U_COLUMNS, rows())
 
 
 _COMMANDS = {

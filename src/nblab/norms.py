@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -357,9 +358,9 @@ def _int_state(jumps, n: int) -> np.ndarray:
 
 
 def check_cutoff(eps: float) -> None:
-    """Raise ValueError unless eps lies in (0, 1)."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"cutoff must lie in (0, 1), got {eps}")
+    """Raise ValueError unless eps lies in (0, 1) and is a normal double."""
+    if not sys.float_info.min <= eps < 1.0:
+        raise ValueError(f"cutoff must lie in (0, 1) and be a normal double, got {eps}")
 
 
 def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbolic:
@@ -377,11 +378,12 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     check_cutoff(eps)
 
     b_gen, c_gen, log_tail = _gen_offsets(generator)
-    total = sum(int(float(t) / eps) + 1
+    # counted in floats, exact below 2^53 and inf rather than an overflow
+    total = sum(float(t) / eps // 1.0 + 1.0
                 for _, t in list(rho_terms) + list(phi_terms))
     if total > FLATTEN_BUDGET:
         raise BudgetError(
-            f"{total} breakpoints exceed budget {FLATTEN_BUDGET}; "
+            f"{total:.3g} breakpoints exceed budget {FLATTEN_BUDGET}; "
             "raise the cutoff or reduce the number of dilation terms")
     if any(t > 1 for _, t in rho_terms):
         raise ValueError("rho terms need theta <= 1")

@@ -17,6 +17,7 @@ from numbers import Rational
 
 from scipy.special import digamma, sici
 
+from . import beurling
 from .arith import ArithProfile
 from .beurling import BeurlingSum, rho
 from .norms import BudgetError, NormReport, lp_distance
@@ -59,6 +60,29 @@ def apply_u(f: BeurlingSum) -> USum:
 
 def head_constant(f: BeurlingSum):
     return apply_u(f).head_constant
+
+
+def head_check(family: str, n: int, profile: ArithProfile):
+    """(expected, actual, ok) for the head constant of a family at n: exact
+    up to EXACT_LIMIT, within 1e-9 beyond; gn compares ut_head with
+    ut_direct at 1/(2n), and rn is only measured."""
+    if family == "gn":
+        expected, actual = ut_head(n, profile), ut_direct(n, profile, 1.0 / (2 * n))
+        return expected, actual, math.isclose(expected, actual, rel_tol=1e-10, abs_tol=1e-10)
+    actual = head_constant(beurling.make_family(family, n, profile))
+    if family == "sn":
+        expected = Fraction(profile.M(n))
+    elif family == "vn":
+        expected = profile.M(n) - profile.exact_or_float("g", n)
+    elif family == "bn":
+        expected = -n * profile.exact_or_float("gamma", n)
+    elif family == "fn":
+        expected = Fraction(profile.M(n) - 1)     # 0 at n = 1, where M(1) = 1
+    else:
+        return actual, actual, True
+    ok = (expected == actual if isinstance(expected, Fraction) else
+          math.isclose(float(expected), float(actual), rel_tol=1e-9, abs_tol=1e-12))
+    return expected, actual, ok
 
 
 def u_l2_norm(usum: USum, x_max: float) -> NormReport:

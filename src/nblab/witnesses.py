@@ -128,6 +128,20 @@ def witness_rn_measured(n: int, profile: ArithProfile,
                          lhs=lhs, rhs=0.0, theorem_backed=False)
 
 
+def witness(family: str, n: int, p: float, profile: ArithProfile,
+            eps: float = 1e-6) -> WitnessReport:
+    """The witness that answers (family, p) at n."""
+    check_p(family, p)
+    if family == "sn":
+        return (witness_sn_l2_max(n, profile, eps) if p == 2.0
+                else witness_sn_hurdle(n, p, profile, eps))
+    if family == "gn":
+        return witness_gn(n, p, profile, eps)
+    if family == "rn":
+        return witness_rn_measured(n, profile, eps)
+    raise ValueError(f"no witness for family {family!r}")
+
+
 @dataclass(frozen=True)
 class TrendRow:
     n: int

@@ -88,11 +88,13 @@ def test_witness_failure_exit_code(tmp_path, monkeypatch):
                              lhs=bad_lhs, rhs=5.0, theorem_backed=True)
 
     monkeypatch.setattr(witnesses, "witness_sn_l2_max", fake)
-    code = cli.main(["witness", "--family", "sn", "--n-grid", "10",
+    code = cli.main(["witness", "--family", "sn", "--n-grid", "10,20",
                      "--out", str(tmp_path / "f.csv")])
     assert code == 2
     rows = _read_csv(tmp_path / "f.csv")
-    assert rows[1][7] == "0"
+    # a failed row does not stop the sweep: every row is written
+    assert rows[0] == list(cli.WITNESS_COLUMNS)
+    assert [(r[2], r[7]) for r in rows[1:]] == [("10", "0"), ("20", "0")]
 
 
 def test_identity_suite(capsys):
@@ -177,6 +179,11 @@ def test_witness_rn_rejects_p_other_than_two(monkeypatch, capsys):
     (["norm", "--family", "sn", "--p", "nan", "--n-grid", "10"], "p must be >= 1 and finite"),
     (["witness", "--family", "sn", "--p", "inf", "--n-grid", "10"], "p must be > 1 and finite"),
     (["mellin", "--kernel", "M", "--s", "inf", "--cutoff", "1000"], "s must be finite"),
+    (["norm", "--family", "sn", "--n-grid", "10", "--epsilon", "1e-310"], "normal double"),
+    (["norm", "--family", "sn", "--n-grid", "10", "--epsilon", "5e-324"], "normal double"),
+    (["witness", "--family", "rn", "--n-grid", "10", "--epsilon", "5e-324"],
+     "normal double"),
+    (["norm", "--family", "rn", "--n-grid", "1", "--epsilon", "1e-310"], "normal double"),
 ])
 def test_arguments_rejected_before_any_sieve(argv, message, monkeypatch, capsys):
     def no_sieve(*args, **kwargs):
@@ -206,6 +213,13 @@ def test_u_isometry(tmp_path):
     rows = _read_csv(out)
     checks = {r[0] for r in rows[1:]}
     assert "isometry_sn" in checks and "isometry_bn" in checks
+    # the probes reach n = 5, past a smaller grid's largest point
+    for grid in ("3", "1"):
+        assert cli.main(["u", "--n-grid", grid, "--isometry", "--out", str(out)]) == 0
+        rows = _read_csv(out)
+        assert [(r[0], r[2]) for r in rows[-len(cli.ISOMETRY_PROBES):]] == [
+            (f"isometry_{family}", str(n)) for family, n in cli.ISOMETRY_PROBES]
+        assert all(r[5] == "1" for r in rows[1:])
 
 
 @pytest.mark.parametrize("argv", [
@@ -241,6 +255,42 @@ def test_u_isometry(tmp_path):
 def test_config_errors_exit_three(argv, capsys):
     assert cli.main(argv) == 3
     assert capsys.readouterr().err != ""
+
+
+def test_budget_error_before_any_output(capsys):
+    # about 2.4e300 breakpoints: refused before the CSV header, in one short line
+    assert cli.main(["norm", "--family", "sn", "--n-grid", "10",
+                     "--epsilon", "1e-300"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and len(err) < 200
+    assert "breakpoints exceed budget" in err
+
+
+def test_header_comes_with_the_first_row(tmp_path, capsys):
+    out = tmp_path / "rn.csv"
+    # the first row fails: the file is left empty, with no header
+    assert cli.main(["norm", "--family", "rn", "--n-grid", "100",
+                     "--out", str(out)]) == 3
+    assert out.read_text() == ""
+    # a later row fails: the rows before it are written, header first
+    assert cli.main(["norm", "--family", "rn", "--n-grid", "5,100",
+                     "--out", str(out)]) == 3
+    rows = _read_csv(out)
+    assert rows[0] == list(cli.NORM_COLUMNS)
+    assert [r[1] for r in rows[1:]] == ["5"]
+    assert "breakpoints exceed budget" in capsys.readouterr().err
+
+
+def test_bad_out_path_fails_before_any_norm(tmp_path, monkeypatch, capsys):
+    def no_norm(*args, **kwargs):
+        raise AssertionError("a norm was computed before --out was opened")
+
+    monkeypatch.setattr(witnesses, "lp_distance", no_norm)
+    missing = str(tmp_path / "missing" / "x.csv")
+    for argv in (["norm", "--family", "sn"], ["witness", "--family", "gn"]):
+        assert cli.main(argv + ["--n-grid", "10", "--out", missing]) == 3
+        assert "No such file or directory" in capsys.readouterr().err
 
 
 def test_n_grid_sorted_unique():

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -483,6 +484,20 @@ def test_flatten_budget(profile):
     # around 4e7 lattice points; must refuse rather than exhaust memory
     with pytest.raises(BudgetError):
         lp_distance(make_family("rn", 100, profile), LAMBDA, 2.0, 1e-6)
+
+
+def test_cutoff_must_be_a_normal_double(profile):
+    f = make_family("sn", 10, profile)
+    for eps in (1e-310, 5e-324, 0.0):
+        with pytest.raises(ValueError, match="normal double"):
+            to_piecewise(f, NEG_CHI, eps)
+    # the smallest normal cutoff is counted in floats: a short message,
+    # and inf where the count passes the float range
+    for n, count in ((100, "1.72e+308"), (1000, "inf")):
+        with pytest.raises(norms.BudgetError) as exc:
+            to_piecewise(make_family("sn", n, profile), NEG_CHI, sys.float_info.min)
+        message = str(exc.value)
+        assert message.startswith(f"{count} breakpoints exceed") and len(message) < 200
 
 
 def test_validation_errors(profile):

@@ -7,11 +7,12 @@ import scipy.integrate as si
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nblab.arith import build_profile
+from nblab import uop
+from nblab.arith import EXACT_LIMIT, build_profile
 from nblab.beurling import BeurlingSum, make_family
 from nblab.sieve import sieve_mobius
-from nblab.uop import (BudgetError, apply_u, gn_chain_lower, head_constant,
-                       isometry_check, rho_tail_integral, u_l2_norm,
+from nblab.uop import (BudgetError, apply_u, gn_chain_lower, head_check,
+                       head_constant, isometry_check, rho_tail_integral, u_l2_norm,
                        usn_lower_integral, ut_direct, ut_head)
 
 from oracles import u_chi
@@ -34,6 +35,40 @@ def test_head_constants_exact(profile):
         assert head_constant(make_family("vn", n, profile)) == \
             profile.M(n) - profile.g_exact(n)
     assert head_constant(make_family("bn", 1, profile)) == 0
+
+
+@pytest.fixture(scope="module")
+def past_exact_profile():
+    return build_profile(sieve_mobius(EXACT_LIMIT + 50))
+
+
+def test_head_check_exact_then_within_tolerance(past_exact_profile):
+    for family in ("sn", "vn", "bn", "fn"):
+        for n in (1, 10, EXACT_LIMIT):
+            expected, actual, ok = head_check(family, n, past_exact_profile)
+            assert isinstance(expected, Fraction) and ok and expected == actual
+        expected, actual, ok = head_check(family, EXACT_LIMIT + 50, past_exact_profile)
+        assert ok and math.isclose(float(expected), float(actual),
+                                   rel_tol=1e-9, abs_tol=1e-12)
+    assert not isinstance(head_check("vn", EXACT_LIMIT + 50, past_exact_profile)[0],
+                          Fraction)
+
+
+def test_head_check_gn_and_rn(profile):
+    for n in (1, 10, 1000):
+        expected, actual, ok = head_check("gn", n, profile)
+        assert ok and expected == ut_head(n, profile)
+        assert actual == ut_direct(n, profile, 1.0 / (2 * n))
+    # rn has no closed head: measured, and reported as passing
+    expected, actual, ok = head_check("rn", 10, profile)
+    assert ok and expected == actual == head_constant(make_family("rn", 10, profile))
+
+
+def test_head_check_fails_on_a_wrong_head(profile, monkeypatch):
+    monkeypatch.setattr(uop, "head_constant", lambda f: Fraction(10**6))
+    assert not any(head_check(family, 10, profile)[2]
+                   for family in ("sn", "vn", "bn", "fn"))
+    assert head_check("rn", 10, profile)[2]
 
 
 def test_head_links_families(profile):

@@ -5,7 +5,7 @@ import pytest
 from nblab.beurling import LAMBDA, NEG_CHI
 from nblab.norms import NormReport
 from nblab.witnesses import (TrendRow, TrendTable, convergence_trend,
-                             make_target, witness_gn, witness_rn_measured,
+                             make_target, witness, witness_gn, witness_rn_measured,
                              witness_sn_hurdle, witness_sn_l2_max)
 
 
@@ -60,6 +60,24 @@ def test_rn_measured(profile):
     rows = [witness_rn_measured(n, profile, eps=1e-4) for n in (10, 100)]
     assert all(not r.theorem_backed for r in rows)
     assert all(r.rhs == 0.0 and r.satisfied for r in rows)
+
+
+@pytest.mark.parametrize("family,p,anchor", [
+    ("sn", 2.0, "sn_l2_head"), ("sn", 1.5, "sn_lp_lower"),
+    ("gn", 3.0, "gn_lp_lower"), ("rn", 2.0, "rn_l2_measured")])
+def test_witness_dispatch(profile, family, p, anchor):
+    rep = witness(family, 10, p, profile, 1e-3)
+    assert (rep.anchor, rep.family, rep.n, rep.p) == (anchor, family, 10, p)
+    assert rep.satisfied
+
+
+def test_witness_rejects_what_no_witness_answers(profile):
+    with pytest.raises(ValueError, match="p must be 2"):
+        witness("rn", 10, 3.0, profile, 1e-3)
+    with pytest.raises(ValueError, match="p must be > 1"):
+        witness("sn", 10, 1.0, profile, 1e-3)
+    with pytest.raises(ValueError, match="no witness"):
+        witness("vn", 10, 2.0, profile, 1e-3)
 
 
 def _report(v, e):
