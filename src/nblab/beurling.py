@@ -22,6 +22,18 @@ def rho(u):
     return u - math.floor(u)
 
 
+def pairwise_sum(values):
+    """Sum by a balanced tree, streamed: for rationals the running sum's
+    value, but each addition meets operands of like size, so n small
+    fractions cost far less than O(n^2) digit operations."""
+    partial = []                     # sums of 2^j values, j descending
+    for i, v in enumerate(values, 1):
+        while not i & 1:             # v completes one run per trailing zero of i
+            v, i = partial.pop() + v, i >> 1
+        partial.append(v)
+    return sum(reversed(partial), start=Fraction(0))
+
+
 class GeneratorKind(enum.Enum):
     NEG_CHI = "neg_chi"   # -1 on (0,1], 0 elsewhere
     LAMBDA = "lambda"     # log x on (0,1], 0 elsewhere
@@ -72,7 +84,7 @@ class BeurlingSum:
     @property
     def tail_coeff(self):
         """sum c_k theta_k; exact when every coefficient is rational."""
-        return sum((c * t for c, t in self.terms), start=Fraction(0))
+        return pairwise_sum(c * t for c, t in self.terms)
 
     @property
     def is_class_b(self) -> bool:
@@ -85,7 +97,7 @@ class BeurlingSum:
     @property
     def sup_bound(self) -> float:
         """sum |c_k|, a pointwise bound since 0 <= rho < 1."""
-        return float(sum(abs(c) for c, _ in self.terms))
+        return float(pairwise_sum(abs(c) for c, _ in self.terms))
 
     @property
     def min_theta(self) -> Fraction:

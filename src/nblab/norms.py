@@ -31,13 +31,14 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaincc
 
-from .beurling import BeurlingSum, Generator, GeneratorKind
+from .beurling import BeurlingSum, Generator, GeneratorKind, pairwise_sum
 from .transform import TStep
 
 _LD_EPS = float(np.finfo(np.longdouble).eps)
 _F64_EPS = float(np.finfo(np.float64).eps)
 
 FLATTEN_BUDGET = 20_000_000
+_BLOCK = 1 << 15        # segments (p = 2) or pieces (general p) per cache-sized block
 
 
 class BudgetError(RuntimeError):
@@ -199,13 +200,11 @@ def _lattice_jumps(rho_terms, phi_terms, eps: float) -> _Jumps:
     in c there, so the log lane and non-integer coefficients are the only
     inexact parts."""
     top = int(1.0 / eps) + 1
-    hit = np.zeros(top + 1, dtype=bool)
     db_int = np.zeros(top + 1, dtype=np.int64)
     db_flt = weights = None
     floats = []                      # (|coeff|, rounding of coeff, k)
     for coeff, theta in rho_terms:
         k = theta.denominator
-        hit[k::k] = True
         ci = _as_int(coeff)
         if ci is not None:
             db_int[k::k] -= ci
@@ -217,23 +216,30 @@ def _lattice_jumps(rho_terms, phi_terms, eps: float) -> _Jumps:
             floats.append((abs(float(cl)), delta, k))
     for w, theta in phi_terms:
         k = theta.denominator
-        hit[k::k] = True
         if weights is None:
             weights = np.zeros(top + 1, dtype=np.int64)
         weights[k::k] += w
-    # x = 1 is no breakpoint: the floor 1 of theta = 1 there is in the start state
-    hit[:2] = False
-    m = np.flatnonzero(hit)
+    # theta = 1 breaks at every 1/m (no mask) but x = 1, whose floor is in the start state
+    ks = [t.denominator for _, t in list(rho_terms) + list(phi_terms)]
+    if 1 in ks:
+        m = np.arange(2, top + 1)
+    else:
+        hit = np.zeros(top + 1, dtype=bool)
+        for k in ks:
+            hit[k::k] = True
+        m = np.flatnonzero(hit)
     xs = 1.0 / m
-    keep = xs > eps
-    m, xs = m[keep], xs[keep]
+    # xs descends, so the breakpoints above eps are a prefix
+    keep = len(xs) - int(np.searchsorted(xs[::-1], eps, side="right"))
+    m, xs = m[:keep], xs[:keep]
+    at = slice(2, 2 + keep) if 1 in ks else m
 
-    db, dc = db_int[m], None
+    db, dc = db_int[at], None
     m_max = int(m[-1]) if len(m) else 1
     err = sum(delta * (m_max // k - (k == 1)) for _, delta, k in floats)
-    parts = [] if db_flt is None else [db_flt[m]]
+    parts = [] if db_flt is None else [db_flt[at]]
     if weights is not None:
-        w = weights[m]
+        w = weights[at]
         dc = -w
         log_m = np.log(m.astype(np.longdouble))
         parts.append(-w * log_m)
@@ -396,7 +402,7 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     # accumulated in exact rational arithmetic when the coefficients allow
     a = float(inv_coeff)
     if rho_terms:
-        a += float(sum((c * t for c, t in rho_terms), start=Fraction(0)))
+        a += float(pairwise_sum(c * t for c, t in rho_terms))
 
     # state just below x = 1, where only theta = 1 has floor(theta / x) = 1;
     # a Phi term there adds w (floor(theta) log theta - log floor(theta)!) = 0
@@ -464,7 +470,10 @@ def _sq_integral(pw: PiecewiseHyperbolic) -> tuple[float, float]:
 
     Each integral_lo^hi (a/x + b + c log x)^2 dx is taken in difference
     form, from log x, x (log x - 1) and x (log^2 x - 2 log x + 2) taken once
-    at each edge.  The bound assumes np.log and np.log1p within 1 ulp
+    at each edge, in blocks of _BLOCK segments (an edge at a block join is
+    taken twice by the same operations, to one value); c == 0 skips the c
+    terms, exact zeros.  Every sum, so the bound, runs over whole arrays.
+    The bound assumes np.log and np.log1p within 1 ulp
     (NumPy's float64 accuracy tests hold them to that), every other
     operation within half an ulp, and np.sum adding pairwise (blocks of at
     most 128 in eight accumulators), so a term meets at most log2(n) + 25
@@ -481,26 +490,31 @@ def _sq_integral(pw: PiecewiseHyperbolic) -> tuple[float, float]:
     absorbs the other second-order terms.
     """
     a, x, b, c = pw.a, pw.edges, pw.b, pw.c
-    lo, hi = x[:-1], x[1:]
-    d = np.diff(x)
+    has_c = bool(np.any(c))
+    d, out = np.empty(len(b)), np.empty(len(b))
+    for i in range(0, len(b), _BLOCK):
+        s, xb = slice(i, i + _BLOCK), x[i:i + _BLOCK + 1]
+        lo, hi, bb, cb = xb[:-1], xb[1:], b[s], c[s]
+        dx = np.subtract(hi, lo, out=d[s])
+        lr = np.log1p(dx / lo)          # log(hi/lo)
+        ob = np.divide(a * a * dx, lo * hi, out=out[s])
+        ob += 2.0 * a * bb * lr
+        if has_c:
+            lx = np.log(xb)
+            ob += a * cb * lr * (lx[1:] + lx[:-1])     # a c (log^2 hi - log^2 lo)
+        ob += bb * bb * dx
+        if has_c:
+            ob += 2.0 * bb * cb * np.diff(xb * (lx - 1.0))
+            ob += cb * cb * np.diff(xb * (lx * lx - 2.0 * lx + 2.0))
     L = -math.log(x[0])
     err = 24.0 * (a * a / x[0] + np.einsum("i,i,i->", b, b, d))
-    if np.any(c):
+    if has_c:
         err += 24.0 * L * L * np.einsum("i,i,i->", c, c, d)
         # q = b c: its r carries the 2 of 2 b c
         for q, r in ((b * c, 4.0 * (L + 1.0)), (c * c, 4.0 * ((L + 1.0) ** 2 + 1.0))):
             jumps = np.diff(q)
             err += r * (abs(q[0]) * x[0] + np.dot(x[1:-1], np.abs(jumps, out=jumps))
                         + 8.0 * _F64_EPS * len(q) * max(q.max(), -q.min()))
-        del q, jumps                    # free them before the closed form's arrays
-    lr = np.log1p(d / lo)               # log(hi/lo)
-    lx = np.log(x)
-    out = a * a * d / (lo * hi)
-    out += 2.0 * a * b * lr
-    out += a * c * lr * (lx[1:] + lx[:-1])     # a c (log^2 hi - log^2 lo)
-    out += b * b * d
-    out += 2.0 * b * c * np.diff(x * (lx - 1.0))
-    out += c * c * np.diff(x * (lx * lx - 2.0 * lx + 2.0))
     power = float(np.sum(out))
     err += (math.log2(len(out)) + 25.0) * 0.5 * np.sum(np.abs(out, out=out))
     return power, float(_F64_EPS * err)
@@ -665,7 +679,6 @@ _TARGET = 2.0 ** -50               # truncation share of a piece's integral
 _GAP = 0.75                        # share of min |v| the ellipse may use up
 _MAX_DEPTH = 60
 _MAX_SPLIT = 4                     # pieces per piece of _split a round may hold
-_BLOCK = 1 << 15                   # pieces per vectorized call: its arrays stay in cache
 
 
 def _abs_power_integral(pw: PiecewiseHyperbolic, p: float) -> tuple[float, float]:

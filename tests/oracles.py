@@ -15,7 +15,7 @@ import numpy as np
 
 from nblab.arith import EXACT_LIMIT, ArithProfile
 from nblab.beurling import BeurlingSum, Generator, GeneratorKind
-from nblab.norms import PiecewiseHyperbolic, _gen_offsets
+from nblab.norms import _F64_EPS, PiecewiseHyperbolic, _gen_offsets
 from nblab.transform import EULER_GAMMA
 
 
@@ -294,6 +294,34 @@ def quad_abs_p(a, b, c, lo, hi, p, order):
     nodes = mid[:, None] + half[:, None] * x0[None, :]
     vals = np.abs(a / nodes + b[:, None] + c[:, None] * np.log(nodes)) ** p
     return half * (vals @ w0)
+
+
+def sq_integral_whole_array(pw: PiecewiseHyperbolic) -> tuple[float, float]:
+    """nblab.norms._sq_integral as one pass over whole arrays, every term
+    evaluated even where c is zero: the blocked closed form must return
+    the same two doubles."""
+    a, x, b, c = pw.a, pw.edges, pw.b, pw.c
+    lo, hi = x[:-1], x[1:]
+    d = np.diff(x)
+    L = -math.log(x[0])
+    err = 24.0 * (a * a / x[0] + np.einsum("i,i,i->", b, b, d))
+    if np.any(c):
+        err += 24.0 * L * L * np.einsum("i,i,i->", c, c, d)
+        for q, r in ((b * c, 4.0 * (L + 1.0)), (c * c, 4.0 * ((L + 1.0) ** 2 + 1.0))):
+            jumps = np.diff(q)
+            err += r * (abs(q[0]) * x[0] + np.dot(x[1:-1], np.abs(jumps, out=jumps))
+                        + 8.0 * _F64_EPS * len(q) * max(q.max(), -q.min()))
+    lr = np.log1p(d / lo)
+    lx = np.log(x)
+    out = a * a * d / (lo * hi)
+    out += 2.0 * a * b * lr
+    out += a * c * lr * (lx[1:] + lx[:-1])
+    out += b * b * d
+    out += 2.0 * b * c * np.diff(x * (lx - 1.0))
+    out += c * c * np.diff(x * (lx * lx - 2.0 * lx + 2.0))
+    power = float(np.sum(out))
+    err += (math.log2(len(out)) + 25.0) * 0.5 * np.sum(np.abs(out, out=out))
+    return power, float(_F64_EPS * err)
 
 
 def dilation_quotient_minus_chi(a_dil: float, eps: float = 1e-6) -> PiecewiseHyperbolic:

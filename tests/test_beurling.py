@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nblab.arith import EXACT_LIMIT, build_profile
 from nblab.beurling import (FAMILIES, BeurlingSum, LAMBDA, NEG_CHI, make_family,
-                            recover_coefficients, rho, step_values)
+                            pairwise_sum, recover_coefficients, rho, step_values)
 from nblab.sieve import sieve_mobius
 from oracles import family_via_make
 
@@ -75,6 +75,26 @@ def test_tail_behavior(profile):
     f = make_family("sn", 10, profile)
     for x in (Fraction(3, 2), Fraction(5), Fraction(100)):
         assert f(x) == f.tail_coeff / x
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 8, 1001])
+def test_pairwise_sum_is_the_running_sum(count):
+    values = [Fraction(k % 7 - 3, k) for k in range(1, count + 1)]
+    assert pairwise_sum(values) == sum(values, start=Fraction(0))
+    # with a float among them both sums round, each within n eps of the total
+    if count:
+        mixed = [0.1] + values
+        exact = sum((Fraction(v) for v in mixed), start=Fraction(0))
+        scale = len(mixed) * 2.0 ** -52 * float(sum(abs(Fraction(v)) for v in mixed))
+        for total in (pairwise_sum(mixed), sum(mixed, start=Fraction(0))):
+            assert abs(Fraction(total) - exact) <= scale
+
+
+def test_tail_coeff_and_sup_bound_are_the_running_sums(profile):
+    for fam in FAMILIES:
+        f = make_family(fam, 2000, profile)
+        assert f.tail_coeff == sum((c * t for c, t in f.terms), start=Fraction(0))
+        assert f.sup_bound == float(sum(abs(c) for c, _ in f.terms))
 
 
 def test_family_class_membership(profile):

@@ -16,7 +16,7 @@ from nblab.norms import (_LADDER, Difference, PiecewiseHyperbolic, _gl_nodes, lp
                          lp_norm, to_piecewise)
 from nblab.transform import Gn, TIndicator, riemann_sum_T
 from oracles import (_quad_refined, dilation_quotient_minus_chi, lp_power_mpmath,
-                     quad_abs_p, to_piecewise_exact, values_at)
+                     quad_abs_p, sq_integral_whole_array, to_piecewise_exact, values_at)
 
 
 def _exact_value(segments, x):
@@ -408,6 +408,55 @@ def test_p2_closed_form_vs_quadrature_randomized(profile):
         quad = float(np.sum(quad_abs_p(pw.a, pw.b, pw.c, pw.lo, pw.hi,
                                        2.0, 32)))
         assert math.isclose(closed.power_value, quad, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("segments", [norms._BLOCK - 1, norms._BLOCK, norms._BLOCK + 1,
+                                      7 * norms._BLOCK // 2])
+@pytest.mark.parametrize("kind", ["sn", "gn"])
+def test_blocked_sq_integral_equals_whole_array(profile, kind, segments):
+    # every 1/m above eps = 1/(N + 1/2) breaks, m = 2..N: N segments; sn has
+    # c == 0 throughout (its log lanes are skipped), gn has log segments
+    eps = 1.0 / (segments + 0.5)
+    if kind == "sn":
+        pw = to_piecewise(make_family("sn", 12, profile), NEG_CHI, eps)
+    else:
+        pw = to_piecewise(Gn(12, profile), LAMBDA, eps)
+    assert pw.segment_count == segments
+    assert np.any(pw.c) == (kind == "gn")
+    assert norms._sq_integral(pw) == sq_integral_whole_array(pw)
+
+
+def test_blocked_sq_integral_equals_whole_array_rn_and_one_segment(profile):
+    pw = to_piecewise(make_family("rn", 12, profile), LAMBDA, 3e-5)
+    assert 3 * norms._BLOCK < pw.segment_count < 4 * norms._BLOCK and np.any(pw.c)
+    assert norms._sq_integral(pw) == sq_integral_whole_array(pw)
+    for c in (0.0, -1.0):
+        one = PiecewiseHyperbolic(edges=np.array([0.25, 1.0]), b=np.array([0.5]),
+                                  c=np.array([c]), a=0.3, sup_const=1.0, has_log_tail=False)
+        assert norms._sq_integral(one) == sq_integral_whole_array(one)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1.0 / 1000.5])
+@pytest.mark.parametrize("with_one", [True, False])
+def test_dense_lattice_matches_exact(profile, monkeypatch, with_one, eps):
+    # with theta = 1 every 1/m breaks and the lanes are read by slices; without
+    # it (sn 12 less its k = 1 term) the breakpoints are masked.  At eps = 1e-3
+    # the breakpoint 1/1000 equals eps and is trimmed from the kept prefix
+    terms = make_family("sn", 12, profile).terms
+    f = BeurlingSum(terms if with_one else tuple(t for t in terms if t[1] != 1))
+    assert (f.terms[0][1] == 1) == with_one
+
+    def refuse(*args):
+        raise AssertionError("the dense lattice must flatten this sum")
+
+    monkeypatch.setattr(norms, "_merged_jumps", refuse)
+    pw = to_piecewise(f, NEG_CHI, eps)
+    segs = to_piecewise_exact(f, NEG_CHI, Fraction(eps))
+    assert pw.segment_count == len(segs)
+    assert np.array_equal(pw.lo, [float(seg[0]) for seg in segs])
+    assert all(Fraction(float(b)) == seg[3] and c == seg[4]
+               for b, c, seg in zip(pw.b, pw.c, segs))
+    assert pw.a == float(segs[0][2])
 
 
 def test_general_p_interval_contains_p2(profile):
