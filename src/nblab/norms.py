@@ -2,22 +2,26 @@
 
 A difference  f - generator  is flattened over (eps, 1] into segments on
 which it equals exactly  a/x + b + c log x  (a is global: the 1/x tail
-coefficient).  The segments are the exact breakpoint lattice {theta_k / j}:
-one segment per distinct breakpoint, with the jumps of coincident terms
-summed, including breakpoints where that sum is zero; one ascending edge
-array holds them.  Integer jumps are carried exactly, so c is always exact
-and b is exact when every coefficient is an integer; drift_bound bounds
-what the remaining long double lane, the start state and the cast to
-float64 can round.  p = 2 takes a closed form from values at the edges.
-At any other p, _split cuts the segments at critical points into monotone
-pieces and cuts a bracket out around each root, enclosed at its midpoint;
-p = 1 integrates the pieces in closed form, and general p by
-Gauss-Legendre at the lowest order whose Bernstein-ellipse bound meets a
-fixed relative target, cutting pieces toward roots.  Every integrator
-bounds its own float64 rounding, and the truncation and rounding bounds
-are proofs.  The regions (0, eps) and (1, inf) are handled by a rigorous
-sup-bound and by the exact tail integral of (a / x)^p respectively, so
-every report is an interval certified to contain the true norm.
+coefficient, rounded once from its exact value).  The flatten reads only
+the integer lanes of f (beurling.Lanes: coefficients, theta numerators
+and denominators, irregular terms), so its checks, bounds and scatter
+indices are array expressions.  The segments are the exact breakpoint
+lattice {theta_k / j}: one segment per distinct breakpoint, with the
+jumps of coincident terms summed, including breakpoints where that sum
+is zero; one ascending edge array holds them.  Integer jumps are carried
+exactly, so c is always exact and b is exact when every coefficient is
+an integer; drift_bound bounds what the remaining long double lane, the
+start state and the cast to float64 can round.  p = 2 takes a closed
+form from values at the edges.  At any other p, _split cuts the segments
+at critical points into monotone pieces and cuts a bracket out around
+each root, enclosed at its midpoint; p = 1 integrates the pieces in
+closed form, and general p by Gauss-Legendre at the lowest order whose
+Bernstein-ellipse bound meets a fixed relative target, cutting pieces
+toward roots.  Every integrator bounds its own float64 rounding, and the
+truncation and rounding bounds are proofs.  The regions (0, eps) and
+(1, inf) are handled by a rigorous sup-bound and by the exact tail
+integral of (a / x)^p respectively, so every report is an interval
+certified to contain the true norm.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaincc
 
-from .beurling import BeurlingSum, Generator, GeneratorKind, pairwise_sum
+from .beurling import BeurlingSum, Generator, GeneratorKind, Lanes
 from .transform import TStep
 
 _LD_EPS = float(np.finfo(np.longdouble).eps)
@@ -140,18 +144,19 @@ class Difference:
     minus: object
 
 
+_NO_TERMS = Lanes.of_terms(())
+
+
 def _term_spec(f):
-    """(rho_terms, phi_terms, inv_coeff, sup_bound) of f."""
+    """(rho lanes, Phi lanes, inv_coeff, sup_bound) of f."""
     if isinstance(f, BeurlingSum):
-        return list(f.terms), [], 0.0, f.sup_bound
+        return f.lanes, _NO_TERMS, 0.0, f.sup_bound
     if isinstance(f, TStep):
-        return [], f.phi_terms, f.inv_coeff, f.sup_bound
+        return _NO_TERMS, f.phi_lanes, f.inv_coeff, f.sup_bound
     if isinstance(f, Difference):
         rp, pp, ip, sp = _term_spec(f.plus)
         rm, pm, im, sm = _term_spec(f.minus)
-        rho_terms = rp + [(-c, t) for c, t in rm]
-        phi_terms = pp + [(-w, t) for w, t in pm]
-        return rho_terms, phi_terms, ip - im, sp + sm
+        return rp.concat(rm.negated()), pp.concat(pm.negated()), ip - im, sp + sm
     raise TypeError(f"cannot flatten {type(f).__name__}")
 
 
@@ -161,11 +166,6 @@ _EXACT = 2 ** 53
 # exceeds an ulp of either unless num q' reaches this: below it equal
 # doubles are equal rationals
 _SEPARABLE = 2 ** 51
-
-
-def _as_int(c):
-    """A rational coefficient that is an integer, as an int; else None."""
-    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else None
 
 
 def _ld_coeff(c) -> tuple[np.longdouble, float]:
@@ -193,7 +193,7 @@ class _Jumps:
     err: float
 
 
-def _lattice_jumps(rho_terms, phi_terms, eps: float) -> _Jumps:
+def _lattice_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
     """Jumps when every theta is 1/k: all breakpoints lie on x = 1/m, and
     the jump at m is a divisor sum over the terms with k | m, scattered as
     D[k::k] += c_k.  A Phi term of weight w jumps by -w log m in b and -w
@@ -202,37 +202,36 @@ def _lattice_jumps(rho_terms, phi_terms, eps: float) -> _Jumps:
     top = int(1.0 / eps) + 1
     db_int = np.zeros(top + 1, dtype=np.int64)
     db_flt = weights = None
+    for k, c in zip(rho.den.tolist(), rho.coeff.tolist()):
+        if c:
+            db_int[k::k] -= c
     floats = []                      # (|coeff|, rounding of coeff, k)
-    for coeff, theta in rho_terms:
-        k = theta.denominator
-        ci = _as_int(coeff)
-        if ci is not None:
-            db_int[k::k] -= ci
-        else:
-            if db_flt is None:
-                db_flt = np.zeros(top + 1, dtype=np.longdouble)
-            cl, delta = _ld_coeff(coeff)
-            db_flt[k::k] -= cl
-            floats.append((abs(float(cl)), delta, k))
-    for w, theta in phi_terms:
-        k = theta.denominator
-        if weights is None:
-            weights = np.zeros(top + 1, dtype=np.int64)
-        weights[k::k] += w
+    for i, coeff in rho.irregular.items():
+        k = int(rho.den[i])
+        if db_flt is None:
+            db_flt = np.zeros(top + 1, dtype=np.longdouble)
+        cl, delta = _ld_coeff(coeff)
+        db_flt[k::k] -= cl
+        floats.append((abs(float(cl)), delta, k))
+    if len(phi):
+        weights = np.zeros(top + 1, dtype=np.int64)
+        for k, w in zip(phi.den.tolist(), phi.coeff.tolist()):
+            weights[k::k] += w
     # theta = 1 breaks at every 1/m (no mask) but x = 1, whose floor is in the start state
-    ks = [t.denominator for _, t in list(rho_terms) + list(phi_terms)]
-    if 1 in ks:
+    ks = np.concatenate([rho.den, phi.den])
+    has_one = bool(np.any(ks == 1))
+    if has_one:
         m = np.arange(2, top + 1)
     else:
         hit = np.zeros(top + 1, dtype=bool)
-        for k in ks:
+        for k in ks.tolist():
             hit[k::k] = True
         m = np.flatnonzero(hit)
     xs = 1.0 / m
     # xs descends, so the breakpoints above eps are a prefix
     keep = len(xs) - int(np.searchsorted(xs[::-1], eps, side="right"))
     m, xs = m[:keep], xs[:keep]
-    at = slice(2, 2 + keep) if 1 in ks else m
+    at = slice(2, 2 + keep) if has_one else m
 
     db, dc = db_int[at], None
     m_max = int(m[-1]) if len(m) else 1
@@ -257,19 +256,18 @@ def _lattice_jumps(rho_terms, phi_terms, eps: float) -> _Jumps:
     return _Jumps(xs, db, dc, err)
 
 
-def _merged_jumps(rho_terms, phi_terms, eps: float) -> _Jumps:
+def _merged_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
     """Jumps for arbitrary rational thetas.  Each breakpoint num/(den j) is
     one correctly rounded division of exact integers, so equal rationals
     give equal doubles.  A stable sort of the per-term runs groups equal
     doubles; where distinct rationals can share a double, cross-multiplied
     integers decide which entries of a group are one rational, and the
     others stay separate breakpoints, ordered exactly."""
-    terms = list(rho_terms) + list(phi_terms)
     spec = []                        # (num, den, first j, kept count)
     xs_parts = []
-    for _, theta in terms:
-        num, den = theta.numerator, theta.denominator
-        j0, j1 = math.floor(theta) + 1, int(float(theta) / eps) + 2
+    for num, den in zip(np.concatenate([rho.num, phi.num]).tolist(),
+                        np.concatenate([rho.den, phi.den]).tolist()):
+        j0, j1 = num // den + 1, int(num / den / eps) + 2
         if num < _EXACT and den * j1 < _EXACT:
             x = num / (den * np.arange(j0, j1, dtype=np.int64))
         else:
@@ -277,19 +275,19 @@ def _merged_jumps(rho_terms, phi_terms, eps: float) -> _Jumps:
         x = x[x > eps]
         spec.append((num, den, j0, len(x)))
         xs_parts.append(x)
-    xs = np.concatenate(xs_parts) if terms else np.empty(0)
+    xs = np.concatenate(xs_parts) if spec else np.empty(0)
     size = len(xs)
 
-    int_rho = [_as_int(c) for c, _ in rho_terms]
-    exact = not phi_terms and None not in int_rho
+    exact = not len(phi) and not rho.irregular
     db = np.zeros(size, np.int64 if exact else np.longdouble)
-    dc = np.zeros(size, np.int64) if phi_terms else None
+    dc = np.zeros(size, np.int64) if len(phi) else None
     err = 0.0
     start = 0
-    for i, ((coeff, _), (num, den, j0, count)) in enumerate(zip(terms, spec)):
+    coeffs = rho.coefficients() + phi.coeff.tolist()
+    for i, (coeff, (num, den, j0, count)) in enumerate(zip(coeffs, spec)):
         s = slice(start, start + count)
         start += count
-        if i >= len(rho_terms):
+        if i >= len(rho):
             # Phi: b jumps by w log(theta / j) = w (log num - log den - log j)
             dc[s] = -coeff
             log_j = np.log(np.arange(j0, j0 + count, dtype=np.longdouble))
@@ -300,8 +298,8 @@ def _merged_jumps(rho_terms, phi_terms, eps: float) -> _Jumps:
             err += 2.0 * _LD_EPS * abs(coeff) * float(
                 count * (abs(log_nd) + np.log(np.longdouble(den)) + 1.0)
                 + np.sum(log_j))
-        elif int_rho[i] is not None:
-            db[s] = -int_rho[i]
+        elif i not in rho.irregular:
+            db[s] = -coeff
         else:
             cl, delta = _ld_coeff(coeff)
             db[s] = -cl
@@ -380,42 +378,41 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     the jumps are divisor sums built by scatter; otherwise the per-term
     breakpoints are sorted and coincident ones summed.
     """
-    rho_terms, phi_terms, inv_coeff, sup_bound = _term_spec(f)
+    rho, phi, inv_coeff, sup_bound = _term_spec(f)
     check_cutoff(eps)
 
     b_gen, c_gen, log_tail = _gen_offsets(generator)
     # counted in floats, exact below 2^53 and inf rather than an overflow
-    total = sum(float(t) / eps // 1.0 + 1.0
-                for _, t in list(rho_terms) + list(phi_terms))
+    thetas = np.concatenate([rho.thetas(), phi.thetas()])
+    total = float(np.sum(thetas / eps // 1.0 + 1.0))
     if total > FLATTEN_BUDGET:
         raise BudgetError(
             f"{total:.3g} breakpoints exceed budget {FLATTEN_BUDGET}; "
             "raise the cutoff or reduce the number of dilation terms")
-    if any(t > 1 for _, t in rho_terms):
+    if np.any(rho.num > rho.den):
         raise ValueError("rho terms need theta <= 1")
-    if any(w != int(w) or t > 1 for w, t in phi_terms):
+    if phi.irregular or np.any(phi.num > phi.den):
         raise ValueError("Phi terms need integer weights and theta <= 1")
-    phi_terms = [(int(w), t) for w, t in phi_terms]
     # near zero the generator's constant part survives alongside the sum
     sup_bound = float(sup_bound) + abs(b_gen)
     # the tail coefficient must vanish exactly for class-C sums, so it is
-    # accumulated in exact rational arithmetic when the coefficients allow
+    # rounded once from its exact value when the coefficients allow
     a = float(inv_coeff)
-    if rho_terms:
-        a += float(pairwise_sum(c * t for c, t in rho_terms))
+    if len(rho):
+        a += rho.tail_float()
 
     # state just below x = 1, where only theta = 1 has floor(theta / x) = 1;
     # a Phi term there adds w (floor(theta) log theta - log floor(theta)!) = 0
-    b_exact = Fraction(b_gen) - sum((Fraction(c) for c, t in rho_terms if t == 1),
-                                    start=Fraction(0))
+    at_one = np.flatnonzero(rho.den == 1).tolist()
+    b_exact = Fraction(b_gen) - sum((Fraction(rho.irregular.get(i, int(rho.coeff[i])))
+                                     for i in at_one), start=Fraction(0))
     b0 = float(b_exact)
     b0_err = float(abs(Fraction(b0) - b_exact))
-    c0 = int(c_gen) - sum(w for w, t in phi_terms if t == 1)
+    c0 = int(c_gen) - int(phi.coeff[phi.den == 1].sum())
 
     # the lattice arrays hold 1/eps entries, never more than the sort would
-    dense = (all(t.numerator == 1 for _, t in list(rho_terms) + list(phi_terms))
-             and int(1.0 / eps) <= total)
-    jumps = (_lattice_jumps if dense else _merged_jumps)(rho_terms, phi_terms, eps)
+    dense = bool(np.all(rho.num == 1) and np.all(phi.num == 1)) and int(1.0 / eps) <= total
+    jumps = (_lattice_jumps if dense else _merged_jumps)(rho, phi, eps)
 
     n = len(jumps.xs)
     edges = np.concatenate([[eps], jumps.xs[::-1], [1.0]])

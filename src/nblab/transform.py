@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .arith import ArithProfile
+from .beurling import BeurlingSum, Lanes
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -46,9 +47,10 @@ class TStep:
 
     since a piece of height h on (u1, u2] contributes
     h ((u2 - u1)/x - Phi(u2/x) + Phi(u1/x)).  A subclass provides
-    phi_terms, the integer weights w_k and rational thetas 0 < theta_k <= 1
-    that the norm engine flattens, inv_coeff, and sup_bound >= |Tf|, as
-    attributes or properties.
+    phi_terms, the integer weights w_k and rational thetas 0 < theta_k <= 1,
+    inv_coeff, and sup_bound >= |Tf|, as attributes or properties; the norm
+    engine flattens phi_lanes, the same terms as lanes, which a subclass
+    may hold instead of deriving them.
     """
 
     def __call__(self, x) -> float:
@@ -58,11 +60,14 @@ class TStep:
         return self.inv_coeff / float(x) + float(np.dot(w, _phi(num, den, x)))
 
     @cached_property
+    def phi_lanes(self) -> Lanes:
+        return Lanes.of_terms(self.phi_terms)
+
+    @cached_property
     def _lanes(self) -> tuple:
-        terms = self.phi_terms
-        return (np.array([w for w, _ in terms], dtype=np.float64),
-                np.array([t.numerator for _, t in terms], dtype=object),
-                np.array([t.denominator for _, t in terms], dtype=object))
+        lanes = self.phi_lanes
+        return (lanes.coeff.astype(np.float64), lanes.num.astype(object),
+                lanes.den.astype(object))
 
 
 class Gn(TStep):
@@ -84,11 +89,16 @@ class Gn(TStep):
         self.profile = profile
         self.inv_coeff = profile.gamma(n)
         self.m_tail = profile.M(n - 1) if n > 1 else 0
+        w = np.empty(n, dtype=np.int64)
+        np.negative(profile.mu_values[:n - 1], out=w[:n - 1])
+        w[-1] = self.m_tail
+        k = np.flatnonzero(w) + 1
+        self.phi_lanes = Lanes(w[k - 1], np.ones(len(k), dtype=np.int64), k, {})
 
     @property
     def phi_terms(self) -> list:
-        w = (-self.profile.mu_values[:self.n - 1]).tolist() + [self.m_tail]
-        return [(m, Fraction(1, k)) for k, m in enumerate(w, 1) if m]
+        lanes = self.phi_lanes
+        return [(w, Fraction(1, k)) for w, k in zip(lanes.coeff.tolist(), lanes.den.tolist())]
 
     @property
     def sup_bound(self) -> float:
@@ -120,8 +130,6 @@ def riemann_sum_T(a, b, n: int):
     s_n(x) = ((b-a)/n) sum_k (1/theta_k) rho(theta_k/x),
     theta_k = a + (b-a) k/n.
     """
-    from .beurling import BeurlingSum
-
     a, b = Fraction(a), Fraction(b)
     if not 0 < a < b:
         raise ValueError(f"need 0 < a < b, got a={a}, b={b}")

@@ -59,7 +59,11 @@ def apply_u(f: BeurlingSum) -> USum:
 
 
 def head_constant(f: BeurlingSum):
-    return apply_u(f).head_constant
+    """sum c_k, exact from the coefficient lanes; with a float coefficient,
+    summed over the image as USum.head_constant does."""
+    if f.lanes.has_float:
+        return apply_u(f).head_constant
+    return f.lanes.coeff_sum()
 
 
 def head_check(family: str, n: int, profile: ArithProfile):

@@ -69,6 +69,29 @@ def family_via_make(family: str, n: int, profile: ArithProfile) -> BeurlingSum:
     raise ValueError(f"unknown family {family!r}")
 
 
+def family_tuples(family: str, n: int, profile: ArithProfile) -> tuple:
+    """The canonical terms of nblab.beurling.make_family as its
+    Fraction-tuple form built them, one (coeff, theta) pair per term
+    straight from the profile's mu and Mertens arrays."""
+    if family in ("sn", "vn", "bn"):
+        coeffs = profile.mu_values[:n].tolist()
+        if family == "vn":
+            coeffs[0] -= _g_of(profile, n)
+        elif family == "bn":
+            coeffs[-1] -= n * _g_of(profile, n)
+        return tuple((Fraction(c) if isinstance(c, int) else c, Fraction(1, k))
+                     for k, c in enumerate(coeffs, 1) if c)
+    mertens = [0] + profile.mertens[:n].tolist()        # M(0..n)
+    if family == "fn":
+        coeffs = ((mertens[n // k] - mertens[n // (k + 1)] - (k == 1), k)
+                  for k in range(n, 0, -1))
+        return tuple((Fraction(c), Fraction(k, n)) for c, k in coeffs if c)
+    if family == "rn":
+        return tuple((Fraction(mertens[n // k], k), Fraction(k, n))
+                     for k in range(n - 1, 0, -1) if mertens[n // k])
+    raise ValueError(f"unknown family {family!r}")
+
+
 def riemann_sum_via_make(a, b, n: int) -> BeurlingSum:
     """nblab.transform.riemann_sum_T from its formula through BeurlingSum.make."""
     a, b = Fraction(a), Fraction(b)

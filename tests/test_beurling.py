@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nblab.arith import EXACT_LIMIT, build_profile
-from nblab.beurling import (FAMILIES, BeurlingSum, LAMBDA, NEG_CHI, make_family,
+from nblab import beurling
+from nblab.beurling import (FAMILIES, BeurlingSum, LAMBDA, Lanes, NEG_CHI, make_family,
                             pairwise_sum, recover_coefficients, rho, step_values)
 from nblab.sieve import sieve_mobius
-from oracles import family_via_make
+from oracles import family_tuples, family_via_make
 
 fractions_01 = st.fractions(min_value=Fraction(1, 40), max_value=1,
                             max_denominator=40)
@@ -197,3 +198,98 @@ def test_call_rejects_nonpositive(profile):
     f = make_family("sn", 3, profile)
     with pytest.raises(ValueError):
         f(0)
+
+
+@pytest.fixture(scope="module")
+def wide_profile():
+    return build_profile(sieve_mobius(EXACT_LIMIT + 10))
+
+
+def _fresh(lanes):
+    """The same lanes with no cached terms view, so terms is derived."""
+    return Lanes(lanes.coeff, lanes.num, lanes.den, lanes.irregular)
+
+
+def test_derived_terms_match_tuple_oracle(wide_profile):
+    for family in FAMILIES:
+        for n in (1, 2, 97, 1000, EXACT_LIMIT, EXACT_LIMIT + 1):
+            got = make_family(family, n, wide_profile).terms
+            want = family_tuples(family, n, wide_profile)
+            assert got == want, (family, n)
+            assert [type(c) for c, _ in got] == [type(c) for c, _ in want]
+            assert all(type(t) is Fraction for _, t in got)
+
+
+# wide values reach the Python-int lanes: coefficients past the int64 lane,
+# thetas past exact doubles
+wide_coeffs = st.one_of(coeffs, st.integers(min_value=-2 ** 40, max_value=2 ** 40),
+                        st.fractions(min_value=-2 ** 40, max_value=2 ** 40,
+                                     max_denominator=2 ** 40))
+wide_thetas = st.one_of(fractions_01, st.fractions(min_value=Fraction(1, 2 ** 60),
+                                                   max_value=1, max_denominator=2 ** 60))
+
+
+@given(st.lists(st.tuples(wide_coeffs, wide_thetas), max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_make_round_trips_through_lanes(terms):
+    f = BeurlingSum.make(terms)
+    merged = {}
+    for c, t in terms:
+        merged[t] = merged.get(t, 0) + Fraction(c)
+    want = tuple((c, t) for t, c in sorted(merged.items(), reverse=True) if c)
+    assert f.terms == want
+    derived = _fresh(f.lanes).terms
+    assert derived == want
+    assert all(type(c) is Fraction and type(t) is Fraction for c, t in derived)
+
+
+@given(st.lists(st.tuples(st.one_of(wide_coeffs, st.floats(min_value=-3, max_value=3)),
+                          st.one_of(wide_thetas, st.fractions(min_value=1, max_value=2 ** 20,
+                                                              max_denominator=64))),
+                max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_tail_float_is_the_pairwise_sum(terms):
+    lanes = Lanes.of_terms([(c, Fraction(t)) for c, t in terms])
+    want = float(pairwise_sum(c * Fraction(t) for c, t in terms))
+    assert lanes.tail_float() == want
+    # the fixed-point sum, where the lanes take it, is the exact floor sum
+    if not lanes.has_float and (s := lanes._scaled_floor_sum()) is not None:
+        bits = beurling._TAIL_BITS
+        assert s == sum(math.floor(Fraction(c) * t * 2 ** bits) for c, t in terms)
+
+
+def _counting_pairwise(monkeypatch):
+    calls = []
+
+    def counted(values):
+        calls.append(1)
+        return pairwise_sum(values)
+
+    monkeypatch.setattr(beurling, "pairwise_sum", counted)
+    return calls
+
+
+def test_tail_float_is_exactly_zero_for_class_c(wide_profile, monkeypatch):
+    calls = _counting_pairwise(monkeypatch)
+    for family in ("vn", "bn"):
+        for n in (10, 1000, EXACT_LIMIT):
+            assert make_family(family, n, wide_profile).lanes.tail_float() == 0.0
+    assert len(calls) == 6          # an exact zero always takes the rational sum
+    del calls[:]
+    sn = make_family("sn", EXACT_LIMIT, wide_profile)
+    assert sn.lanes.tail_float() == float(wide_profile.g_exact(EXACT_LIMIT))
+    assert calls == []              # the fixed-point test rounds g(n) itself
+
+
+@pytest.mark.parametrize("terms,even", [
+    # 1 + 2^-53: the theta denominator passes 2^32, so no fixed-point test
+    ([(1, Fraction(1)), (1, Fraction(1, 2 ** 53))], 1.0),
+    # 2^53 + 1, on the int64 lanes
+    ([(2 ** 30, Fraction(2 ** 23)), (1, Fraction(1))], 2.0 ** 53),
+])
+def test_tail_float_midpoint_takes_the_rational_sum(terms, even, monkeypatch):
+    calls = _counting_pairwise(monkeypatch)
+    exact = sum((c * t for c, t in terms), start=Fraction(0))
+    assert exact - Fraction(even) == Fraction(math.ulp(even)) / 2   # halfway to odd
+    assert Lanes.of_terms(terms).tail_float() == even
+    assert calls == [1]
