@@ -1,10 +1,11 @@
 """Arithmetic profiles: M(n), g(n), gamma(n), H_p(n) over a sieved range.
 
 A profile stores mu and M (int32, so its range ends below 2^31).  g and
-gamma are built on first read: as exact rationals up to EXACT_LIMIT (the
-families' folded coefficients are exact there) and as float64 lanes summed
-in long double, chunk by chunk.  The profile does not fix p: an H_p lane is
-accumulated from M on request, for any p > 1.  The defining relations are
+gamma are built on first read: as exact rationals up to EXACT_LIMIT and as
+float64 lanes summed in long double, chunk by chunk; beyond EXACT_LIMIT
+the exact value read for a folded coefficient is that of the float entry.
+The profile does not fix p: an H_p lane is accumulated from M on request,
+for any p > 1.  The defining relations are
 
     M(n) = sum_{k<=n} mu(k)
     g(n) = sum_{k<=n} mu(k)/k
@@ -152,24 +153,26 @@ class ArithProfile:
     def hp(self, n: int, p: float = 2.0) -> float:
         return float(self.hp_values(p, n)[-1])
 
-    def _exact_value(self, lane: int, n: int) -> Fraction:
-        self._check(n)
-        if n > EXACT_LIMIT:
-            raise ValueError(f"n={n} beyond exact limit {EXACT_LIMIT}")
-        return self._exact[lane][n - 1]
-
     def g_exact(self, n: int) -> Fraction:
-        return self._exact_value(0, n)
+        return self.exact("g", _in_exact_range(n))
 
     def gamma_exact(self, n: int) -> Fraction:
-        return self._exact_value(1, n)
+        return self.exact("gamma", _in_exact_range(n))
 
-    def exact_or_float(self, series: str, n: int):
-        """g(n) or gamma(n): a Fraction up to EXACT_LIMIT, a float beyond."""
+    def exact(self, series: str, n: int) -> Fraction:
+        """g(n) or gamma(n) as a Fraction: the exact value up to EXACT_LIMIT,
+        beyond it the exact (dyadic) value of the float lane's entry."""
         lane = ("g", "gamma").index(series)
-        if n <= EXACT_LIMIT:
-            return self._exact_value(lane, n)
-        return self.g(n) if lane == 0 else self.gamma(n)
+        self._check(n)
+        if n > EXACT_LIMIT:
+            return Fraction((self.g_float, self.gamma_float)[lane][n - 1])
+        return self._exact[lane][n - 1]
+
+
+def _in_exact_range(n: int) -> int:
+    if n > EXACT_LIMIT:
+        raise ValueError(f"n={n} beyond exact limit {EXACT_LIMIT}")
+    return n
 
 
 def build_profile(table: MobiusTable) -> ArithProfile:

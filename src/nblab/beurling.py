@@ -1,11 +1,11 @@
 """Finite Beurling sums sum_k c_k rho(theta_k / x) and the standard families.
 
-theta_k are exact rationals in (0, 1]; coefficients are exact rationals
-whenever the arithmetic profile still carries exact values of g(n), floats
-beyond that.  A sum is stored as integer lanes (Lanes): the families fill
-them straight from the profile's arrays, and the (coeff, theta) tuples are
-a view derived on first read.  make merges equal thetas of outside input so
-class membership (the tail coefficient sum c_k theta_k) is decided exactly.
+theta_k and the coefficients are exact rationals (past the profile's exact
+range, g(n) is folded in as the exact value of its float entry).  A sum is
+stored as integer lanes (Lanes): the families fill them straight from the
+profile's arrays, and the (coeff, theta) tuples are a view derived on first
+read.  make merges equal thetas of outside input so class membership (the
+tail coefficient sum c_k theta_k) is decided exactly.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ def pairwise_sum(values):
     return sum(reversed(partial), start=Fraction(0))
 
 
-def _in_int_lane(c) -> bool:
-    return isinstance(c, Rational) and c.denominator == 1 and abs(c) < _COEFF_LIMIT
+def _in_int_lane(c: Fraction) -> bool:
+    return c.denominator == 1 and abs(c) < _COEFF_LIMIT
 
 
 def _theta_lane(values) -> np.ndarray:
@@ -64,8 +64,7 @@ class Lanes:
     """Terms c_k at theta_k = num_k / den_k (lowest terms), as arrays.
 
     coeff holds c_k when it is an integer below _COEFF_LIMIT in size, else
-    0; irregular maps each other index to its coefficient, a non-integer
-    Fraction or a float (g(n) folded in beyond EXACT_LIMIT).
+    0; irregular maps each other index to its coefficient, a Fraction.
     """
 
     coeff: np.ndarray                # int64
@@ -77,6 +76,7 @@ class Lanes:
     def of_terms(terms) -> "Lanes":
         coeff, irregular = [], {}
         for i, (c, _) in enumerate(terms):
+            c = Fraction(c)
             if _in_int_lane(c):
                 coeff.append(int(c))
             else:
@@ -98,21 +98,15 @@ class Lanes:
 
     @cached_property
     def terms(self) -> tuple:
-        """(c_k, theta_k) with Fraction thetas, and Fractions for the int64 lane."""
-        coeffs = [c if i in self.irregular else Fraction(c)
-                  for i, c in enumerate(self.coefficients())]
+        """(c_k, theta_k) as Fractions."""
         thetas = map(Fraction, self.num.tolist(), self.den.tolist())
-        return tuple(zip(coeffs, thetas))
+        return tuple(zip(map(Fraction, self.coefficients()), thetas))
 
     def thetas(self) -> np.ndarray:
         """theta_k as float64, each rounded once."""
         if self.num.dtype == object:
             return np.array(self.num / self.den, dtype=np.float64)
         return self.num / self.den
-
-    @property
-    def has_float(self) -> bool:
-        return any(isinstance(c, float) for c in self.irregular.values())
 
     def negated(self) -> "Lanes":
         return Lanes(-self.coeff, self.num, self.den,
@@ -127,14 +121,11 @@ class Lanes:
                       **{i + shift: c for i, c in other.irregular.items()}})
 
     def coeff_sum(self) -> Fraction:
-        """sum c_k, exact; needs every coefficient rational."""
+        """sum c_k, exact."""
         return int(self.coeff.sum()) + pairwise_sum(self.irregular.values())
 
     def abs_sum(self) -> float:
-        """float(sum |c_k|): the exact sum rounded once, or with a float
-        coefficient the tree of pairwise_sum over the terms in order."""
-        if self.has_float:
-            return float(pairwise_sum(abs(c) for c in self.coefficients()))
+        """float(sum |c_k|): the exact sum rounded once."""
         return float(int(np.abs(self.coeff).sum())
                      + pairwise_sum(abs(c) for c in self.irregular.values()))
 
@@ -145,21 +136,21 @@ class Lanes:
         in integers, and each floor drops less than 1, so the sum lies in
         [S, S + B) / 2^P for B terms.  When both ends round to one double,
         that double is the sum rounded once.  Otherwise (an exact zero, a
-        tie, a sum too small for P bits, lanes too wide for int64, a float
-        coefficient) the sum is
-        pairwise_sum over the products c_k theta_k in order, as a rational
-        or, with a float coefficient, in the same float operations as ever.
+        tie, a sum too small for P bits, lanes too wide for int64) it is
+        tail_exact rounded once.
         """
-        s = None if self.has_float else self._scaled_floor_sum()
+        s = self._scaled_floor_sum()
         if s is not None:
             lo, hi = s / (1 << _TAIL_BITS), (s + len(self)) / (1 << _TAIL_BITS)
             if lo == hi:
                 return lo
-        products = (c * (num / den) if isinstance(c, float)
-                    else Fraction(c.numerator * num, c.denominator * den)
-                    for c, num, den in zip(self.coefficients(), self.num.tolist(),
-                                           self.den.tolist()))
-        return float(pairwise_sum(products))
+        return float(self.tail_exact())
+
+    def tail_exact(self) -> Fraction:
+        """sum c_k theta_k, exact: pairwise_sum over the products in order."""
+        return pairwise_sum(Fraction(c.numerator * num, c.denominator * den)
+                            for c, num, den in zip(self.coefficients(), self.num.tolist(),
+                                                   self.den.tolist()))
 
     def _scaled_floor_sum(self):
         """S of tail_float, or None when a factor is too wide.  Writing
@@ -214,17 +205,9 @@ class BeurlingSum:
     larger than every theta the sum equals tail_coeff / x.
     """
 
-    def __init__(self, terms=()):
-        """From terms already in canonical order (make canonicalizes)."""
-        terms = tuple(terms)
-        self.lanes = Lanes.of_terms(terms)
-        self.lanes.__dict__["terms"] = terms
-
-    @classmethod
-    def of_lanes(cls, lanes: Lanes) -> "BeurlingSum":
-        f = cls.__new__(cls)
-        f.lanes = lanes
-        return f
+    def __init__(self, lanes: Lanes):
+        """From lanes already in canonical order (make canonicalizes terms)."""
+        self.lanes = lanes
 
     @property
     def terms(self) -> tuple:
@@ -232,25 +215,23 @@ class BeurlingSum:
 
     @staticmethod
     def make(terms) -> "BeurlingSum":
-        merged: dict[Fraction, object] = {}
+        merged: dict[Fraction, Fraction] = {}
         for c, theta in terms:
             theta = Fraction(theta)
             if theta <= 0:
                 raise ValueError(f"theta must be positive, got {theta}")
-            if isinstance(c, Rational):
-                c = Fraction(c)
-            merged[theta] = merged.get(theta, 0) + c
+            merged[theta] = merged.get(theta, 0) + Fraction(c)
         out = tuple(
             (c, theta)
             for theta, c in sorted(merged.items(), key=lambda kv: kv[0], reverse=True)
             if c != 0
         )
-        return BeurlingSum(out)
+        return BeurlingSum(Lanes.of_terms(out))
 
     @property
-    def tail_coeff(self):
-        """sum c_k theta_k; exact when every coefficient is rational."""
-        return pairwise_sum(c * t for c, t in self.terms)
+    def tail_coeff(self) -> Fraction:
+        """sum c_k theta_k, exact."""
+        return self.lanes.tail_exact()
 
     @property
     def is_class_b(self) -> bool:
@@ -299,14 +280,14 @@ def _family(coeff, num, den, irregular: dict) -> BeurlingSum:
     keep = coeff != 0
     keep[list(irregular)] = True
     position = np.cumsum(keep) - 1
-    return BeurlingSum.of_lanes(Lanes(
+    return BeurlingSum(Lanes(
         coeff[keep], num[keep], den[keep],
         {int(position[i]): c for i, c in irregular.items()}))
 
 
-def _fold(coeff, slot: int, extra) -> dict:
-    """Add extra (a Fraction, or a float beyond the exact limit) to coeff at
-    slot, in place; the irregular entry the slot then needs, if any."""
+def _fold(coeff, slot: int, extra: Fraction) -> dict:
+    """Add extra to coeff at slot, in place; the irregular entry the slot
+    then needs, if any."""
     total = int(coeff[slot]) + extra
     if _in_int_lane(total):
         coeff[slot] = int(total)
@@ -339,9 +320,9 @@ def make_family(family: str, n: int, profile: ArithProfile) -> BeurlingSum:
         coeff = profile.mu_values[:n].astype(np.int64)
         irregular = {}
         if family == "vn":
-            irregular = _fold(coeff, 0, -profile.exact_or_float("g", n))
+            irregular = _fold(coeff, 0, -profile.exact("g", n))
         elif family == "bn":
-            irregular = _fold(coeff, n - 1, -n * profile.exact_or_float("g", n))
+            irregular = _fold(coeff, n - 1, -n * profile.exact("g", n))
         k = np.arange(1, n + 1, dtype=np.int64)
         return _family(coeff, np.ones(n, dtype=np.int64), k, irregular)
     mertens = np.concatenate([[0], profile.mertens[:n]]).astype(np.int64)   # M(0..n)

@@ -174,7 +174,7 @@ def cmd_mellin(args) -> int:
     diff = abs(res.value - ref)
     ok = diff <= res.tail_bound + 1e-9
     print(f"kernel={args.kernel} s={args.s} cutoff={args.cutoff} "
-          f"value={res.value.real!r} reference={ref.real!r} "
+          f"value={res.value!r} reference={ref!r} "
           f"diff={diff!r} tail_bound={res.tail_bound!r} "
           f"{'pass' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_WITNESS_FAILED

@@ -8,7 +8,7 @@ from |M(x)| <= x, |g(x)| <= 1 and |H_p(x)| <= (q/2) x^(2/q).
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +19,7 @@ from .arith import CHUNK, ArithProfile
 
 @dataclass(frozen=True)
 class MellinResult:
-    value: complex
+    value: float
     tail_bound: float
     cutoff: int
 
@@ -27,28 +27,27 @@ class MellinResult:
 _KERNELS = ("M", "xg", "hp")
 
 
-def check_arguments(kernel: str, s: complex, cutoff: int, p: float = 2.0) -> None:
+def check_arguments(kernel: str, s: float, cutoff: int, p: float = 2.0) -> None:
     """Raise ValueError unless mellin_numeric accepts these arguments for a
     profile that covers the cutoff."""
     if kernel not in _KERNELS:
         raise ValueError(f"kernel must be one of {_KERNELS}, got {kernel!r}")
-    if kernel == "hp" and not 1 < p < cmath.inf:
+    if kernel == "hp" and not 1 < p < math.inf:
         raise ValueError(f"p must be > 1 and finite, got {p}")
-    if not cmath.isfinite(s):
+    if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
-    sigma = complex(s).real
-    min_sigma = 2.0 - 2.0 / p if kernel == "hp" else 1.0
-    if not sigma > min_sigma:
-        raise ValueError(f"kernel {kernel!r} needs Re s > {min_sigma}, got {sigma}")
+    min_s = 2.0 - 2.0 / p if kernel == "hp" else 1.0
+    if not s > min_s:
+        raise ValueError(f"kernel {kernel!r} needs s > {min_s}, got {s}")
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
 
 
-def mellin_numeric(profile: ArithProfile, kernel: str, s: complex,
+def mellin_numeric(profile: ArithProfile, kernel: str, s: float,
                    cutoff: int, p: float = 2.0) -> MellinResult:
-    """integral_1^T kernel(x) x^(-s-1) dx with a rigorous tail bound.
+    """integral_1^T kernel(x) x^(-s-1) dx, for real s, with a rigorous tail bound.
 
-    kernel "M" and "xg" need Re s > 1; "hp" needs p > 1 and Re s > 2/q
+    kernel "M" and "xg" need s > 1; "hp" needs p > 1 and s > 2/q
     where q is the conjugate index of p, which only this kernel reads.
     cutoff T must be covered by the profile (M(n) for n < T).  The sum over
     n runs in chunks, so beyond the profile's lanes it needs O(CHUNK) memory.
@@ -56,10 +55,8 @@ def mellin_numeric(profile: ArithProfile, kernel: str, s: complex,
     check_arguments(kernel, s, cutoff, p)
     if cutoff - 1 > profile.limit:
         raise ValueError(f"cutoff {cutoff} beyond profile limit {profile.limit}")
-    s = complex(s)
-    sigma = s.real
     if cutoff == 1:
-        return MellinResult(0j, _tail(kernel, sigma, 1, p), 1)
+        return MellinResult(0.0, _tail(kernel, s, 1, p), 1)
 
     if kernel == "xg":
         lane = profile.g_float
@@ -67,7 +64,7 @@ def mellin_numeric(profile: ArithProfile, kernel: str, s: complex,
         lane = profile.hp_values(p, cutoff - 1)
         e = 1.0 - 2.0 / p
     power = 1 - s if kernel == "xg" else -s
-    total = 0j
+    total = 0.0
     for lo in range(1, cutoff, CHUNK):
         hi = min(lo + CHUNK, cutoff)
         # m = lo..hi; the n = lo..hi-1 and n + 1 terms are its two shifted views
@@ -94,31 +91,27 @@ def mellin_numeric(profile: ArithProfile, kernel: str, s: complex,
         total /= s
     elif kernel == "xg":
         total /= s - 1
-    return MellinResult(complex(total), _tail(kernel, sigma, cutoff, p), cutoff)
+    return MellinResult(float(total), _tail(kernel, s, cutoff, p), cutoff)
 
 
-def _tail(kernel: str, sigma: float, cutoff: int, p: float) -> float:
+def _tail(kernel: str, s: float, cutoff: int, p: float) -> float:
     if kernel in ("M", "xg"):
-        return cutoff ** (1.0 - sigma) / (sigma - 1.0)
+        return cutoff ** (1.0 - s) / (s - 1.0)
     two_over_q = 2.0 - 2.0 / p
     q = p / (p - 1.0)
-    return (q / 2.0) * cutoff ** (two_over_q - sigma) / (sigma - two_over_q)
+    return (q / 2.0) * cutoff ** (two_over_q - s) / (s - two_over_q)
 
 
-def mellin_reference(kernel: str, s: complex, p: float = 2.0) -> complex:
-    """Closed-form limit of the full transform, for real s in the half-plane.
+def mellin_reference(kernel: str, s: float, p: float = 2.0) -> float:
+    """Closed-form limit of the full transform, for s in the half-plane.
 
     M -> 1/(s zeta(s)); xg -> 1/((s-1) zeta(s));
     hp -> 1/(s (s + 2/p - 1) zeta(s + 2/p - 1)).
     """
     check_arguments(kernel, s, 1, p)
-    s = complex(s)
-    if s.imag != 0:
-        raise ValueError("closed-form reference implemented for real s only")
-    sr = s.real
     if kernel == "M":
-        return 1.0 / (sr * float(zeta(sr)))
+        return 1.0 / (s * float(zeta(s)))
     if kernel == "xg":
-        return 1.0 / ((sr - 1.0) * float(zeta(sr)))
-    shift = sr + 2.0 / p - 1.0
-    return 1.0 / (sr * shift * float(zeta(shift)))
+        return 1.0 / ((s - 1.0) * float(zeta(s)))
+    shift = s + 2.0 / p - 1.0
+    return 1.0 / (s * shift * float(zeta(shift)))

@@ -168,12 +168,9 @@ _EXACT = 2 ** 53
 _SEPARABLE = 2 ** 51
 
 
-def _ld_coeff(c) -> tuple[np.longdouble, float]:
+def _ld_coeff(c: Fraction) -> tuple[np.longdouble, float]:
     """(c rounded to long double, its exact rounding error) for a
     coefficient that is not an integer."""
-    if isinstance(c, float):
-        return np.longdouble(c), 0.0
-    c = Fraction(c)
     cl = np.longdouble(c.numerator) / np.longdouble(c.denominator)
     return cl, float(abs(Fraction(*cl.as_integer_ratio()) - c))
 
@@ -396,7 +393,7 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     # near zero the generator's constant part survives alongside the sum
     sup_bound = float(sup_bound) + abs(b_gen)
     # the tail coefficient must vanish exactly for class-C sums, so it is
-    # rounded once from its exact value when the coefficients allow
+    # rounded once from its exact value
     a = float(inv_coeff)
     if len(rho):
         a += rho.tail_float()
@@ -404,7 +401,7 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     # state just below x = 1, where only theta = 1 has floor(theta / x) = 1;
     # a Phi term there adds w (floor(theta) log theta - log floor(theta)!) = 0
     at_one = np.flatnonzero(rho.den == 1).tolist()
-    b_exact = Fraction(b_gen) - sum((Fraction(rho.irregular.get(i, int(rho.coeff[i])))
+    b_exact = Fraction(b_gen) - sum((rho.irregular.get(i, int(rho.coeff[i]))
                                      for i in at_one), start=Fraction(0))
     b0 = float(b_exact)
     b0_err = float(abs(Fraction(b0) - b_exact))

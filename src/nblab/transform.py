@@ -137,7 +137,7 @@ def riemann_sum_T(a, b, n: int):
         raise ValueError(f"n must be >= 1, got {n}")
     h = (b - a) / n
     thetas = (a + h * k for k in range(n, 0, -1))
-    return BeurlingSum(tuple((h / t, t) for t in thetas))
+    return BeurlingSum.make((h / t, t) for t in thetas)
 
 
 def mobius_log_identity(x, profile: ArithProfile):

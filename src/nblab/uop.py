@@ -18,7 +18,7 @@ from numbers import Rational
 from scipy.special import digamma, sici
 
 from . import beurling
-from .arith import ArithProfile
+from .arith import EXACT_LIMIT, ArithProfile
 from .beurling import BeurlingSum, rho
 from .norms import BudgetError, NormReport, lp_distance
 from .transform import EULER_GAMMA
@@ -58,18 +58,16 @@ def apply_u(f: BeurlingSum) -> USum:
     return USum(tuple((c * t, t) for c, t in f.terms))
 
 
-def head_constant(f: BeurlingSum):
-    """sum c_k, exact from the coefficient lanes; with a float coefficient,
-    summed over the image as USum.head_constant does."""
-    if f.lanes.has_float:
-        return apply_u(f).head_constant
+def head_constant(f: BeurlingSum) -> Fraction:
+    """sum c_k, exact from the coefficient lanes."""
     return f.lanes.coeff_sum()
 
 
 def head_check(family: str, n: int, profile: ArithProfile):
     """(expected, actual, ok) for the head constant of a family at n: exact
-    up to EXACT_LIMIT, within 1e-9 beyond; gn compares ut_head with
-    ut_direct at 1/(2n), and rn is only measured."""
+    up to EXACT_LIMIT, within 1e-9 beyond, where bn's expected -n gamma(n)
+    and actual M(n) - n g(n) come from two float lanes; gn compares ut_head
+    with ut_direct at 1/(2n), and rn is only measured."""
     if family == "gn":
         expected, actual = ut_head(n, profile), ut_direct(n, profile, 1.0 / (2 * n))
         return expected, actual, math.isclose(expected, actual, rel_tol=1e-10, abs_tol=1e-10)
@@ -77,15 +75,15 @@ def head_check(family: str, n: int, profile: ArithProfile):
     if family == "sn":
         expected = Fraction(profile.M(n))
     elif family == "vn":
-        expected = profile.M(n) - profile.exact_or_float("g", n)
+        expected = profile.M(n) - profile.exact("g", n)
     elif family == "bn":
-        expected = -n * profile.exact_or_float("gamma", n)
+        expected = -n * profile.exact("gamma", n)
     elif family == "fn":
         expected = Fraction(profile.M(n) - 1)     # 0 at n = 1, where M(1) = 1
     else:
         return actual, actual, True
-    ok = (expected == actual if isinstance(expected, Fraction) else
-          math.isclose(float(expected), float(actual), rel_tol=1e-9, abs_tol=1e-12))
+    ok = (expected == actual if n <= EXACT_LIMIT else
+          math.isclose(expected, actual, rel_tol=1e-9, abs_tol=1e-12))
     return expected, actual, ok
 
 

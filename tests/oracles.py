@@ -40,8 +40,9 @@ def naive_mobius(n: int) -> np.ndarray:
     return np.array([naive_mu(k) for k in range(1, n + 1)], dtype=np.int8)
 
 
-def _g_of(profile: ArithProfile, n: int):
-    return profile.g_exact(n) if n <= EXACT_LIMIT else profile.g(n)
+def _g_of(profile: ArithProfile, n: int) -> Fraction:
+    """g(n), exact up to EXACT_LIMIT; beyond, the exact value of the float lane."""
+    return profile.g_exact(n) if n <= EXACT_LIMIT else Fraction(profile.g(n))
 
 
 def family_via_make(family: str, n: int, profile: ArithProfile) -> BeurlingSum:
@@ -420,11 +421,10 @@ def whole_array_lanes(mu: np.ndarray, exact_limit: int) -> dict:
             "gamma_exact": gamma_exact}
 
 
-def mellin_whole_array(profile: ArithProfile, kernel: str, s: complex,
-                       cutoff: int, p: float = 2.0) -> complex:
+def mellin_whole_array(profile: ArithProfile, kernel: str, s: float,
+                       cutoff: int, p: float = 2.0) -> float:
     """integral_1^T kernel(x) x^(-s-1) dx, as nblab.mellin.mellin_numeric
     computes it but with every term of the sum over n in one array."""
-    s = complex(s)
     n = np.arange(1, cutoff, dtype=np.float64)
     logn = np.log(n)
     lognn = np.log(n + 1.0)
@@ -432,18 +432,18 @@ def mellin_whole_array(profile: ArithProfile, kernel: str, s: complex,
     pow_s1 = np.exp(-s * lognn)
     mert = profile.mertens[:cutoff - 1].astype(np.float64)
     if kernel == "M":
-        return complex(np.sum(mert * (pow_s - pow_s1)) / s)
+        return float(np.sum(mert * (pow_s - pow_s1)) / s)
     if kernel == "xg":
         g = profile.g_float[:cutoff - 1]
-        return complex(np.sum(g * (np.exp((1 - s) * logn) - np.exp((1 - s) * lognn)))
-                       / (s - 1))
+        return float(np.sum(g * (np.exp((1 - s) * logn) - np.exp((1 - s) * lognn)))
+                     / (s - 1))
     hp = profile.hp_values(p, cutoff - 1)
     if abs(p - 2.0) < 1e-15:
         base = (hp - mert * logn) * (pow_s - pow_s1) / s
         f_hi = -pow_s1 * (lognn / s + 1.0 / s**2)
         f_lo = -pow_s * (logn / s + 1.0 / s**2)
-        return complex(np.sum(base + mert * (f_hi - f_lo)))
+        return float(np.sum(base + mert * (f_hi - f_lo)))
     e = 1.0 - 2.0 / p
     base = (hp - mert * np.exp(e * logn) / e) * (pow_s - pow_s1) / s
     shifted = (np.exp((e - s) * logn) - np.exp((e - s) * lognn)) / (s - e)
-    return complex(np.sum(base + mert / e * shifted))
+    return float(np.sum(base + mert / e * shifted))

@@ -149,12 +149,27 @@ def test_families_match_make_oracle(profile):
 
 
 def test_families_match_make_oracle_beyond_exact_limit():
-    # vn and bn fold a float g(n) into their slot once n passes the exact limit
+    # vn and bn fold the exact value of the float g(n) into their slot once n
+    # passes the exact limit
     profile = build_profile(sieve_mobius(EXACT_LIMIT + 10))
     for family in FAMILIES:
         for n in (EXACT_LIMIT - 1, EXACT_LIMIT, EXACT_LIMIT + 1):
             _same_terms(make_family(family, n, profile),
                         family_via_make(family, n, profile))
+
+
+def test_sums_past_exact_limit_are_exact():
+    # the folded g(n) is a dyadic Fraction, so the tail coefficient and the
+    # sup bound are exact sums rounded once (a float sum put a at -1.6e-19
+    # for bn 25000, whose exact value is +8.5e-20)
+    profile = build_profile(sieve_mobius(3 * 10 ** 4))
+    for family, n in (("vn", 20000), ("vn", 29989), ("bn", 20000), ("bn", 25000)):
+        f = make_family(family, n, profile)
+        lanes = f.lanes
+        assert lanes.irregular and all(type(c) is Fraction for c in lanes.irregular.values())
+        assert lanes.tail_float() == float(lanes.tail_exact())
+        exact_abs = sum((abs(Fraction(c)) for c in lanes.coefficients()), start=Fraction(0))
+        assert f.sup_bound == float(exact_abs)
 
 
 def test_empty_families(profile):
@@ -205,11 +220,6 @@ def wide_profile():
     return build_profile(sieve_mobius(EXACT_LIMIT + 10))
 
 
-def _fresh(lanes):
-    """The same lanes with no cached terms view, so terms is derived."""
-    return Lanes(lanes.coeff, lanes.num, lanes.den, lanes.irregular)
-
-
 def test_derived_terms_match_tuple_oracle(wide_profile):
     for family in FAMILIES:
         for n in (1, 2, 97, 1000, EXACT_LIMIT, EXACT_LIMIT + 1):
@@ -237,10 +247,9 @@ def test_make_round_trips_through_lanes(terms):
     for c, t in terms:
         merged[t] = merged.get(t, 0) + Fraction(c)
     want = tuple((c, t) for t, c in sorted(merged.items(), reverse=True) if c)
+    # terms is derived from the lanes
     assert f.terms == want
-    derived = _fresh(f.lanes).terms
-    assert derived == want
-    assert all(type(c) is Fraction and type(t) is Fraction for c, t in derived)
+    assert all(type(c) is Fraction and type(t) is Fraction for c, t in f.terms)
 
 
 @given(st.lists(st.tuples(st.one_of(wide_coeffs, st.floats(min_value=-3, max_value=3)),
@@ -250,10 +259,10 @@ def test_make_round_trips_through_lanes(terms):
 @settings(max_examples=150, deadline=None)
 def test_tail_float_is_the_pairwise_sum(terms):
     lanes = Lanes.of_terms([(c, Fraction(t)) for c, t in terms])
-    want = float(pairwise_sum(c * Fraction(t) for c, t in terms))
+    want = float(pairwise_sum(Fraction(c) * Fraction(t) for c, t in terms))
     assert lanes.tail_float() == want
     # the fixed-point sum, where the lanes take it, is the exact floor sum
-    if not lanes.has_float and (s := lanes._scaled_floor_sum()) is not None:
+    if (s := lanes._scaled_floor_sum()) is not None:
         bits = beurling._TAIL_BITS
         assert s == sum(math.floor(Fraction(c) * t * 2 ** bits) for c, t in terms)
 

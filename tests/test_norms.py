@@ -443,7 +443,7 @@ def test_dense_lattice_matches_exact(profile, monkeypatch, with_one, eps):
     # it (sn 12 less its k = 1 term) the breakpoints are masked.  At eps = 1e-3
     # the breakpoint 1/1000 equals eps and is trimmed from the kept prefix
     terms = make_family("sn", 12, profile).terms
-    f = BeurlingSum(terms if with_one else tuple(t for t in terms if t[1] != 1))
+    f = BeurlingSum.make(terms if with_one else tuple(t for t in terms if t[1] != 1))
     assert (f.terms[0][1] == 1) == with_one
 
     def refuse(*args):

@@ -50,8 +50,10 @@ def test_head_check_exact_then_within_tolerance(past_exact_profile):
         expected, actual, ok = head_check(family, EXACT_LIMIT + 50, past_exact_profile)
         assert ok and math.isclose(float(expected), float(actual),
                                    rel_tol=1e-9, abs_tol=1e-12)
-    assert not isinstance(head_check("vn", EXACT_LIMIT + 50, past_exact_profile)[0],
-                          Fraction)
+    # past the limit vn's head is M(n) - g(n) on both sides, g(n) the exact
+    # value of the float lane
+    expected, actual, ok = head_check("vn", EXACT_LIMIT + 50, past_exact_profile)
+    assert ok and expected == actual
 
 
 def test_head_check_gn_and_rn(profile):
