@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 from .arith import CHUNK, ArithProfile
+from .special import zeta
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,8 @@ def mellin_reference(kernel: str, s: float, p: float = 2.0) -> float:
     """
     check_arguments(kernel, s, 1, p)
     if kernel == "M":
-        return 1.0 / (s * float(zeta(s)))
+        return 1.0 / (s * zeta(s)[0])
     if kernel == "xg":
-        return 1.0 / ((s - 1.0) * float(zeta(s)))
+        return 1.0 / ((s - 1.0) * zeta(s)[0])
     shift = s + 2.0 / p - 1.0
-    return 1.0 / (s * shift * float(zeta(shift)))
+    return 1.0 / (s * shift * zeta(shift)[0])

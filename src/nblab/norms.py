@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .beurling import BeurlingSum, Generator, GeneratorKind, Lanes
+from .special import gamma_upper, log_gamma_upper
 from .transform import TStep
 
 _LD_EPS = float(np.finfo(np.longdouble).eps)
@@ -445,15 +445,14 @@ def _near_zero_tail(pw: PiecewiseHyperbolic, p: float) -> float:
             return cst ** p * e
         # Minkowski: ||C + |log x|||_p <= C e^(1/p) + (integral |log|^p)^(1/p);
         # the log integral is the upper incomplete gamma Gamma(p+1, -log eps)
-        log_part = float(gammaincc(p + 1.0, -math.log(e))) * math.exp(math.lgamma(p + 1.0))
+        log_part = gamma_upper(p + 1.0, -math.log(e))
         return (cst * e ** (1.0 / p) + log_part ** (1.0 / p)) ** p
     except OverflowError:
         # a factor passed the float range: the bound is R^p for its p-th
         # root R, taken as exp(p log R) with slack for the logarithms
         root = cst * e ** (1.0 / p)
         if pw.has_log_tail:
-            root += math.exp((math.log(gammaincc(p + 1.0, -math.log(e)))
-                              + math.lgamma(p + 1.0)) / p)
+            root += math.exp(log_gamma_upper(p + 1.0, -math.log(e)) / p)
         t = p * math.log(root)
         with np.errstate(over="ignore"):
             return float(np.exp(t + 1e-12 * (abs(t) + 1.0)))

@@ -17,12 +17,10 @@ from functools import cached_property
 from numbers import Rational
 
 import numpy as np
-from scipy.special import gammaln
 
 from .arith import ArithProfile
 from .beurling import BeurlingSum, Lanes
-
-EULER_GAMMA = 0.5772156649015328606
+from .special import log_factorial
 
 
 def _phi(num, den, x) -> np.ndarray:
@@ -37,7 +35,7 @@ def _phi(num, den, x) -> np.ndarray:
     else:
         y = num.astype(np.float64) / (den.astype(np.float64) * float(x))
         m = np.floor(y)
-    return np.where(m >= 1.0, m * np.log(y) - gammaln(m + 1.0), 0.0)
+    return np.where(m >= 1.0, m * np.log(y) - log_factorial(m), 0.0)
 
 
 class TStep:

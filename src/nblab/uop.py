@@ -15,13 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from scipy.special import digamma, sici
-
 from . import beurling
 from .arith import EXACT_LIMIT, ArithProfile
 from .beurling import BeurlingSum, rho
 from .norms import BudgetError, NormReport, lp_distance
-from .transform import EULER_GAMMA
+from .special import harmonic, si
 
 
 @dataclass(frozen=True)
@@ -151,8 +149,7 @@ def rho_tail_integral(y: float) -> float:
     m = math.floor(y)
     if m < 1:
         return math.log(y)
-    harmonic = float(digamma(m + 1)) + EULER_GAMMA
-    return math.log(y) - harmonic + m / y
+    return math.log(y) - harmonic(m)[0] + m / y
 
 
 def ut_head(n: int, profile: ArithProfile) -> float:
@@ -188,16 +185,18 @@ def usn_lower_integral(n: int, profile: ArithProfile) -> tuple[float, float]:
 
     With h = 1/n and M = M(n) the integral is, in closed form,
     (2 pi Si(4 pi h) - sin^2(2 pi h)/h)/pi^2 + 2 M Si(2 pi h)/pi + M^2 h.
+    The bound is 16 ulp of the parts plus what the two Si bounds move them.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     m_n = float(profile.M(n))
     h = 1.0 / n
-    si_2, si_4 = float(sici(2.0 * math.pi * h)[0]), float(sici(4.0 * math.pi * h)[0])
+    (si_2, err_2), (si_4, err_4) = si(2.0 * math.pi * h), si(4.0 * math.pi * h)
     parts = [(2.0 * math.pi * si_4 - math.sin(2.0 * math.pi * h) ** 2 / h) / math.pi ** 2,
              2.0 * m_n * si_2 / math.pi,
              m_n * m_n * h]
-    return math.fsum(parts), 16.0 * math.ulp(1.0) * math.fsum(abs(v) for v in parts)
+    return math.fsum(parts), (16.0 * math.ulp(1.0) * math.fsum(abs(v) for v in parts)
+                              + 2.0 * (err_4 + abs(m_n) * err_2) / math.pi)
 
 
 def gn_chain_lower(n: int, profile: ArithProfile) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from nblab.arith import EXACT_LIMIT, ArithProfile
 from nblab.beurling import BeurlingSum, Generator, GeneratorKind
 from nblab.norms import _F64_EPS, PiecewiseHyperbolic, _gen_offsets
-from nblab.transform import EULER_GAMMA
+from nblab.special import EULER_GAMMA
 
 
 def naive_mu(k: int) -> int:

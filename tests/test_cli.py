@@ -1,8 +1,14 @@
 import csv
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nblab
 from nblab import arith, cli, norms, sieve, witnesses
 from nblab.norms import NormReport
 from nblab.witnesses import WitnessReport
@@ -295,3 +301,34 @@ def test_bad_out_path_fails_before_any_norm(tmp_path, monkeypatch, capsys):
 
 def test_n_grid_sorted_unique():
     assert cli._n_grid("10,5,5,1") == (1, 5, 10)
+
+
+# one call through each caller of nblab.special: Gamma(a, x) in the gn norm's
+# near-zero tail, Si in the sn witness, zeta in both Mellin references,
+# log m! in the identity suite; u runs the rest of uop, which holds H_m
+NO_SCIPY_CALLS = (
+    ["norm", "--family", "gn", "--p", "3", "--n-grid", "10", "--epsilon", "1e-3"],
+    ["witness", "--family", "sn", "--p", "2", "--n-grid", "10", "--epsilon", "1e-3"],
+    ["mellin", "--kernel", "M"],
+    ["mellin", "--kernel", "hp", "--p", "3"],
+    ["identity", "--limit", "2000"],
+    ["u", "--isometry", "--n-grid", "10"],
+)
+
+
+def test_no_call_imports_scipy(tmp_path):
+    # a fresh interpreter, so no other test's import counts; scipy is a
+    # test-only dependency and no call path may import it, even lazily
+    script = ("import json, sys\n"
+              "from nblab import cli\n"
+              f"codes = [cli.main(argv) for argv in {list(NO_SCIPY_CALLS)!r}]\n"
+              "print(json.dumps([codes, sorted(m for m in sys.modules"
+              " if m.split('.')[0] == 'scipy')]))\n")
+    src = str(Path(nblab.__file__).parents[1])
+    env = dict(os.environ, NB_CACHE_DIR=str(tmp_path / "cache"),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=300, check=True)
+    codes, scipy_modules = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0] * len(NO_SCIPY_CALLS)
+    assert scipy_modules == []

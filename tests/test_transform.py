@@ -6,8 +6,8 @@ import scipy.integrate as si
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nblab.transform import (EULER_GAMMA, Gn, TIndicator, mobius_log_identity,
-                             riemann_sum_T)
+from nblab.special import EULER_GAMMA
+from nblab.transform import Gn, TIndicator, mobius_log_identity, riemann_sum_T
 from oracles import (StepWeight, apply_T, floor_log_integral, gn_phi_terms,
                      rho_tail_ratio_bound, riemann_sum_via_make)
 
