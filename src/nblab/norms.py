@@ -8,11 +8,15 @@ and denominators, irregular terms), so its checks, bounds and scatter
 indices are array expressions.  The segments are the exact breakpoint
 lattice {theta_k / j}: one segment per distinct breakpoint, with the
 jumps of coincident terms summed, including breakpoints where that sum
-is zero; one ascending edge array holds them.  Integer jumps are carried
-exactly, so c is always exact and b is exact when every coefficient is
-an integer; drift_bound bounds what the remaining long double lane, the
-start state and the cast to float64 can round.  p = 2 takes a closed
-form from values at the edges.  At any other p, _split cuts the segments
+is zero; one ascending edge array holds them.  When every theta is 1/k
+the jumps are divisor sums at x = 1/m; otherwise the lattice repeats
+with period 1 in y = 1/(Q x), Q the lcm of the theta denominators, and
+one period is sorted, merged and tiled down to eps (the whole lattice is
+one period when Q eps >= 1, with Phi terms, or past 2^53 in its integer
+products).  Integer jumps are carried exactly, so c is always exact and
+b is exact when every coefficient is an integer; drift_bound bounds what
+the remaining long double lane, the start state and the cast to float64
+can round.  p = 2 takes a closed form from values at the edges.  At any other p, _split cuts the segments
 at critical points into monotone pieces and cuts a bracket out around
 each root, enclosed at its midpoint; p = 1 integrates the pieces in
 closed form, and general p by Gauss-Legendre at the lowest order whose
@@ -254,23 +258,53 @@ def _lattice_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
 
 
 def _merged_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
-    """Jumps for arbitrary rational thetas.  Each breakpoint num/(den j) is
-    one correctly rounded division of exact integers, so equal rationals
-    give equal doubles.  A stable sort of the per-term runs groups equal
-    doubles; where distinct rationals can share a double, cross-multiplied
-    integers decide which entries of a group are one rational, and the
-    others stay separate breakpoints, ordered exactly."""
-    spec = []                        # (num, den, first j, kept count)
+    """Jumps for arbitrary rational thetas, from one period of the lattice.
+
+    With Q = lcm(den_k) and A_k = theta_k Q, term k breaks where
+    y = 1/(Q x) = j / A_k, so the lattice repeats with period 1 in y.  A
+    period holds j0 <= j < j0 + A_k of each term (j0 = 1, or 2 for
+    theta = 1, whose x = 1 is in the start state), and period P the same
+    pattern at j + P A_k: one period is sorted and merged, and the others
+    take its summed jumps at their own x, down to eps.  The lattice is one
+    period, the whole of it, when Q eps >= 1, with a Phi term (whose jump
+    w log(theta / j) moves with j), or where den j would reach _EXACT.
+
+    Each breakpoint num/(den j) is one correctly rounded division of exact
+    integers, so equal rationals give equal doubles.  A stable sort of the
+    per-term runs groups equal doubles; where distinct rationals can share
+    a double, cross-multiplied integers decide which entries of a group
+    are one rational, and the others stay separate breakpoints, ordered
+    exactly, as are the periods."""
+    nums = np.concatenate([rho.num, phi.num]).tolist()
+    dens = np.concatenate([rho.den, phi.den]).tolist()
+    counts = []                      # breakpoints above eps of each term
+    for num, den in zip(nums, dens):
+        j0, j = num // den + 1, int(num / den / eps) + 1
+        while j >= j0 and num / (den * j) <= eps:
+            j -= 1
+        counts.append(j - j0 + 1)
+    q, periods = 1, 1
+    for den in dens:
+        q = math.lcm(q, den)
+        if q >= 1.0 / eps:
+            break
+    if not len(phi) and q < 1.0 / eps:
+        span = [num * (q // den) for num, den in zip(nums, dens)]        # A_k
+        periods = max([1] + [-(c // -a) for c, a in zip(counts, span)])
+        if max((den * (num // den + periods * a) for num, den, a in zip(nums, dens, span)),
+               default=0) >= _EXACT:
+            periods = 1
+    window = [min(c, a) for c, a in zip(counts, span)] if periods > 1 else counts
+
+    spec = []                        # (num, den, first j, count in the period)
     xs_parts = []
-    for num, den in zip(np.concatenate([rho.num, phi.num]).tolist(),
-                        np.concatenate([rho.den, phi.den]).tolist()):
-        j0, j1 = num // den + 1, int(num / den / eps) + 2
-        if num < _EXACT and den * j1 < _EXACT:
-            x = num / (den * np.arange(j0, j1, dtype=np.int64))
+    for num, den, count in zip(nums, dens, window):
+        j0 = num // den + 1
+        if num < _EXACT and den * (j0 + count) < _EXACT:
+            x = num / (den * np.arange(j0, j0 + count, dtype=np.int64))
         else:
-            x = np.array([num / (den * j) for j in range(j0, j1)], dtype=np.float64)
-        x = x[x > eps]
-        spec.append((num, den, j0, len(x)))
+            x = np.array([num / (den * j) for j in range(j0, j0 + count)], dtype=np.float64)
+        spec.append((num, den, j0, count))
         xs_parts.append(x)
     xs = np.concatenate(xs_parts) if spec else np.empty(0)
     size = len(xs)
@@ -300,7 +334,7 @@ def _merged_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
         else:
             cl, delta = _ld_coeff(coeff)
             db[s] = -cl
-            err += delta * count
+            err += delta * counts[i]
 
     order = np.argsort(-xs, kind="stable")
     xs = xs[order]
@@ -309,16 +343,16 @@ def _merged_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
     spread = (max((num for num, *_ in spec), default=0)
               * max((den * (j0 + count) for _, den, j0, count in spec), default=0))
     tied = np.flatnonzero(~first) if spread >= _SEPARABLE else []
+    offsets = np.cumsum([0] + [count for *_, count in spec])
     if len(tied):
         # an entry tied with its predecessor is the same rational iff
         # num q' == num' q; Python ints where int64 products could overflow
-        offsets = np.cumsum([0] + [count for *_, count in spec])
         kind = object if spread >= 2 ** 63 else np.int64
-        nums, dens, j0s = (np.array(v, dtype=kind) for v in list(zip(*spec))[:3])
+        nums_k, dens_k, j0s = (np.array(v, dtype=kind) for v in list(zip(*spec))[:3])
 
         def ratio(pos):
             t = np.searchsorted(offsets, pos, side="right") - 1
-            return nums[t], dens[t] * (j0s[t] + (pos - offsets[t]).astype(kind))
+            return nums_k[t], dens_k[t] * (j0s[t] + (pos - offsets[t]).astype(kind))
 
         n1, q1 = ratio(order[tied - 1])
         n2, q2 = ratio(order[tied])
@@ -336,15 +370,30 @@ def _merged_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
                 first[run][1:] = [fr[perm[k]] != fr[perm[k - 1]]
                                 for k in range(1, len(fr))]
     starts = np.flatnonzero(first)
-    if not exact and len(starts) < size:
-        # a run of r jumps is summed with r - 1 roundings
-        run_max = int(np.max(np.diff(np.append(starts, size))))
-        err += _LD_EPS * (run_max - 1) * float(np.sum(np.abs(db)))
 
     def merged(lane):
         return None if lane is None else np.add.reduceat(lane[order], starts)
 
-    return _Jumps(xs[starts], merged(db), merged(dc), err)
+    xs, db_sum, dc = xs[starts], merged(db), merged(dc)
+    if periods > 1:
+        # period P at j + P A_k: den (j + P A_k) is an exact double, so each
+        # x is one correctly rounded division, as in the pattern
+        pos = order[starts]
+        t = np.searchsorted(offsets, pos, side="right") - 1
+        num_t, den_t, a_t = (np.array(v, dtype=np.int64)[t] for v in (nums, dens, span))
+        q = np.multiply.outer(np.arange(periods, dtype=np.float64), den_t * a_t)
+        q += den_t * (num_t // den_t + 1 + pos - offsets[t])
+        xs, db_sum = np.divide(num_t, q, out=q).ravel(), np.tile(db_sum, periods)
+    # xs descends, so the breakpoints above eps are a prefix
+    keep = len(xs) - int(np.searchsorted(xs[::-1], eps, side="right"))
+    run_max = int(np.max(np.diff(np.append(starts, size))[:keep], initial=1))
+    if not exact and run_max > 1:
+        # a run of r jumps is summed with r - 1 roundings; tiled, each rho
+        # term has its one jump at all its breakpoints
+        magnitudes = (np.abs(db) if periods == 1 else
+                      np.repeat(np.abs(db.take(offsets[:-1], mode="clip")), counts))
+        err += _LD_EPS * (run_max - 1) * float(np.sum(magnitudes))
+    return _Jumps(xs[:keep], db_sum[:keep], dc, err)
 
 
 def _int_state(jumps, n: int) -> np.ndarray:
@@ -372,8 +421,11 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     floor(theta_k / x) for every term through it, which bumps b (and, for
     integral terms, the log coefficient c) by the summed jump.  When every
     theta is 1/k and the lattice 1/m is no larger than the breakpoint count,
-    the jumps are divisor sums built by scatter; otherwise the per-term
-    breakpoints are sorted and coincident ones summed.
+    the jumps are divisor sums built by scatter; otherwise the lattice
+    repeats with period 1 in y = 1/(Q x), Q the lcm of the theta
+    denominators, and _merged_jumps sorts one period, sums its coincident
+    breakpoints and tiles it (one period is the whole lattice when
+    Q eps >= 1, with Phi terms, or past 2^53 in the tiling's products).
     """
     rho, phi, inv_coeff, sup_bound = _term_spec(f)
     check_cutoff(eps)

@@ -14,8 +14,9 @@ import mpmath
 import numpy as np
 
 from nblab.arith import EXACT_LIMIT, ArithProfile
-from nblab.beurling import BeurlingSum, Generator, GeneratorKind
-from nblab.norms import _F64_EPS, PiecewiseHyperbolic, _gen_offsets
+from nblab.beurling import BeurlingSum, Generator, GeneratorKind, Lanes
+from nblab.norms import (_EXACT, _F64_EPS, _LD_EPS, _SEPARABLE, PiecewiseHyperbolic,
+                         _gen_offsets, _Jumps, _ld_coeff)
 from nblab.special import EULER_GAMMA
 
 
@@ -447,3 +448,99 @@ def mellin_whole_array(profile: ArithProfile, kernel: str, s: float,
     base = (hp - mert * np.exp(e * logn) / e) * (pow_s - pow_s1) / s
     shifted = (np.exp((e - s) * logn) - np.exp((e - s) * lognn)) / (s - e)
     return float(np.sum(base + mert / e * shifted))
+
+
+def merged_jumps_sorted(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
+    """norms._merged_jumps as it was before it tiled one period of the
+    lattice: every (term, j) breakpoint is materialized and the whole
+    lattice sorted.  Jumps for arbitrary rational thetas.  Each breakpoint
+    num/(den j) is one correctly rounded division of exact integers, so
+    equal rationals give equal doubles.  A stable sort of the per-term
+    runs groups equal doubles; where distinct rationals can share a double,
+    cross-multiplied integers decide which entries of a group are one
+    rational, and the others stay separate breakpoints, ordered exactly."""
+    spec = []                        # (num, den, first j, kept count)
+    xs_parts = []
+    for num, den in zip(np.concatenate([rho.num, phi.num]).tolist(),
+                        np.concatenate([rho.den, phi.den]).tolist()):
+        j0, j1 = num // den + 1, int(num / den / eps) + 2
+        if num < _EXACT and den * j1 < _EXACT:
+            x = num / (den * np.arange(j0, j1, dtype=np.int64))
+        else:
+            x = np.array([num / (den * j) for j in range(j0, j1)], dtype=np.float64)
+        x = x[x > eps]
+        spec.append((num, den, j0, len(x)))
+        xs_parts.append(x)
+    xs = np.concatenate(xs_parts) if spec else np.empty(0)
+    size = len(xs)
+
+    exact = not len(phi) and not rho.irregular
+    db = np.zeros(size, np.int64 if exact else np.longdouble)
+    dc = np.zeros(size, np.int64) if len(phi) else None
+    err = 0.0
+    start = 0
+    coeffs = rho.coefficients() + phi.coeff.tolist()
+    for i, (coeff, (num, den, j0, count)) in enumerate(zip(coeffs, spec)):
+        s = slice(start, start + count)
+        start += count
+        if i >= len(rho):
+            # Phi: b jumps by w log(theta / j) = w (log num - log den - log j)
+            dc[s] = -coeff
+            log_j = np.log(np.arange(j0, j0 + count, dtype=np.longdouble))
+            log_nd = np.log(np.longdouble(num)) - np.log(np.longdouble(den))
+            db[s] = coeff * (log_nd - log_j)
+            # logl within one ulp, num and den rounded on conversion above
+            # 2^64, two differences and one product rounded once each
+            err += 2.0 * _LD_EPS * abs(coeff) * float(
+                count * (abs(log_nd) + np.log(np.longdouble(den)) + 1.0)
+                + np.sum(log_j))
+        elif i not in rho.irregular:
+            db[s] = -coeff
+        else:
+            cl, delta = _ld_coeff(coeff)
+            db[s] = -cl
+            err += delta * count
+
+    order = np.argsort(-xs, kind="stable")
+    xs = xs[order]
+    first = np.ones(size, dtype=bool)
+    first[1:] = xs[1:] != xs[:-1]
+    spread = (max((num for num, *_ in spec), default=0)
+              * max((den * (j0 + count) for _, den, j0, count in spec), default=0))
+    tied = np.flatnonzero(~first) if spread >= _SEPARABLE else []
+    if len(tied):
+        # an entry tied with its predecessor is the same rational iff
+        # num q' == num' q; Python ints where int64 products could overflow
+        offsets = np.cumsum([0] + [count for *_, count in spec])
+        kind = object if spread >= 2 ** 63 else np.int64
+        nums, dens, j0s = (np.array(v, dtype=kind) for v in list(zip(*spec))[:3])
+
+        def ratio(pos):
+            t = np.searchsorted(offsets, pos, side="right") - 1
+            return nums[t], dens[t] * (j0s[t] + (pos - offsets[t]).astype(kind))
+
+        n1, q1 = ratio(order[tied - 1])
+        n2, q2 = ratio(order[tied])
+        split = tied[np.not_equal(n1 * q2, n2 * q1)]
+        if len(split):
+            # rare: distinct rationals on one double; order each such group
+            # exactly and start a breakpoint wherever the rational changes
+            heads = np.flatnonzero(first)
+            ends = np.append(heads[1:], size)
+            for h in np.unique(np.searchsorted(heads, split, side="right") - 1):
+                run = slice(heads[h], ends[h])
+                fr = [Fraction(int(a), int(b)) for a, b in zip(*ratio(order[run]))]
+                perm = sorted(range(len(fr)), key=lambda k: -fr[k])
+                order[run] = order[run][perm]
+                first[run][1:] = [fr[perm[k]] != fr[perm[k - 1]]
+                                for k in range(1, len(fr))]
+    starts = np.flatnonzero(first)
+    if not exact and len(starts) < size:
+        # a run of r jumps is summed with r - 1 roundings
+        run_max = int(np.max(np.diff(np.append(starts, size))))
+        err += _LD_EPS * (run_max - 1) * float(np.sum(np.abs(db)))
+
+    def merged(lane):
+        return None if lane is None else np.add.reduceat(lane[order], starts)
+
+    return _Jumps(xs[starts], merged(db), merged(dc), err)

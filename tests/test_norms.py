@@ -15,8 +15,10 @@ from nblab.beurling import BeurlingSum, LAMBDA, NEG_CHI, make_family
 from nblab.norms import (_LADDER, Difference, PiecewiseHyperbolic, _gl_nodes, lp_distance,
                          lp_norm, to_piecewise)
 from nblab.transform import Gn, TIndicator, riemann_sum_T
+from nblab.uop import apply_u
 from oracles import (_quad_refined, dilation_quotient_minus_chi, lp_power_mpmath,
-                     quad_abs_p, sq_integral_whole_array, to_piecewise_exact, values_at)
+                     merged_jumps_sorted, quad_abs_p, sq_integral_whole_array,
+                     to_piecewise_exact, values_at)
 
 
 def _exact_value(segments, x):
@@ -68,19 +70,109 @@ def test_drift_bound_covers_rounding(profile):
         assert dc <= pw.drift_bound, (fam, dc, pw.drift_bound)
 
 
+def _matches_exact(f, eps):
+    pw = to_piecewise(f, None, eps)
+    segs = to_piecewise_exact(f, None, Fraction(eps))
+    assert pw.segment_count == len(segs)
+    assert np.array_equal(pw.lo, [float(seg[0]) for seg in segs])
+    assert all(Fraction(float(b)) == seg[3] and c == seg[4]
+               for b, c, seg in zip(pw.b, pw.c, segs))
+
+
+def _same_jumps(rho, phi, eps):
+    """_merged_jumps against the sort of the whole lattice, bit for bit."""
+    got, want = norms._merged_jumps(rho, phi, eps), merged_jumps_sorted(rho, phi, eps)
+    for lane in ("xs", "db", "dc"):
+        g, w = getattr(got, lane), getattr(want, lane)
+        assert (g is None) == (w is None), lane
+        assert g is None or (g.dtype == w.dtype and np.array_equal(g, w)), lane
+    assert got.err == want.err
+
+
 def test_distinct_breakpoints_on_one_double_stay_apart():
     # each pair of thetas rounds to one double (the second pair needs more
-    # than 53 bits); a lone term is never refused for its fine denominators
+    # than 53 bits); a lone term is never refused for its fine denominators.
+    # Their lcm passes 1/eps, so each lattice is one period
     for terms in ([(1, Fraction(89478486, 268435459)), (-1, Fraction(89478485, 2 ** 28))],
                   [(1, Fraction(1, 3)), (-1, Fraction(1 / 3)), (2, Fraction(2, 5))],
                   [(1, Fraction(2 ** 30 + 1, 2 ** 31))]):
         f = BeurlingSum.make(terms)
-        pw = to_piecewise(f, None, 0.1)
-        segs = to_piecewise_exact(f, None, Fraction(1, 10))
-        assert pw.segment_count == len(segs)
-        assert np.array_equal(pw.lo, [float(seg[0]) for seg in segs])
-        assert all(Fraction(float(b)) == seg[3] and c == seg[4]
-                   for b, c, seg in zip(pw.b, pw.c, segs))
+        _matches_exact(f, 0.1)
+        _same_jumps(f.lanes, norms._NO_TERMS, 0.1)
+
+
+def test_tiled_ties_decided_exactly():
+    # Q = 2^18 and eps = 1/(2.5 Q): three periods, and a spread num * den j
+    # near 2^54, so every tie of the pattern (all terms meet at y = 1, the
+    # period join) is decided on cross-multiplied integers.  Distinct
+    # breakpoints of a tiled lattice differ by a relative
+    # eps / (theta theta' Q), which the flatten budget (theta <= 2e7 eps)
+    # and Q < 1/eps keep above 2.5e-15, over ten ulps: none share a double
+    q = 2 ** 18
+    f = BeurlingSum.make([(1, 1), (-2, Fraction(q - 1, q)), (Fraction(1, 3), Fraction(1, 2)),
+                          (5, Fraction(5, 8))])
+    eps = 1.0 / (2.5 * q)
+    lanes = f.lanes
+    assert max(lanes.num) * max(lanes.den * (lanes.num * q // lanes.den + 1)) >= norms._SEPARABLE
+    _same_jumps(lanes, norms._NO_TERMS, eps)
+
+
+@pytest.mark.parametrize("family", ["fn", "rn"])
+@pytest.mark.parametrize("n", [2, 10, 100, 1000])
+def test_tiled_jumps_equal_whole_lattice_sort(profile, family, n):
+    # every cutoff whose lattice fits the flatten budget; rn 2 is the empty
+    # sum and fn 1000 at 1e-3 is one period (Q eps = 1)
+    lanes = make_family(family, n, profile).lanes
+    for eps in (1e-3, 1e-4, 1e-6):
+        if np.sum(lanes.thetas() / eps // 1.0 + 1.0) <= norms.FLATTEN_BUDGET:
+            _same_jumps(lanes, norms._NO_TERMS, eps)
+
+
+@pytest.mark.parametrize("family", ["sn", "vn", "bn"])
+@pytest.mark.parametrize("n", [1, 10, 100])
+def test_tiled_jumps_of_u_images(profile, family, n):
+    # the class-B sums u_l2_norm flattens: thetas k/n, Fraction coefficients
+    # mu(k)/k in the long double lane; vn 1 folds to the empty sum
+    usum = apply_u(make_family(family, n, profile))
+    thetas = [theta for _, theta in usum.terms] or [Fraction(1)]
+    t = min(thetas)
+    h = BeurlingSum.make([(d, t / theta) for d, theta in usum.terms])
+    assert (family, n) != ("vn", 1) or not len(h.lanes)
+    for x_max in (1e2, 1e3):
+        _same_jumps(h.lanes, norms._NO_TERMS, float(t) / x_max)
+
+
+def test_one_period_lattices(profile):
+    # Q eps >= 1 (Q = lcm(1..12) for an sn mixture of k/n thetas), a Phi
+    # lane (its jump moves with log j) and object-dtype thetas past 2^53
+    # each flatten as one period, the whole lattice
+    mix = norms._term_spec(Difference(make_family("fn", 12, profile),
+                                      BeurlingSum.make(make_family("sn", 12, profile).terms[1:])))
+    _same_jumps(mix[0], mix[1], 1e-4)
+    rho, phi, *_ = norms._term_spec(Difference(make_family("fn", 10, profile), Gn(10, profile)))
+    _same_jumps(rho, phi, 1e-4)
+    wide = BeurlingSum.make([(1, Fraction(2 ** 60 + 1, 2 ** 61)), (-2, Fraction(1, 3)),
+                             (3, Fraction(3, 7))])
+    assert wide.lanes.num.dtype == object
+    _same_jumps(wide.lanes, norms._NO_TERMS, 1e-3)
+    _matches_exact(wide, 1e-3)
+
+
+def test_tiled_theta_one_starts_at_x_one(profile):
+    # x = 1 of theta = 1 is in the start state, in period 0 only; the
+    # difference holds two theta = 1 terms, whose jumps cancel there
+    _matches_exact(make_family("fn", 10, profile), 1e-3)
+    rho, phi, *_ = norms._term_spec(Difference(make_family("fn", 10, profile),
+                                               make_family("fn", 12, profile)))
+    assert np.count_nonzero(rho.num == rho.den) == 2
+    _same_jumps(rho, phi, 1e-3)
+
+
+def test_empty_sum_flattens(profile):
+    # vn 1 folds to no terms; the lcm of no denominators is 1
+    assert not len(make_family("vn", 1, profile).lanes)
+    _same_jumps(norms._NO_TERMS, norms._NO_TERMS, 1e-3)
+    assert to_piecewise(make_family("vn", 1, profile), NEG_CHI, 1e-3).segment_count == 1
 
 
 def test_exact_flattener_tiles(profile):
