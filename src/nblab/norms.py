@@ -11,21 +11,26 @@ jumps of coincident terms summed, including breakpoints where that sum
 is zero; one ascending edge array holds them.  When every theta is 1/k
 the jumps are divisor sums at x = 1/m; otherwise the lattice repeats
 with period 1 in y = 1/(Q x), Q the lcm of the theta denominators, and
-one period is sorted, merged and tiled down to eps (the whole lattice is
-one period when Q eps >= 1, with Phi terms, or past 2^53 in its integer
-products).  Integer jumps are carried exactly, so c is always exact and
-b is exact when every coefficient is an integer; drift_bound bounds what
-the remaining long double lane, the start state and the cast to float64
-can round.  p = 2 takes a closed form from values at the edges.  At any other p, _split cuts the segments
-at critical points into monotone pieces and cuts a bracket out around
-each root, enclosed at its midpoint; p = 1 integrates the pieces in
-closed form, and general p by Gauss-Legendre at the lowest order whose
-Bernstein-ellipse bound meets a fixed relative target, cutting pieces
-toward roots.  Every integrator bounds its own float64 rounding, and the
-truncation and rounding bounds are proofs.  The regions (0, eps) and
-(1, inf) are handled by a rigorous sup-bound and by the exact tail
-integral of (a / x)^p respectively, so every report is an interval
-certified to contain the true norm.
+one period is sorted and merged, and its tiles are made on demand down
+to eps (the whole lattice is one period when Q eps >= 1, with Phi terms,
+or past 2^53 in its integer products).  The jumps are made and summed a
+_BLOCK at a time and written straight into the final edge, b and c
+arrays, so a flatten holds 24 B a segment besides the merged period or
+the int64 scatter lanes of a dense lattice, and O(_BLOCK) transients.
+Integer jumps are carried exactly, so c is always exact and b is exact
+when every coefficient is an integer; drift_bound bounds what the
+remaining long double lane, the start state and the cast to float64 can
+round, with the bits a whole-array flatten would give.  p = 2 takes a
+closed form from values at the edges, with 16 B a segment more.  At any
+other p, _split cuts the segments at critical points into monotone pieces
+and cuts a bracket out around each root, enclosed at its midpoint; p = 1
+integrates the pieces in closed form, and general p by Gauss-Legendre at
+the lowest order whose Bernstein-ellipse bound meets a fixed relative
+target, cutting pieces toward roots.  Every integrator bounds its own
+float64 rounding, and the truncation and rounding bounds are proofs.  The
+regions (0, eps) and (1, inf) are handled by a rigorous sup-bound and by
+the exact tail integral of (a / x)^p respectively, so every report is an
+interval certified to contain the true norm.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,7 +52,7 @@ _LD_EPS = float(np.finfo(np.longdouble).eps)
 _F64_EPS = float(np.finfo(np.float64).eps)
 
 FLATTEN_BUDGET = 20_000_000
-_BLOCK = 1 << 15        # segments (p = 2) or pieces (general p) per cache-sized block
+_BLOCK = 1 << 15        # jumps, segments or pieces per cache-sized block
 
 
 class BudgetError(RuntimeError):
@@ -181,80 +187,141 @@ def _ld_coeff(c: Fraction) -> tuple[np.longdouble, float]:
 
 @dataclass(frozen=True)
 class _Jumps:
-    """Summed jumps of (b, c) at the distinct breakpoints xs, descending
-    (two distinct rationals can round to one double and repeat an x).
+    """Summed jumps of (b, c) at the n distinct breakpoints above eps,
+    descending (two distinct rationals can round to one double and repeat
+    an x), made on demand.
 
-    db is exact when it is int64; as long double, err bounds the rounding
-    already in it.  dc is int64, or None when no term moves c.
+    take(i0, i1) gives (xs, db, dc) of jumps [i0, i1): db is exact when it
+    is int64, and then exact is True; dc is int64, or None when no term
+    moves c.  err() bounds the rounding already in a long double db, once
+    every chunk has been taken, in order.
     """
 
-    xs: np.ndarray
-    db: np.ndarray
-    dc: np.ndarray | None
-    err: float
+    n: int
+    exact: bool
+    take: Callable[[int, int], tuple]
+    err: Callable[[], float]
+
+
+def _pairwise_sum(n: int, leaf, start: int = 0):
+    """np.sum of the n entries [start, start + n) in NumPy's own order,
+    from leaf(i0, i1), the np.sum of entries [i0, i1).
+
+    np.add.reduce over one contiguous array adds pairwise (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., ch. 4): a stretch of
+    more than 128 entries is halved at n // 2 less its remainder mod 8, and
+    a shorter one summed in eight accumulators.  np.sum of any stretch the
+    halving reaches is its value there, so the leaves stop at _BLOCK
+    entries (128 at least) and are made one at a time, in ascending order.
+    A leaf that returns lists gives the list of leaves instead.
+    """
+    if n <= max(_BLOCK, 128):
+        return leaf(start, start + n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(half, leaf, start) + _pairwise_sum(n - half, leaf, start + half)
+
+
+class _PairwiseStream:
+    """_pairwise_sum of n long doubles fed in order, chunk by chunk: each
+    leaf is summed once it is whole, so at most a leaf is held."""
+
+    def __init__(self, n: int):
+        self.n, self.ends = n, _pairwise_sum(n, lambda i0, i1: [i1])
+        self.held, self.sums, self.fed = [], [], 0
+
+    def feed(self, values: np.ndarray) -> None:
+        while len(values):
+            end = self.ends[len(self.sums)]
+            part, values = values[:end - self.fed], values[end - self.fed:]
+            self.held.append(part)
+            self.fed += len(part)
+            if self.fed == end:
+                self.sums.append(np.sum(np.concatenate(self.held)))
+                self.held = []
+
+    def total(self) -> np.longdouble:
+        sums = iter(self.sums)
+        return _pairwise_sum(self.n, lambda i0, i1: next(sums, np.longdouble(0.0)))
 
 
 def _lattice_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
     """Jumps when every theta is 1/k: all breakpoints lie on x = 1/m, and
     the jump at m is a divisor sum over the terms with k | m, scattered as
-    D[k::k] += c_k.  A Phi term of weight w jumps by -w log m in b and -w
-    in c there, so the log lane and non-integer coefficients are the only
-    inexact parts."""
+    D[k::k] += c_k into int64 lanes over m <= 1/eps.  A Phi term of weight w
+    jumps by -w log m in b and -w in c there, so the log lane and
+    non-integer coefficients are the only inexact parts; they are made a
+    chunk at a time, with the maxima and the sum their bound needs."""
     top = int(1.0 / eps) + 1
     db_int = np.zeros(top + 1, dtype=np.int64)
-    db_flt = weights = None
     for k, c in zip(rho.den.tolist(), rho.coeff.tolist()):
         if c:
             db_int[k::k] -= c
-    floats = []                      # (|coeff|, rounding of coeff, k)
-    for i, coeff in rho.irregular.items():
-        k = int(rho.den[i])
-        if db_flt is None:
-            db_flt = np.zeros(top + 1, dtype=np.longdouble)
-        cl, delta = _ld_coeff(coeff)
-        db_flt[k::k] -= cl
-        floats.append((abs(float(cl)), delta, k))
+    # (k, coeff rounded to long double, its rounding)
+    floats = [(int(rho.den[i]), *_ld_coeff(coeff)) for i, coeff in rho.irregular.items()]
+    weights = None
     if len(phi):
         weights = np.zeros(top + 1, dtype=np.int64)
         for k, w in zip(phi.den.tolist(), phi.coeff.tolist()):
             weights[k::k] += w
-    # theta = 1 breaks at every 1/m (no mask) but x = 1, whose floor is in the start state
+    # 1/m descends, so the breakpoints above eps are the m up to m_cap
+    m_cap = top
+    while 1.0 / m_cap <= eps:
+        m_cap -= 1
+    # theta = 1 breaks at every 1/m (no mask) but x = 1, whose floor is in
+    # the start state; without it, the m some k divides are listed (int64)
     ks = np.concatenate([rho.den, phi.den])
-    has_one = bool(np.any(ks == 1))
-    if has_one:
-        m = np.arange(2, top + 1)
+    if np.any(ks == 1):
+        m_hit, n = None, m_cap - 1
     else:
-        hit = np.zeros(top + 1, dtype=bool)
+        hit = np.zeros(m_cap + 1, dtype=bool)
         for k in ks.tolist():
             hit[k::k] = True
-        m = np.flatnonzero(hit)
-    xs = 1.0 / m
-    # xs descends, so the breakpoints above eps are a prefix
-    keep = len(xs) - int(np.searchsorted(xs[::-1], eps, side="right"))
-    m, xs = m[:keep], xs[:keep]
-    at = slice(2, 2 + keep) if has_one else m
+        m_hit = np.flatnonzero(hit)
+        n = len(m_hit)
+    m_max = (m_cap if m_hit is None else int(m_hit[-1])) if n else 1
+    err = sum(delta * (m_max // k - (k == 1)) for k, _, delta in floats)
+    lanes = bool(floats) + (weights is not None)       # inexact ones
+    maxima = [0.0] * (1 + lanes)         # of |db_int|, then of each inexact lane
+    log_sum = _PairwiseStream(n)
 
-    db, dc = db_int[at], None
-    m_max = int(m[-1]) if len(m) else 1
-    err = sum(delta * (m_max // k - (k == 1)) for _, delta, k in floats)
-    parts = [] if db_flt is None else [db_flt[at]]
-    if weights is not None:
-        w = weights[at]
-        dc = -w
-        log_m = np.log(m.astype(np.longdouble))
-        parts.append(-w * log_m)
-        # logl within one ulp, then one rounded product
-        err += 2.0 * _LD_EPS * float(np.sum(np.abs(w) * log_m))
-    if parts:
-        # the scatter summed up to len(floats) coefficients at each m, and
-        # each part then added to the exact integer jump rounds once
-        bound = sum(c for c, _, _ in floats) + sum(
-            float(np.max(np.abs(v), initial=0.0)) for v in [db] + parts)
-        err += _LD_EPS * (max(len(floats) - 1, 0) + len(parts)) * len(m) * bound
-        db = db.astype(np.longdouble)
-        for v in parts:
-            db += v
-    return _Jumps(xs, db, dc, err)
+    def take(i0, i1):
+        m = np.arange(i0 + 2, i1 + 2) if m_hit is None else m_hit[i0:i1]
+        at = slice(i0 + 2, i1 + 2) if m_hit is None else m
+        db, dc, parts = db_int[at], None, []        # parts: (jumps, |jumps|)
+        if floats:
+            v = np.zeros(len(m), dtype=np.longdouble)
+            for k, cl, _ in floats:
+                v[slice(-(i0 + 2) % k, None, k) if m_hit is None else m % k == 0] -= cl
+            parts.append((v, np.abs(v)))
+        if weights is not None:
+            w = weights[at]
+            dc = -w
+            log_m = np.log(m.astype(np.longdouble))
+            # |-w log m| is |w| log m: a product rounds the same either sign
+            mag = np.abs(w) * log_m
+            log_sum.feed(mag)
+            parts.append((-w * log_m, mag))
+        if parts:
+            for j, mag in enumerate([np.abs(db)] + [mag for _, mag in parts]):
+                maxima[j] = max(maxima[j], float(np.max(mag)))
+            db = db.astype(np.longdouble)
+            for v, _ in parts:
+                db += v
+        return 1.0 / m, db, dc
+
+    def total_err():
+        e = err
+        if weights is not None:
+            # logl within one ulp, then one rounded product
+            e += 2.0 * _LD_EPS * float(log_sum.total())
+        if lanes:
+            # the scatter summed up to len(floats) coefficients at each m, and
+            # each lane then added to the exact integer jump rounds once
+            bound = sum(abs(float(cl)) for _, cl, _ in floats) + sum(maxima)
+            e += _LD_EPS * (max(len(floats) - 1, 0) + lanes) * n * bound
+        return e
+
+    return _Jumps(n, not lanes, take, total_err)
 
 
 def _merged_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
@@ -264,8 +331,9 @@ def _merged_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
     y = 1/(Q x) = j / A_k, so the lattice repeats with period 1 in y.  A
     period holds j0 <= j < j0 + A_k of each term (j0 = 1, or 2 for
     theta = 1, whose x = 1 is in the start state), and period P the same
-    pattern at j + P A_k: one period is sorted and merged, and the others
-    take its summed jumps at their own x, down to eps.  The lattice is one
+    pattern at j + P A_k: one period is sorted and merged, and _tile makes
+    the others on demand, its summed jumps at their own x, down to eps; the
+    error bound sums the tiled |jumps| a leaf at a time.  The lattice is one
     period, the whole of it, when Q eps >= 1, with a Phi term (whose jump
     w log(theta / j) moves with j), or where den j would reach _EXACT.
 
@@ -375,36 +443,75 @@ def _merged_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
         return None if lane is None else np.add.reduceat(lane[order], starts)
 
     xs, db_sum, dc = xs[starts], merged(db), merged(dc)
-    if periods > 1:
+    if periods == 1:
+        # xs descends, so the breakpoints above eps are a prefix
+        keep = len(xs) - int(np.searchsorted(xs[::-1], eps, side="right"))
+        take = functools.partial(_slices, xs, db_sum, dc)
+    else:
         # period P at j + P A_k: den (j + P A_k) is an exact double, so each
         # x is one correctly rounded division, as in the pattern
         pos = order[starts]
         t = np.searchsorted(offsets, pos, side="right") - 1
         num_t, den_t, a_t = (np.array(v, dtype=np.int64)[t] for v in (nums, dens, span))
-        q = np.multiply.outer(np.arange(periods, dtype=np.float64), den_t * a_t)
-        q += den_t * (num_t // den_t + 1 + pos - offsets[t])
-        xs, db_sum = np.divide(num_t, q, out=q).ravel(), np.tile(db_sum, periods)
-    # xs descends, so the breakpoints above eps are a prefix
-    keep = len(xs) - int(np.searchsorted(xs[::-1], eps, side="right"))
+        take = functools.partial(_tile, num_t, den_t * a_t,
+                                 den_t * (num_t // den_t + 1 + pos - offsets[t]), db_sum)
+        # every period but the last lies above eps: the longest term has a
+        # breakpoint above eps in that one
+        width = len(starts)
+        last = take((periods - 1) * width, periods * width)[0]
+        keep = periods * width - int(np.searchsorted(last[::-1], eps, side="right"))
     run_max = int(np.max(np.diff(np.append(starts, size))[:keep], initial=1))
     if not exact and run_max > 1:
         # a run of r jumps is summed with r - 1 roundings; tiled, each rho
         # term has its one jump at all its breakpoints
-        magnitudes = (np.abs(db) if periods == 1 else
-                      np.repeat(np.abs(db.take(offsets[:-1], mode="clip")), counts))
-        err += _LD_EPS * (run_max - 1) * float(np.sum(magnitudes))
-    return _Jumps(xs[:keep], db_sum[:keep], dc, err)
+        if periods == 1:
+            total = np.sum(np.abs(db))
+        else:
+            mags = np.abs(db.take(offsets[:-1], mode="clip"))
+            ends = np.cumsum([0] + counts)
+            total = _pairwise_sum(int(ends[-1]), lambda i0, i1: np.sum(
+                np.repeat(mags, np.diff(np.clip(ends, i0, i1)))))
+        err += _LD_EPS * (run_max - 1) * float(total)
+    return _Jumps(keep, exact, take, lambda: err)
 
 
-def _int_state(jumps, n: int) -> np.ndarray:
-    """Cumulative integer state, 0 before the first jump, checked exact in float64."""
-    state = np.zeros(n + 1, dtype=np.int64)
-    if jumps is not None:
-        # the sum of |jumps| bounds every partial state
-        if float(np.sum(np.abs(jumps), dtype=np.float64)) >= 2.0 ** 52:
+def _tile(num, den_a, base, db, i0, i1):
+    """(xs, db, None) of jumps [i0, i1) of a tiled lattice: entry k of
+    period P breaks at num_k / (P den_k A_k + base_k), taken in rows of
+    whole periods and the parts of periods at either end."""
+    size, xs, dbs = len(base), [], []
+    while i0 < i1:
+        p, k = divmod(i0, size)
+        rows = max((i1 - i0) // size, 1) if k == 0 else 1
+        stop = min(size, k + i1 - i0)
+        q = np.multiply.outer(np.arange(p, p + rows, dtype=np.float64), den_a[k:stop])
+        q += base[k:stop]
+        xs.append(np.divide(num[k:stop], q, out=q).ravel())
+        dbs.append(np.tile(db[k:stop], rows))
+        i0 += rows * (stop - k)
+    return np.concatenate(xs), np.concatenate(dbs), None
+
+
+def _slices(xs, db, dc, i0, i1):
+    return xs[i0:i1], db[i0:i1], None if dc is None else dc[i0:i1]
+
+
+class _IntRun:
+    """The running state of an integer jump lane, chunk by chunk, checked
+    exact in float64: the sum of |jumps| over the lane bounds every partial
+    state, and its float64 sum is exact below 2^53."""
+
+    def __init__(self, start: int):
+        self.state, self.total = start, 0.0
+
+    def states(self, jumps: np.ndarray) -> np.ndarray:
+        self.total += float(np.sum(np.abs(jumps), dtype=np.float64))
+        if self.total >= 2.0 ** 52:
             raise OverflowError("integer jumps too large for an exact float64 state")
-        np.cumsum(jumps, out=state[1:])
-    return state
+        out = np.cumsum(jumps)
+        out += self.state
+        self.state = int(out[-1])
+        return out
 
 
 def check_cutoff(eps: float) -> None:
@@ -426,6 +533,14 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     denominators, and _merged_jumps sorts one period, sums its coincident
     breakpoints and tiles it (one period is the whole lattice when
     Q eps >= 1, with Phi terms, or past 2^53 in the tiling's products).
+
+    The jumps come a _BLOCK at a time, back to front of the ascending
+    segments, and their running sums go straight into edges, b and c: no
+    full-length long double or tiled array is made.  The integer states
+    carry exactly; the long double one folds its carry into a chunk's first
+    jump, which gives the roundings of one cumulative sum over the whole
+    lattice, and the maxima and counts of the drift bound do not depend on
+    order, so every bit is that of one pass over whole arrays.
     """
     rho, phi, inv_coeff, sup_bound = _term_spec(f)
     check_cutoff(eps)
@@ -463,27 +578,46 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     dense = bool(np.all(rho.num == 1) and np.all(phi.num == 1)) and int(1.0 / eps) <= total
     jumps = (_lattice_jumps if dense else _merged_jumps)(rho, phi, eps)
 
-    n = len(jumps.xs)
-    edges = np.concatenate([[eps], jumps.xs[::-1], [1.0]])
-    c_state = _int_state(jumps.dc, n) + c0
+    # each chunk's states i0 + 1 .. i1 land at n - i1 .. n - i0 - 1, so the
+    # segments ascend; state 0, just below x = 1, is the last
+    n = jumps.n
+    edges, b, c = np.empty(n + 2), np.empty(n + 1), np.full(n + 1, float(c0))
+    edges[0], edges[-1], b[n] = eps, 1.0, b0
+    b_run, c_run = _IntRun(0), _IntRun(c0)
+    s_run, s_max, b_max, nonzero = np.longdouble(0.0), 0.0, abs(b0), 0
+    for i0 in range(0, n, _BLOCK):
+        i1 = min(i0 + _BLOCK, n)
+        xs, db, dc = jumps.take(i0, i1)
+        out = slice(n - i1, n - i0)
+        edges[n - i1 + 1:n - i0 + 1] = xs[::-1]
+        if dc is not None:
+            c[out] = c_run.states(dc)[::-1]
+        if jumps.exact:
+            v = b0 + b_run.states(db).astype(np.float64)
+        else:
+            # the carry folded into the first jump makes the roundings of
+            # one cumulative sum over every chunk
+            nonzero += np.count_nonzero(db)
+            s = np.array(db)
+            if i0:
+                s[0] += s_run
+            np.cumsum(s, out=s)
+            s_run, s_max = s[-1], max(s_max, float(np.max(np.abs(s))))
+            v = (np.longdouble(b0) + s).astype(np.float64)
+        b[out] = v[::-1]
+        b_max = max(b_max, float(np.max(np.abs(v))))
     # b drift: the start state, the jumps, their cumulative sum and the
     # rounding to float64; c is exact
-    if jumps.db.dtype == np.int64:
-        b = b0 + _int_state(jumps.db, n).astype(np.float64)
-        drift = b0_err if b0.is_integer() else b0_err + _F64_EPS * float(np.max(np.abs(b)))
+    if jumps.exact:
+        drift = b0_err if b0.is_integer() else b0_err + _F64_EPS * b_max
     else:
-        s = np.zeros(n + 1, dtype=np.longdouble)
-        np.cumsum(jumps.db, out=s[1:])
-        b = (np.longdouble(b0) + s).astype(np.float64)
-        drift = (b0_err + jumps.err
-                 + _LD_EPS * np.count_nonzero(jumps.db) * float(np.max(np.abs(s)))
-                 + (_LD_EPS + _F64_EPS) * float(np.max(np.abs(b))))
+        drift = (b0_err + jumps.err() + _LD_EPS * nonzero * s_max
+                 + (_LD_EPS + _F64_EPS) * b_max)
     # absorbs the rounding of the bound's own float64 arithmetic
     drift = float(drift) * (1.0 + 1e-9)
 
     return PiecewiseHyperbolic(
-        edges=edges, b=b[::-1].copy(), c=c_state[::-1].astype(np.float64),
-        a=a, sup_const=float(sup_bound), has_log_tail=log_tail,
+        edges=edges, b=b, c=c, a=a, sup_const=float(sup_bound), has_log_tail=log_tail,
         drift_bound=drift,
     )
 
@@ -517,8 +651,10 @@ def _sq_integral(pw: PiecewiseHyperbolic) -> tuple[float, float]:
     form, from log x, x (log x - 1) and x (log^2 x - 2 log x + 2) taken once
     at each edge, in blocks of _BLOCK segments (an edge at a block join is
     taken twice by the same operations, to one value); c == 0 skips the c
-    terms, exact zeros.  Every sum, so the bound, runs over whole arrays.
-    The bound assumes np.log and np.log1p within 1 ulp
+    terms, exact zeros.  Every sum, so the bound, runs over whole arrays:
+    two of them, the segments' integrals and widths (16 B a segment); once
+    they are summed, the b c and c^2 lanes of the bound and their jumps
+    take their places.  The bound assumes np.log and np.log1p within 1 ulp
     (NumPy's float64 accuracy tests hold them to that), every other
     operation within half an ulp, and np.sum adding pairwise (blocks of at
     most 128 in eight accumulators), so a term meets at most log2(n) + 25
@@ -551,17 +687,20 @@ def _sq_integral(pw: PiecewiseHyperbolic) -> tuple[float, float]:
         if has_c:
             ob += 2.0 * bb * cb * np.diff(xb * (lx - 1.0))
             ob += cb * cb * np.diff(xb * (lx * lx - 2.0 * lx + 2.0))
+    power = float(np.sum(out))
+    out_abs = np.sum(np.abs(out, out=out))
     L = -math.log(x[0])
     err = 24.0 * (a * a / x[0] + np.einsum("i,i,i->", b, b, d))
     if has_c:
         err += 24.0 * L * L * np.einsum("i,i,i->", c, c, d)
-        # q = b c: its r carries the 2 of 2 b c
-        for q, r in ((b * c, 4.0 * (L + 1.0)), (c * c, 4.0 * ((L + 1.0) ** 2 + 1.0))):
-            jumps = np.diff(q)
+        # q = b c (its r carries the 2 of 2 b c), then c^2, in out; their
+        # jumps in d
+        for f, r in ((b, 4.0 * (L + 1.0)), (c, 4.0 * ((L + 1.0) ** 2 + 1.0))):
+            q = np.multiply(f, c, out=out)
+            jumps = np.subtract(q[1:], q[:-1], out=d[:-1])
             err += r * (abs(q[0]) * x[0] + np.dot(x[1:-1], np.abs(jumps, out=jumps))
                         + 8.0 * _F64_EPS * len(q) * max(q.max(), -q.min()))
-    power = float(np.sum(out))
-    err += (math.log2(len(out)) + 25.0) * 0.5 * np.sum(np.abs(out, out=out))
+    err += (math.log2(len(out)) + 25.0) * 0.5 * out_abs
     return power, float(_F64_EPS * err)
 
 
@@ -612,8 +751,10 @@ def _split(pw: PiecewiseHyperbolic) -> _Pieces:
     """
     a, b, c, lo, hi = pw.a, pw.b, pw.c, pw.lo, pw.hi
     has_crit = (c != 0.0)
+    crit = np.where(has_crit, c, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        crit = np.where(has_crit, a / np.where(has_crit, c, 1.0), np.nan)
+        np.divide(a, crit, out=crit)
+    crit[~has_crit] = np.nan
     interior = has_crit & (crit > lo) & (crit < hi)
 
     u, w, bb, cc = lo, hi, b, c
@@ -622,8 +763,9 @@ def _split(pw: PiecewiseHyperbolic) -> _Pieces:
         w = np.concatenate([np.where(interior, crit, hi), hi[interior]])
         bb = np.concatenate([b, b[interior]])
         cc = np.concatenate([c, c[interior]])
+    del crit
     vu, vw = _value(a, bb, cc, u), _value(a, bb, cc, w)
-    mix = vu * vw < 0.0
+    mix = np.multiply(vu, vw, out=vw) < 0.0
 
     um, wm, bm, cm = u[mix], w[mix], bb[mix], cc[mix]
     sign = np.sign(vu[mix])
@@ -662,10 +804,13 @@ def _split(pw: PiecewiseHyperbolic) -> _Pieces:
             todo = todo[((np.sign(v) != side[todo]) | (np.abs(v) <= err)) & (x != limit[todo])]
             end[todo] = stop(end[todo] + out * grow[todo], limit[todo])
             grow[todo] *= 2.0
-    w = w.copy()
-    w[mix] = glo
-    return _Pieces(np.concatenate([u, ghi]), np.concatenate([w, wm]),
-                   np.concatenate([bb, bm]), np.concatenate([cc, cm]), glo, ghi, vbr)
+    # one lane at a time, each replacing the one it extends
+    w = np.concatenate([w, wm])
+    w[:len(mix)][mix] = glo
+    u = np.concatenate([u, ghi])
+    bb = np.concatenate([bb, bm])
+    cc = np.concatenate([cc, cm])
+    return _Pieces(u, w, bb, cc, glo, ghi, vbr)
 
 
 def _abs_integral_l1(pw: PiecewiseHyperbolic) -> tuple[float, float]:
@@ -684,13 +829,28 @@ def _abs_integral_l1(pw: PiecewiseHyperbolic) -> tuple[float, float]:
     """
     pc = _split(pw)
     u, w = pc.u, pc.w
-    pieces = np.abs(pw.a * np.log1p((w - u) / u) + pc.b * (w - u)
-                    + pc.c * (w * (np.log(w) - 1.0) - u * (np.log(u) - 1.0)))
+    # |a log1p((w - u)/u) + b (w - u) + c (w (log w - 1) - u (log u - 1))|
+    # in three buffers, operation for operation
+    d = np.subtract(w, u)
+    pieces = np.log1p(np.divide(d, u))
+    pieces *= pw.a
+    part = np.multiply(pc.b, d)
+    pieces += part
+    np.log(w, out=part)
+    part -= 1.0
+    part *= w
+    np.log(u, out=d)
+    d -= 1.0
+    d *= u
+    part -= d
+    part *= pc.c
+    pieces += part
+    np.abs(pieces, out=pieces)
     brackets = pc.bracket_power(1.0)
     power, L = float(np.sum(pieces)) + brackets, -math.log(pw.eps)
     err = (1.0 + 64.0 * _F64_EPS) * brackets + _F64_EPS * (
-        4.0 * abs(pw.a) * L + 2.0 * np.dot(np.abs(pc.b), w - u)
-        + (4.0 * L + 2.0) * np.dot(np.abs(pc.c), u + w)
+        4.0 * abs(pw.a) * L + 2.0 * np.dot(np.abs(pc.b, out=part), np.subtract(w, u, out=d))
+        + (4.0 * L + 2.0) * np.dot(np.abs(pc.c, out=part), np.add(u, w, out=d))
         + (math.log2(len(pieces)) + 26.0) * 0.5 * power)
     return power, float(err)
 
@@ -903,7 +1063,14 @@ def lp_norm(pw: PiecewiseHyperbolic, p: float,
     if p == 2.0:
         power, quad_err = _sq_integral(pw)
     elif a == 0.0 and not np.any(pw.c):
-        power = float(np.sum(np.abs(pw.b) ** p * np.diff(pw.edges)))
+        # the terms |b|^p (hi - lo), made and summed a leaf at a time
+        def leaf(i0, i1):
+            terms = np.abs(pw.b[i0:i1])
+            terms **= p
+            terms *= np.diff(pw.edges[i0:i1 + 1])
+            return np.sum(terms)
+
+        power = float(_pairwise_sum(pw.segment_count, leaf))
         # terms of one sign, each within eps (two with a pow), then np.sum as
         # in _sq_integral
         quad_err = (math.log2(pw.segment_count) + 27.0 + 2.0 * (p != 1.0)) * _F64_EPS * power

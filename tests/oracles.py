@@ -15,8 +15,8 @@ import numpy as np
 
 from nblab.arith import EXACT_LIMIT, ArithProfile
 from nblab.beurling import BeurlingSum, Generator, GeneratorKind, Lanes
-from nblab.norms import (_EXACT, _F64_EPS, _LD_EPS, _SEPARABLE, PiecewiseHyperbolic,
-                         _gen_offsets, _Jumps, _ld_coeff)
+from nblab.norms import (_EXACT, _F64_EPS, _LD_EPS, _SEPARABLE, FLATTEN_BUDGET, BudgetError,
+                         PiecewiseHyperbolic, _gen_offsets, _ld_coeff, _term_spec, check_cutoff)
 from nblab.special import EULER_GAMMA
 
 
@@ -450,7 +450,131 @@ def mellin_whole_array(profile: ArithProfile, kernel: str, s: float,
     return float(np.sum(base + mert / e * shifted))
 
 
-def merged_jumps_sorted(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
+@dataclass(frozen=True)
+class WholeJumps:
+    """Summed jumps of (b, c) at the distinct breakpoints xs above eps,
+    descending, as whole arrays: db int64 (exact) or long double, with err
+    bounding the rounding in it; dc int64, or None when no term moves c."""
+
+    xs: np.ndarray
+    db: np.ndarray
+    dc: np.ndarray | None
+    err: float
+
+
+def lattice_jumps_whole(rho: Lanes, phi: Lanes, eps: float) -> WholeJumps:
+    """nblab.norms._lattice_jumps with every lane over the whole lattice:
+    all breakpoints lie on x = 1/m, and the jump at m is a divisor sum
+    scattered as D[k::k] += c_k; a Phi term of weight w jumps by -w log m in
+    b and -w in c there."""
+    top = int(1.0 / eps) + 1
+    db_int = np.zeros(top + 1, dtype=np.int64)
+    db_flt = weights = None
+    for k, c in zip(rho.den.tolist(), rho.coeff.tolist()):
+        if c:
+            db_int[k::k] -= c
+    floats = []                      # (|coeff|, rounding of coeff, k)
+    for i, coeff in rho.irregular.items():
+        k = int(rho.den[i])
+        if db_flt is None:
+            db_flt = np.zeros(top + 1, dtype=np.longdouble)
+        cl, delta = _ld_coeff(coeff)
+        db_flt[k::k] -= cl
+        floats.append((abs(float(cl)), delta, k))
+    if len(phi):
+        weights = np.zeros(top + 1, dtype=np.int64)
+        for k, w in zip(phi.den.tolist(), phi.coeff.tolist()):
+            weights[k::k] += w
+    # theta = 1 breaks at every 1/m (no mask) but x = 1, whose floor is in the start state
+    ks = np.concatenate([rho.den, phi.den])
+    has_one = bool(np.any(ks == 1))
+    if has_one:
+        m = np.arange(2, top + 1)
+    else:
+        hit = np.zeros(top + 1, dtype=bool)
+        for k in ks.tolist():
+            hit[k::k] = True
+        m = np.flatnonzero(hit)
+    xs = 1.0 / m
+    keep = len(xs) - int(np.searchsorted(xs[::-1], eps, side="right"))
+    m, xs = m[:keep], xs[:keep]
+    at = slice(2, 2 + keep) if has_one else m
+
+    db, dc = db_int[at], None
+    m_max = int(m[-1]) if len(m) else 1
+    err = sum(delta * (m_max // k - (k == 1)) for _, delta, k in floats)
+    parts = [] if db_flt is None else [db_flt[at]]
+    if weights is not None:
+        w = weights[at]
+        dc = -w
+        log_m = np.log(m.astype(np.longdouble))
+        parts.append(-w * log_m)
+        err += 2.0 * _LD_EPS * float(np.sum(np.abs(w) * log_m))
+    if parts:
+        bound = sum(c for c, _, _ in floats) + sum(
+            float(np.max(np.abs(v), initial=0.0)) for v in [db] + parts)
+        err += _LD_EPS * (max(len(floats) - 1, 0) + len(parts)) * len(m) * bound
+        db = db.astype(np.longdouble)
+        for v in parts:
+            db += v
+    return WholeJumps(xs, db, dc, err)
+
+
+def int_state_whole(jumps, n: int) -> np.ndarray:
+    """Cumulative integer state, 0 before the first jump, checked exact in float64."""
+    state = np.zeros(n + 1, dtype=np.int64)
+    if jumps is not None:
+        if float(np.sum(np.abs(jumps), dtype=np.float64)) >= 2.0 ** 52:
+            raise OverflowError("integer jumps too large for an exact float64 state")
+        np.cumsum(jumps, out=state[1:])
+    return state
+
+
+def to_piecewise_whole(f, generator: Generator | None, eps: float) -> PiecewiseHyperbolic:
+    """nblab.norms.to_piecewise over whole arrays: the jumps of the whole
+    lattice (merged_jumps_sorted sorts all of it), one cumulative sum per
+    lane and one cast, each b and c copied out in ascending order.  The
+    streamed flatten must return the same bits."""
+    rho, phi, inv_coeff, sup_bound = _term_spec(f)
+    check_cutoff(eps)
+    b_gen, c_gen, log_tail = _gen_offsets(generator)
+    thetas = np.concatenate([rho.thetas(), phi.thetas()])
+    total = float(np.sum(thetas / eps // 1.0 + 1.0))
+    if total > FLATTEN_BUDGET:
+        raise BudgetError(f"{total:.3g} breakpoints exceed budget {FLATTEN_BUDGET}")
+    sup_bound = float(sup_bound) + abs(b_gen)
+    a = float(inv_coeff)
+    if len(rho):
+        a += rho.tail_float()
+    at_one = np.flatnonzero(rho.den == 1).tolist()
+    b_exact = Fraction(b_gen) - sum((rho.irregular.get(i, int(rho.coeff[i]))
+                                     for i in at_one), start=Fraction(0))
+    b0 = float(b_exact)
+    b0_err = float(abs(Fraction(b0) - b_exact))
+    c0 = int(c_gen) - int(phi.coeff[phi.den == 1].sum())
+    dense = bool(np.all(rho.num == 1) and np.all(phi.num == 1)) and int(1.0 / eps) <= total
+    jumps = (lattice_jumps_whole if dense else merged_jumps_sorted)(rho, phi, eps)
+
+    n = len(jumps.xs)
+    edges = np.concatenate([[eps], jumps.xs[::-1], [1.0]])
+    c_state = int_state_whole(jumps.dc, n) + c0
+    if jumps.db.dtype == np.int64:
+        b = b0 + int_state_whole(jumps.db, n).astype(np.float64)
+        drift = b0_err if b0.is_integer() else b0_err + _F64_EPS * float(np.max(np.abs(b)))
+    else:
+        s = np.zeros(n + 1, dtype=np.longdouble)
+        np.cumsum(jumps.db, out=s[1:])
+        b = (np.longdouble(b0) + s).astype(np.float64)
+        drift = (b0_err + jumps.err
+                 + _LD_EPS * np.count_nonzero(jumps.db) * float(np.max(np.abs(s)))
+                 + (_LD_EPS + _F64_EPS) * float(np.max(np.abs(b))))
+    drift = float(drift) * (1.0 + 1e-9)
+    return PiecewiseHyperbolic(
+        edges=edges, b=b[::-1].copy(), c=c_state[::-1].astype(np.float64),
+        a=a, sup_const=float(sup_bound), has_log_tail=log_tail, drift_bound=drift)
+
+
+def merged_jumps_sorted(rho: Lanes, phi: Lanes, eps: float) -> WholeJumps:
     """norms._merged_jumps as it was before it tiled one period of the
     lattice: every (term, j) breakpoint is materialized and the whole
     lattice sorted.  Jumps for arbitrary rational thetas.  Each breakpoint
@@ -543,4 +667,4 @@ def merged_jumps_sorted(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
     def merged(lane):
         return None if lane is None else np.add.reduceat(lane[order], starts)
 
-    return _Jumps(xs[starts], merged(db), merged(dc), err)
+    return WholeJumps(xs[starts], merged(db), merged(dc), err)

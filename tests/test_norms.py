@@ -18,7 +18,7 @@ from nblab.transform import Gn, TIndicator, riemann_sum_T
 from nblab.uop import apply_u
 from oracles import (_quad_refined, dilation_quotient_minus_chi, lp_power_mpmath,
                      merged_jumps_sorted, quad_abs_p, sq_integral_whole_array,
-                     to_piecewise_exact, values_at)
+                     to_piecewise_exact, to_piecewise_whole, values_at)
 
 
 def _exact_value(segments, x):
@@ -80,13 +80,22 @@ def _matches_exact(f, eps):
 
 
 def _same_jumps(rho, phi, eps):
-    """_merged_jumps against the sort of the whole lattice, bit for bit."""
+    """_merged_jumps, expanded from its period chunk by chunk, against the
+    sort of the whole lattice, bit for bit."""
     got, want = norms._merged_jumps(rho, phi, eps), merged_jumps_sorted(rho, phi, eps)
-    for lane in ("xs", "db", "dc"):
-        g, w = getattr(got, lane), getattr(want, lane)
-        assert (g is None) == (w is None), lane
-        assert g is None or (g.dtype == w.dtype and np.array_equal(g, w)), lane
-    assert got.err == want.err
+    assert got.n == len(want.xs)
+    assert got.exact == (want.db.dtype == np.int64)
+    for chunk in (4099, got.n):
+        if not got.n:
+            break
+        xs, db, dc = zip(*(got.take(i0, min(i0 + chunk, got.n))
+                           for i0 in range(0, got.n, chunk)))
+        for lane, g, w in (("xs", xs, want.xs), ("db", db, want.db), ("dc", dc, want.dc)):
+            assert (g[0] is None) == (w is None), lane
+            if w is not None:
+                g = np.concatenate(g)
+                assert g.dtype == w.dtype and np.array_equal(g, w), lane
+    assert got.err() == want.err
 
 
 def test_distinct_breakpoints_on_one_double_stay_apart():
@@ -526,6 +535,101 @@ def test_blocked_sq_integral_equals_whole_array_rn_and_one_segment(profile):
         one = PiecewiseHyperbolic(edges=np.array([0.25, 1.0]), b=np.array([0.5]),
                                   c=np.array([c]), a=0.3, sup_const=1.0, has_log_tail=False)
         assert norms._sq_integral(one) == sq_integral_whole_array(one)
+
+
+def _u_image(family, n, profile):
+    """The class-B sum u_l2_norm flattens for a family: thetas k/n and
+    Fraction coefficients mu(k)/k, in the long double lane."""
+    usum = apply_u(make_family(family, n, profile))
+    t = min(theta for _, theta in usum.terms)
+    return BeurlingSum.make([(d, t / theta) for d, theta in usum.terms])
+
+
+# (sum, how _merged_jumps lays it out, or None for a dense lattice): dense
+# int (sn), dense with Phi terms (gn), masked dense (no theta = 1) with an
+# irregular coefficient, the
+# class-B U-images with a long double lane, tiled int (fn) and tiled long
+# double (rn), one period (Q eps >= 1), a tiled theta = 1 term with an
+# irregular coefficient, and the empty sum; all at eps = 1e-3
+_STREAM_CASES = {
+    "sn": (lambda pr: make_family("sn", 30, pr), None),
+    "gn": (lambda pr: Gn(30, pr), None),
+    "bn_masked": (lambda pr: BeurlingSum.make(make_family("bn", 12, pr).terms[1:]), None),
+    "vn_u": (lambda pr: _u_image("vn", 10, pr), "_tile"),
+    "bn_u": (lambda pr: _u_image("bn", 10, pr), "_tile"),
+    "fn": (lambda pr: make_family("fn", 100, pr), "_tile"),
+    "rn": (lambda pr: make_family("rn", 12, pr), "_tile"),
+    "one_period": (lambda pr: make_family("fn", 1000, pr), "_slices"),
+    "theta_one": (lambda pr: BeurlingSum.make([(1, 1), (-2, Fraction(1, 3)),
+                                               (Fraction(1, 3), Fraction(2, 5))]), "_tile"),
+    "empty": (lambda pr: make_family("vn", 1, pr), "_slices"),
+}
+
+
+def _same_flatten(got, want):
+    for lane in ("edges", "b", "c"):
+        g, w = getattr(got, lane), getattr(want, lane)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), lane
+    for field in ("a", "sup_const", "drift_bound", "has_log_tail"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+@pytest.mark.parametrize("block", [1, 7, 128, 2 ** 15])
+@pytest.mark.parametrize("case", list(_STREAM_CASES))
+def test_streamed_flatten_equals_whole_array(profile, monkeypatch, block, case):
+    # chunk joins anywhere (every jump at block 1) leave every bit of the
+    # flatten and of the p = 2 closed form as the whole-array oracle has it
+    make, layout = _STREAM_CASES[case]
+    f = make(profile)
+    if layout is not None:
+        assert norms._merged_jumps(f.lanes, norms._NO_TERMS, 1e-3).take.func.__name__ == layout
+    monkeypatch.setattr(norms, "_BLOCK", block)
+    for gen in (NEG_CHI, LAMBDA, None):
+        got, want = to_piecewise(f, gen, 1e-3), to_piecewise_whole(f, gen, 1e-3)
+        _same_flatten(got, want)
+        assert norms._sq_integral(got) == sq_integral_whole_array(want)
+
+
+@pytest.mark.parametrize("family, gen", [("rn", LAMBDA), ("gn", LAMBDA), ("vn", NEG_CHI)])
+def test_streamed_flatten_equals_whole_array_many_chunks(profile, family, gen):
+    # a tiled long double lane, a Phi lane and an irregular dense one over
+    # several chunks of _BLOCK
+    f = Gn(100, profile) if family == "gn" else make_family(family, 10 if family == "rn" else 100,
+                                                           profile)
+    got, want = to_piecewise(f, gen, 1e-5), to_piecewise_whole(f, gen, 1e-5)
+    assert got.segment_count > 3 * norms._BLOCK
+    _same_flatten(got, want)
+
+
+@pytest.mark.parametrize("extra", [1, 0])
+def test_integer_state_overflow_still_raises(extra):
+    # 2^30 at every 1/m, m = 2 .. 2^22 + extra: the |jumps| sum to 2^52 (the
+    # streamed check raises) or to 2^30 less (the state is exact)
+    f = BeurlingSum.make([(2 ** 30, 1)])
+    eps = 1.0 / (2 ** 22 + extra + 0.5)
+    if extra:
+        for flatten in (to_piecewise, to_piecewise_whole):
+            with pytest.raises(OverflowError):
+                flatten(f, None, eps)
+    else:
+        _same_flatten(to_piecewise(f, None, eps), to_piecewise_whole(f, None, eps))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("size", [1, 127, 128, 129, norms._BLOCK - 1, norms._BLOCK + 1,
+                                  10 ** 6 + 3])
+def test_pairwise_sum_follows_numpy(dtype, size):
+    # magnitudes over 16 decades make every rounding of the order show
+    rng = np.random.default_rng(size)
+    values = (rng.random(size) * 10.0 ** rng.integers(-8, 8, size)).astype(dtype)
+    want = np.sum(values)
+    got = norms._pairwise_sum(size, lambda i0, i1: np.sum(values[i0:i1]))
+    assert got.dtype == want.dtype and got == want
+    stream = norms._PairwiseStream(size)
+    cuts = np.unique(np.concatenate([[0, size], rng.integers(0, size, 5)]))
+    for i0, i1 in zip(cuts, cuts[1:]):
+        stream.feed(values[i0:i1])
+    assert stream.total() == want
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1.0 / 1000.5])
