@@ -20,7 +20,9 @@ the int64 scatter lanes of a dense lattice, and O(_BLOCK) transients.
 Integer jumps are carried exactly, so c is always exact and b is exact
 when every coefficient is an integer; drift_bound bounds what the
 remaining long double lane, the start state and the cast to float64 can
-round, with the bits a whole-array flatten would give.  p = 2 takes a
+round, from the shape of the lattice (each term's breakpoint count, jump
+size and coefficient rounding) and from maxima and counts of the states,
+none of which depends on how the jumps are chunked.  p = 2 takes a
 closed form from values at the edges, with 16 B a segment more.  At any
 other p, _split cuts the segments at critical points into monotone pieces
 and cuts a bracket out around each root, enclosed at its midpoint; p = 1
@@ -193,14 +195,42 @@ class _Jumps:
 
     take(i0, i1) gives (xs, db, dc) of jumps [i0, i1): db is exact when it
     is int64, and then exact is True; dc is int64, or None when no term
-    moves c.  err() bounds the rounding already in a long double db, once
-    every chunk has been taken, in order.
+    moves c.  err bounds the rounding in a long double db, from the shape
+    of the lattice alone (_jump_err), so no chunking or summation order
+    moves it.
     """
 
     n: int
     exact: bool
     take: Callable[[int, int], tuple]
-    err: Callable[[], float]
+    err: float
+
+
+def _jump_err(rho: Lanes, phi: Lanes, counts, roundings: int) -> float:
+    """sum_t count_t (delta_t + _LD_EPS roundings mu_t): a bound on the
+    rounding in the summed long double jumps that holds for any order of
+    their sums (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., ch. 4).
+
+    Term t (rho terms first) has counts[t] breakpoints above eps.  A rho
+    term's jump c_t rounds once to long double, within delta_t
+    (_ld_coeff), and mu_t = |c_t|; a Phi jump w_t log(num_t / (den_t j))
+    and the logs it takes are at most mu_t = |w_t| log(num_t den_t j_max),
+    j_max its last j above eps.  A summed jump takes at most `roundings`
+    long double roundings, each within _LD_EPS of the sum of mu_t over the
+    terms through it.  The long double sums here sit far inside the drift
+    bound's (1 + 1e-9) slack.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    logs = [math.log(num * den * max(num // den + count, 1)) for num, den, count in
+            zip(phi.num.tolist(), phi.den.tolist(), counts[len(rho):].tolist())]
+    mags = np.concatenate([np.abs(rho.coeff), np.abs(phi.coeff) * np.array(logs)])
+    mags = mags.astype(np.longdouble)
+    deltas = np.zeros(len(mags), dtype=np.longdouble)
+    for i, c in rho.irregular.items():
+        cl, deltas[i] = _ld_coeff(c)
+        mags[i] = abs(cl)
+    return float(np.dot(counts.astype(np.longdouble), deltas + _LD_EPS * roundings * mags))
 
 
 def _pairwise_sum(n: int, leaf, start: int = 0):
@@ -213,7 +243,6 @@ def _pairwise_sum(n: int, leaf, start: int = 0):
     a shorter one summed in eight accumulators.  np.sum of any stretch the
     halving reaches is its value there, so the leaves stop at _BLOCK
     entries (128 at least) and are made one at a time, in ascending order.
-    A leaf that returns lists gives the list of leaves instead.
     """
     if n <= max(_BLOCK, 128):
         return leaf(start, start + n)
@@ -221,27 +250,12 @@ def _pairwise_sum(n: int, leaf, start: int = 0):
     return _pairwise_sum(half, leaf, start) + _pairwise_sum(n - half, leaf, start + half)
 
 
-class _PairwiseStream:
-    """_pairwise_sum of n long doubles fed in order, chunk by chunk: each
-    leaf is summed once it is whole, so at most a leaf is held."""
-
-    def __init__(self, n: int):
-        self.n, self.ends = n, _pairwise_sum(n, lambda i0, i1: [i1])
-        self.held, self.sums, self.fed = [], [], 0
-
-    def feed(self, values: np.ndarray) -> None:
-        while len(values):
-            end = self.ends[len(self.sums)]
-            part, values = values[:end - self.fed], values[end - self.fed:]
-            self.held.append(part)
-            self.fed += len(part)
-            if self.fed == end:
-                self.sums.append(np.sum(np.concatenate(self.held)))
-                self.held = []
-
-    def total(self) -> np.longdouble:
-        sums = iter(self.sums)
-        return _pairwise_sum(self.n, lambda i0, i1: next(sums, np.longdouble(0.0)))
+def _sum_rounding(n: int) -> float:
+    """np.sum of n float64 terms is within _sum_rounding(n) * _F64_EPS of
+    the sum of their magnitudes: np.add.reduce adds pairwise, in blocks of
+    at most 128 in eight accumulators (_pairwise_sum), so a term meets at
+    most log2(n) + 25 additions, each within half an eps."""
+    return (math.log2(n) + 25.0) * 0.5
 
 
 def _lattice_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
@@ -250,14 +264,14 @@ def _lattice_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
     D[k::k] += c_k into int64 lanes over m <= 1/eps.  A Phi term of weight w
     jumps by -w log m in b and -w in c there, so the log lane and
     non-integer coefficients are the only inexact parts; they are made a
-    chunk at a time, with the maxima and the sum their bound needs."""
+    chunk at a time."""
     top = int(1.0 / eps) + 1
     db_int = np.zeros(top + 1, dtype=np.int64)
     for k, c in zip(rho.den.tolist(), rho.coeff.tolist()):
         if c:
             db_int[k::k] -= c
-    # (k, coeff rounded to long double, its rounding)
-    floats = [(int(rho.den[i]), *_ld_coeff(coeff)) for i, coeff in rho.irregular.items()]
+    # (k, coeff rounded to long double)
+    floats = [(int(rho.den[i]), _ld_coeff(coeff)[0]) for i, coeff in rho.irregular.items()]
     weights = None
     if len(phi):
         weights = np.zeros(top + 1, dtype=np.int64)
@@ -279,49 +293,31 @@ def _lattice_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
         m_hit = np.flatnonzero(hit)
         n = len(m_hit)
     m_max = (m_cap if m_hit is None else int(m_hit[-1])) if n else 1
-    err = sum(delta * (m_max // k - (k == 1)) for k, _, delta in floats)
-    lanes = bool(floats) + (weights is not None)       # inexact ones
-    maxima = [0.0] * (1 + lanes)         # of |db_int|, then of each inexact lane
-    log_sum = _PairwiseStream(n)
+    # at each m the scatter and the sum into the integer jump round once per
+    # irregular lane; -w log m takes logl's ulp, a product and a sum
+    roundings = len(floats) + 2 * (weights is not None)
+    err = _jump_err(rho, phi, m_max // ks - (ks == 1), roundings)
 
     def take(i0, i1):
         m = np.arange(i0 + 2, i1 + 2) if m_hit is None else m_hit[i0:i1]
         at = slice(i0 + 2, i1 + 2) if m_hit is None else m
-        db, dc, parts = db_int[at], None, []        # parts: (jumps, |jumps|)
+        db, dc, parts = db_int[at], None, []
         if floats:
             v = np.zeros(len(m), dtype=np.longdouble)
-            for k, cl, _ in floats:
+            for k, cl in floats:
                 v[slice(-(i0 + 2) % k, None, k) if m_hit is None else m % k == 0] -= cl
-            parts.append((v, np.abs(v)))
+            parts.append(v)
         if weights is not None:
             w = weights[at]
             dc = -w
-            log_m = np.log(m.astype(np.longdouble))
-            # |-w log m| is |w| log m: a product rounds the same either sign
-            mag = np.abs(w) * log_m
-            log_sum.feed(mag)
-            parts.append((-w * log_m, mag))
+            parts.append(-w * np.log(m.astype(np.longdouble)))
         if parts:
-            for j, mag in enumerate([np.abs(db)] + [mag for _, mag in parts]):
-                maxima[j] = max(maxima[j], float(np.max(mag)))
             db = db.astype(np.longdouble)
-            for v, _ in parts:
+            for v in parts:
                 db += v
         return 1.0 / m, db, dc
 
-    def total_err():
-        e = err
-        if weights is not None:
-            # logl within one ulp, then one rounded product
-            e += 2.0 * _LD_EPS * float(log_sum.total())
-        if lanes:
-            # the scatter summed up to len(floats) coefficients at each m, and
-            # each lane then added to the exact integer jump rounds once
-            bound = sum(abs(float(cl)) for _, cl, _ in floats) + sum(maxima)
-            e += _LD_EPS * (max(len(floats) - 1, 0) + lanes) * n * bound
-        return e
-
-    return _Jumps(n, not lanes, take, total_err)
+    return _Jumps(n, not roundings, take, err)
 
 
 def _merged_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
@@ -332,10 +328,10 @@ def _merged_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
     period holds j0 <= j < j0 + A_k of each term (j0 = 1, or 2 for
     theta = 1, whose x = 1 is in the start state), and period P the same
     pattern at j + P A_k: one period is sorted and merged, and _tile makes
-    the others on demand, its summed jumps at their own x, down to eps; the
-    error bound sums the tiled |jumps| a leaf at a time.  The lattice is one
-    period, the whole of it, when Q eps >= 1, with a Phi term (whose jump
-    w log(theta / j) moves with j), or where den j would reach _EXACT.
+    the others on demand, its summed jumps at their own x, down to eps.  The
+    lattice is one period, the whole of it, when Q eps >= 1, with a Phi
+    term (whose jump w log(theta / j) moves with j), or where den j would
+    reach _EXACT.
 
     Each breakpoint num/(den j) is one correctly rounded division of exact
     integers, so equal rationals give equal doubles.  A stable sort of the
@@ -380,7 +376,6 @@ def _merged_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
     exact = not len(phi) and not rho.irregular
     db = np.zeros(size, np.int64 if exact else np.longdouble)
     dc = np.zeros(size, np.int64) if len(phi) else None
-    err = 0.0
     start = 0
     coeffs = rho.coefficients() + phi.coeff.tolist()
     for i, (coeff, (num, den, j0, count)) in enumerate(zip(coeffs, spec)):
@@ -392,17 +387,10 @@ def _merged_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
             log_j = np.log(np.arange(j0, j0 + count, dtype=np.longdouble))
             log_nd = np.log(np.longdouble(num)) - np.log(np.longdouble(den))
             db[s] = coeff * (log_nd - log_j)
-            # logl within one ulp, num and den rounded on conversion above
-            # 2^64, two differences and one product rounded once each
-            err += 2.0 * _LD_EPS * abs(coeff) * float(
-                count * (abs(log_nd) + np.log(np.longdouble(den)) + 1.0)
-                + np.sum(log_j))
         elif i not in rho.irregular:
             db[s] = -coeff
         else:
-            cl, delta = _ld_coeff(coeff)
-            db[s] = -cl
-            err += delta * counts[i]
+            db[s] = -_ld_coeff(coeff)[0]
 
     order = np.argsort(-xs, kind="stable")
     xs = xs[order]
@@ -461,18 +449,10 @@ def _merged_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
         last = take((periods - 1) * width, periods * width)[0]
         keep = periods * width - int(np.searchsorted(last[::-1], eps, side="right"))
     run_max = int(np.max(np.diff(np.append(starts, size))[:keep], initial=1))
-    if not exact and run_max > 1:
-        # a run of r jumps is summed with r - 1 roundings; tiled, each rho
-        # term has its one jump at all its breakpoints
-        if periods == 1:
-            total = np.sum(np.abs(db))
-        else:
-            mags = np.abs(db.take(offsets[:-1], mode="clip"))
-            ends = np.cumsum([0] + counts)
-            total = _pairwise_sum(int(ends[-1]), lambda i0, i1: np.sum(
-                np.repeat(mags, np.diff(np.clip(ends, i0, i1)))))
-        err += _LD_EPS * (run_max - 1) * float(total)
-    return _Jumps(keep, exact, take, lambda: err)
+    # a run of r jumps is summed with r - 1 roundings; a Phi jump rounds its
+    # three logs (each within an ulp), two differences and a product
+    roundings = 0 if exact else run_max - 1 + 3 * bool(len(phi))
+    return _Jumps(keep, exact, take, _jump_err(rho, phi, counts, roundings))
 
 
 def _tile(num, den_a, base, db, i0, i1):
@@ -539,8 +519,9 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     full-length long double or tiled array is made.  The integer states
     carry exactly; the long double one folds its carry into a chunk's first
     jump, which gives the roundings of one cumulative sum over the whole
-    lattice, and the maxima and counts of the drift bound do not depend on
-    order, so every bit is that of one pass over whole arrays.
+    lattice.  drift_bound is built from the lattice's shape (_jump_err)
+    and from the count of nonzero jumps and the largest states, so neither
+    the segments nor the bound depend on the chunking.
     """
     rho, phi, inv_coeff, sup_bound = _term_spec(f)
     check_cutoff(eps)
@@ -611,7 +592,7 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     if jumps.exact:
         drift = b0_err if b0.is_integer() else b0_err + _F64_EPS * b_max
     else:
-        drift = (b0_err + jumps.err() + _LD_EPS * nonzero * s_max
+        drift = (b0_err + jumps.err + _LD_EPS * nonzero * s_max
                  + (_LD_EPS + _F64_EPS) * b_max)
     # absorbs the rounding of the bound's own float64 arithmetic
     drift = float(drift) * (1.0 + 1e-9)
@@ -656,10 +637,9 @@ def _sq_integral(pw: PiecewiseHyperbolic) -> tuple[float, float]:
     they are summed, the b c and c^2 lanes of the bound and their jumps
     take their places.  The bound assumes np.log and np.log1p within 1 ulp
     (NumPy's float64 accuracy tests hold them to that), every other
-    operation within half an ulp, and np.sum adding pairwise (blocks of at
-    most 128 in eight accumulators), so a term meets at most log2(n) + 25
-    additions.  With L = -log(eps) and d = hi - lo, log(hi/lo) <= d /
-    sqrt(lo hi) and AM-GM bound the six parts of a segment's integral by
+    operation within half an ulp, and np.sum within _sum_rounding.  With
+    L = -log(eps) and d = hi - lo, log(hi/lo) <= d / sqrt(lo hi) and AM-GM
+    bound the six parts of a segment's integral by
     3 (a^2 d/(lo hi) + b^2 d + c^2 L^2 d); each part is within 5 eps, and
     adding them costs 2.5 eps more.  The b c and c^2 parts difference the
     edge values x (log x - 1) and x (log^2 x - 2 log x + 2), rounded within
@@ -700,7 +680,7 @@ def _sq_integral(pw: PiecewiseHyperbolic) -> tuple[float, float]:
             jumps = np.subtract(q[1:], q[:-1], out=d[:-1])
             err += r * (abs(q[0]) * x[0] + np.dot(x[1:-1], np.abs(jumps, out=jumps))
                         + 8.0 * _F64_EPS * len(q) * max(q.max(), -q.min()))
-    err += (math.log2(len(out)) + 25.0) * 0.5 * out_abs
+    err += _sum_rounding(len(out)) * out_abs
     return power, float(_F64_EPS * err)
 
 
@@ -851,7 +831,7 @@ def _abs_integral_l1(pw: PiecewiseHyperbolic) -> tuple[float, float]:
     err = (1.0 + 64.0 * _F64_EPS) * brackets + _F64_EPS * (
         4.0 * abs(pw.a) * L + 2.0 * np.dot(np.abs(pc.b, out=part), np.subtract(w, u, out=d))
         + (4.0 * L + 2.0) * np.dot(np.abs(pc.c, out=part), np.add(u, w, out=d))
-        + (math.log2(len(pieces)) + 26.0) * 0.5 * power)
+        + (_sum_rounding(len(pieces)) + 0.5) * power)
     return power, float(err)
 
 
@@ -1036,7 +1016,7 @@ def _gauss_sum(a, p, u, w, bb, cc, order):
         with np.errstate(over="ignore"):        # a power past the float range is inf
             total = float(np.sum(half * (w0 @ vals ** p)))
         power += total
-        err += ((math.log2(len(half)) + 25.0) * 0.5 + 1.0) * _F64_EPS * total
+        err += (_sum_rounding(len(half)) + 1.0) * _F64_EPS * total
     return power, err
 
 
@@ -1071,9 +1051,10 @@ def lp_norm(pw: PiecewiseHyperbolic, p: float,
             return np.sum(terms)
 
         power = float(_pairwise_sum(pw.segment_count, leaf))
-        # terms of one sign, each within eps (two with a pow), then np.sum as
-        # in _sq_integral
-        quad_err = (math.log2(pw.segment_count) + 27.0 + 2.0 * (p != 1.0)) * _F64_EPS * power
+        # terms of one sign, so their magnitudes sum to the power; each term
+        # is within eps (two with a pow): a rounded width and product
+        quad_err = _sum_rounding(pw.segment_count) * _F64_EPS * power
+        quad_err += (1.0 + (p != 1.0)) * _F64_EPS * power
     elif p == 1.0:
         power, quad_err = _abs_integral_l1(pw)
     else:
@@ -1095,6 +1076,9 @@ def lp_norm(pw: PiecewiseHyperbolic, p: float,
         else:
             far = abs(a) ** p / (p - 1.0)
             power += far
+            # pow within an ulp, p - 1 and the quotient within half an ulp
+            # each, then the sum; the rounding of a itself is not bounded
+            quad_err += _F64_EPS * (2.0 * far + 0.5 * power)
 
     tail_low = _near_zero_tail(pw, p)
     value = power ** (1.0 / p) if math.isfinite(power) else math.inf

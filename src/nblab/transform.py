@@ -20,7 +20,7 @@ import numpy as np
 
 from .arith import ArithProfile
 from .beurling import BeurlingSum, Lanes
-from .special import log_factorial
+from .special import _U, _up, log_factorial
 
 
 def _phi(num, den, x) -> np.ndarray:
@@ -100,12 +100,20 @@ class Gn(TStep):
 
     @property
     def sup_bound(self) -> float:
-        """|G_n| <= sum_{k<n} |M(k)| log((k+1)/k) everywhere."""
+        """A double at or above S = sum_{k<n} |M(k)| log((k+1)/k), and
+        |G_n| <= S everywhere.
+
+        |M(k)| <= k is an exact double; 1/k and the product round within
+        u = 2^-53 and log1p within an ulp, so each of the n - 1 terms is
+        within 4u of its own size, and a dot product of them in any order
+        within (n - 2) u of their sum (Higham, Accuracy and Stability of
+        Numerical Algorithms, 2nd ed., ch. 4)."""
         if self.n == 1:
             return 0.0
         k = np.arange(1, self.n, dtype=np.float64)
-        return float(np.dot(np.abs(self.profile.mertens[:self.n - 1]).astype(np.float64),
-                            np.log((k + 1.0) / k)))
+        total = float(np.dot(np.abs(self.profile.mertens[:self.n - 1]).astype(np.float64),
+                             np.log1p(1.0 / k)))
+        return _up(total + (self.n + 4) * _U * total)
 
 
 class TIndicator(TStep):

@@ -16,7 +16,8 @@ import numpy as np
 from nblab.arith import EXACT_LIMIT, ArithProfile
 from nblab.beurling import BeurlingSum, Generator, GeneratorKind, Lanes
 from nblab.norms import (_EXACT, _F64_EPS, _LD_EPS, _SEPARABLE, FLATTEN_BUDGET, BudgetError,
-                         PiecewiseHyperbolic, _gen_offsets, _ld_coeff, _term_spec, check_cutoff)
+                         Difference, PiecewiseHyperbolic, _gen_offsets, _jump_err, _ld_coeff,
+                         _sum_rounding, _term_spec, check_cutoff)
 from nblab.special import EULER_GAMMA
 
 
@@ -254,48 +255,71 @@ def _quad_refined(intervals, rel: float = _MPMATH_REL, rounds: int = 16):
     raise ArithmeticError(f"mpmath.quad's error estimate stays above {rel} of the integral")
 
 
-def lp_power_mpmath(f, generator: Generator | None, p: float, eps, dps: int = 30) -> float:
-    """integral_eps^1 |f - generator|^p dx by mpmath at dps digits, refined
-    until mpmath.quad's error estimate is _MPMATH_REL of it.
+def _mpq(q):
+    return mpmath.mpf(q.numerator) / q.denominator
 
-    f is a BeurlingSum, or has phi_terms and inv_coeff (Gn, TIndicator):
-    f(x) = inv_coeff/x + sum w Phi(theta/x), Phi(y) = floor(y) log y
-    - log floor(y)!.  Between consecutive breakpoints theta/j the difference
-    is A/x + B + C log x with A = inv_coeff + sum c theta, and B and C come
-    from the floors at the segment's exact rational midpoint, so a node that
-    the rounding of a segment's end puts just outside it stays on its
-    formula.  Splitting each segment at x = A/C and at the roots leaves
-    |.|^p analytic on every subinterval, where tanh-sinh converges.
-    """
-    rho_terms = [(Fraction(c), t) for c, t in getattr(f, "terms", ())]
-    phi_terms = list(getattr(f, "phi_terms", ()))
-    inv = Fraction(getattr(f, "inv_coeff", 0))
+
+def _exact_terms(f) -> tuple:
+    """(rho terms, Phi terms, inv_coeff) of f, a BeurlingSum, a TStep (Gn,
+    TIndicator) or a Difference of them, with Fraction coefficients."""
+    if isinstance(f, Difference):
+        rho_p, phi_p, inv_p = _exact_terms(f.plus)
+        rho_m, phi_m, inv_m = _exact_terms(f.minus)
+        return (rho_p + [(-c, t) for c, t in rho_m], phi_p + [(-w, t) for w, t in phi_m],
+                inv_p - inv_m)
+    return ([(Fraction(c), t) for c, t in getattr(f, "terms", ())],
+            list(getattr(f, "phi_terms", ())), Fraction(getattr(f, "inv_coeff", 0)))
+
+
+def segments_mpmath(f, generator: Generator | None, eps, dps: int = 30) -> list:
+    """The segments (lo, hi, A, B, C) of f - generator on (eps, 1], with
+    Fraction ends, A and B as mpf at dps digits and C an integer.
+
+    f(x) = inv_coeff/x + sum c rho(theta/x) + sum w Phi(theta/x), Phi(y) =
+    floor(y) log y - log floor(y)!.  Between consecutive breakpoints
+    theta/j the difference is A/x + B + C log x with A = inv_coeff +
+    sum c theta, and B and C come from the floors at the segment's exact
+    rational midpoint, so they belong to the rational segment whatever
+    the rounding of its ends."""
+    rho_terms, phi_terms, inv = _exact_terms(f)
     kind = None if generator is None else generator.kind
     with mpmath.workdps(dps):
-        def mpq(q):
-            return mpmath.mpf(q.numerator) / q.denominator
-
         eps = Fraction(eps)
         cuts = {eps, Fraction(1)}
         for _, t in rho_terms + phi_terms:
             cuts.update(t / j for j in range(1, math.floor(t / eps) + 1)
                         if eps < t / j < 1)
         cuts = sorted(cuts)
-        a = mpq(inv + sum((c * t for c, t in rho_terms), start=Fraction(0)))
-        intervals = []
+        a = _mpq(inv + sum((c * t for c, t in rho_terms), start=Fraction(0)))
+        segments = []
         for lo, hi in zip(cuts, cuts[1:]):
             mid = (lo + hi) / 2
             b = Fraction(kind is GeneratorKind.NEG_CHI) - sum(
                 (c * math.floor(t / mid) for c, t in rho_terms), start=Fraction(0))
             floors = [(w, t, math.floor(t / mid)) for w, t in phi_terms]
             c = -(kind is GeneratorKind.LAMBDA) - sum(w * m for w, _, m in floors)
-            b = mpq(b) + mpmath.fsum(w * (m * mpmath.log(mpq(t)) - mpmath.loggamma(m + 1))
-                                     for w, t, m in floors if m)
+            b = _mpq(b) + mpmath.fsum(w * (m * mpmath.log(_mpq(t)) - mpmath.loggamma(m + 1))
+                                      for w, t, m in floors if m)
+            segments.append((lo, hi, a, b, c))
+        return segments
 
-            def diff(x, b=b, c=c):
+
+def lp_power_mpmath(f, generator: Generator | None, p: float, eps, dps: int = 30) -> float:
+    """integral_eps^1 |f - generator|^p dx by mpmath at dps digits over the
+    segments of segments_mpmath, refined until mpmath.quad's error estimate
+    is _MPMATH_REL of it.  Splitting each segment at x = A/C and at the
+    roots leaves |.|^p analytic on every subinterval, where tanh-sinh
+    converges.
+    """
+    with mpmath.workdps(dps):
+        intervals = []
+        for lo, hi, a, b, c in segments_mpmath(f, generator, eps, dps):
+            # keyword-only, so that the probe f(*starts) of findroot raises
+            # and it takes f for a function of x alone
+            def diff(x, *, a=a, b=b, c=c):
                 return a / x + b + c * mpmath.log(x)
 
-            pts = [mpq(lo), mpq(hi)]
+            pts = [_mpq(lo), _mpq(hi)]
             if p != 2:
                 if c and pts[0] < a / c < pts[1]:
                     pts.insert(1, a / c)
@@ -345,7 +369,7 @@ def sq_integral_whole_array(pw: PiecewiseHyperbolic) -> tuple[float, float]:
     out += 2.0 * b * c * np.diff(x * (lx - 1.0))
     out += c * c * np.diff(x * (lx * lx - 2.0 * lx + 2.0))
     power = float(np.sum(out))
-    err += (math.log2(len(out)) + 25.0) * 0.5 * np.sum(np.abs(out, out=out))
+    err += _sum_rounding(len(out)) * np.sum(np.abs(out, out=out))
     return power, float(_F64_EPS * err)
 
 
@@ -473,14 +497,11 @@ def lattice_jumps_whole(rho: Lanes, phi: Lanes, eps: float) -> WholeJumps:
     for k, c in zip(rho.den.tolist(), rho.coeff.tolist()):
         if c:
             db_int[k::k] -= c
-    floats = []                      # (|coeff|, rounding of coeff, k)
     for i, coeff in rho.irregular.items():
         k = int(rho.den[i])
         if db_flt is None:
             db_flt = np.zeros(top + 1, dtype=np.longdouble)
-        cl, delta = _ld_coeff(coeff)
-        db_flt[k::k] -= cl
-        floats.append((abs(float(cl)), delta, k))
+        db_flt[k::k] -= _ld_coeff(coeff)[0]
     if len(phi):
         weights = np.zeros(top + 1, dtype=np.int64)
         for k, w in zip(phi.den.tolist(), phi.coeff.tolist()):
@@ -502,18 +523,14 @@ def lattice_jumps_whole(rho: Lanes, phi: Lanes, eps: float) -> WholeJumps:
 
     db, dc = db_int[at], None
     m_max = int(m[-1]) if len(m) else 1
-    err = sum(delta * (m_max // k - (k == 1)) for _, delta, k in floats)
+    err = _jump_err(rho, phi, m_max // ks - (ks == 1),
+                    len(rho.irregular) + 2 * (weights is not None))
     parts = [] if db_flt is None else [db_flt[at]]
     if weights is not None:
         w = weights[at]
         dc = -w
-        log_m = np.log(m.astype(np.longdouble))
-        parts.append(-w * log_m)
-        err += 2.0 * _LD_EPS * float(np.sum(np.abs(w) * log_m))
+        parts.append(-w * np.log(m.astype(np.longdouble)))
     if parts:
-        bound = sum(c for c, _, _ in floats) + sum(
-            float(np.max(np.abs(v), initial=0.0)) for v in [db] + parts)
-        err += _LD_EPS * (max(len(floats) - 1, 0) + len(parts)) * len(m) * bound
         db = db.astype(np.longdouble)
         for v in parts:
             db += v
@@ -601,7 +618,6 @@ def merged_jumps_sorted(rho: Lanes, phi: Lanes, eps: float) -> WholeJumps:
     exact = not len(phi) and not rho.irregular
     db = np.zeros(size, np.int64 if exact else np.longdouble)
     dc = np.zeros(size, np.int64) if len(phi) else None
-    err = 0.0
     start = 0
     coeffs = rho.coefficients() + phi.coeff.tolist()
     for i, (coeff, (num, den, j0, count)) in enumerate(zip(coeffs, spec)):
@@ -613,17 +629,10 @@ def merged_jumps_sorted(rho: Lanes, phi: Lanes, eps: float) -> WholeJumps:
             log_j = np.log(np.arange(j0, j0 + count, dtype=np.longdouble))
             log_nd = np.log(np.longdouble(num)) - np.log(np.longdouble(den))
             db[s] = coeff * (log_nd - log_j)
-            # logl within one ulp, num and den rounded on conversion above
-            # 2^64, two differences and one product rounded once each
-            err += 2.0 * _LD_EPS * abs(coeff) * float(
-                count * (abs(log_nd) + np.log(np.longdouble(den)) + 1.0)
-                + np.sum(log_j))
         elif i not in rho.irregular:
             db[s] = -coeff
         else:
-            cl, delta = _ld_coeff(coeff)
-            db[s] = -cl
-            err += delta * count
+            db[s] = -_ld_coeff(coeff)[0]
 
     order = np.argsort(-xs, kind="stable")
     xs = xs[order]
@@ -659,10 +668,10 @@ def merged_jumps_sorted(rho: Lanes, phi: Lanes, eps: float) -> WholeJumps:
                 first[run][1:] = [fr[perm[k]] != fr[perm[k - 1]]
                                 for k in range(1, len(fr))]
     starts = np.flatnonzero(first)
-    if not exact and len(starts) < size:
-        # a run of r jumps is summed with r - 1 roundings
-        run_max = int(np.max(np.diff(np.append(starts, size))))
-        err += _LD_EPS * (run_max - 1) * float(np.sum(np.abs(db)))
+    # a run of r jumps is summed with r - 1 roundings, a Phi jump with 3 of its own
+    run_max = int(np.max(np.diff(np.append(starts, size)), initial=1))
+    err = _jump_err(rho, phi, [count for *_, count in spec],
+                    0 if exact else run_max - 1 + 3 * bool(len(phi)))
 
     def merged(lane):
         return None if lane is None else np.add.reduceat(lane[order], starts)

@@ -17,7 +17,7 @@ from nblab.norms import (_LADDER, Difference, PiecewiseHyperbolic, _gl_nodes, lp
 from nblab.transform import Gn, TIndicator, riemann_sum_T
 from nblab.uop import apply_u
 from oracles import (_quad_refined, dilation_quotient_minus_chi, lp_power_mpmath,
-                     merged_jumps_sorted, quad_abs_p, sq_integral_whole_array,
+                     merged_jumps_sorted, quad_abs_p, segments_mpmath, sq_integral_whole_array,
                      to_piecewise_exact, to_piecewise_whole, values_at)
 
 
@@ -70,6 +70,63 @@ def test_drift_bound_covers_rounding(profile):
         assert dc <= pw.drift_bound, (fam, dc, pw.drift_bound)
 
 
+def _u_image(family, n, profile):
+    """The class-B sum u_l2_norm flattens for a family: thetas k/n and
+    Fraction coefficients mu(k)/k, in the long double lane."""
+    usum = apply_u(make_family(family, n, profile))
+    t = min(theta for _, theta in usum.terms)
+    return BeurlingSum.make([(d, t / theta) for d, theta in usum.terms])
+
+
+# lanes whose rounding the drift bound covers besides the rho sums above: a
+# dense Phi lane, a merged one, a Phi lane beside a rho difference, a tiled
+# long double lane of irregular coefficients, and one lone irregular term,
+# whose jumps round only in its coefficient
+_DRIFT_CASES = {
+    "gn": (lambda pr: Gn(30, pr), LAMBDA),
+    "t_indicator": (lambda pr: TIndicator(Fraction(1, 3), Fraction(2, 3)), None),
+    "fn_less_gn": (lambda pr: Difference(make_family("fn", 10, pr), Gn(10, pr)), None),
+    "vn_u": (lambda pr: _u_image("vn", 10, pr), NEG_CHI),
+    "one_third": (lambda pr: BeurlingSum.make([(Fraction(1, 3), Fraction(1, 2))]), NEG_CHI),
+}
+
+
+@pytest.mark.parametrize("case", list(_DRIFT_CASES))
+def test_drift_bound_covers_phi_and_tiled_lanes(profile, monkeypatch, case):
+    # every segment's b within drift_bound of its 40-digit value, c exact,
+    # the summed jumps within their own bound, and the bound the same bits
+    # whatever the chunking
+    make, gen = _DRIFT_CASES[case]
+    f = make(profile)
+    made = []
+    for name in ("_lattice_jumps", "_merged_jumps"):
+        monkeypatch.setattr(norms, name, lambda *args, real=getattr(norms, name):
+                            made.append(real(*args)) or made[-1])
+    bounds = []
+    for block in (7, 2 ** 15):
+        monkeypatch.setattr(norms, "_BLOCK", block)
+        pw = to_piecewise(f, gen, 1e-3)
+        bounds.append(pw.drift_bound)
+    assert bounds[0] == bounds[1] > 0.0
+    segs = segments_mpmath(f, gen, 1e-3, dps=40)
+    assert pw.segment_count == len(segs)
+    exact_b = [b for *_, b, _ in segs]
+    jumps = made[-1]
+    db = jumps.take(0, jumps.n)[1]
+    with mpmath.workdps(40):
+        err = max(abs(mpmath.mpf(b) - exact) for b, exact in zip(pw.b.tolist(), exact_b))
+        assert err <= pw.drift_bound, (case, float(err), pw.drift_bound)
+        # jump i, descending, goes from segment n - i down to n - i - 1
+        n = jumps.n
+        ratios = (d.as_integer_ratio() for d in db)
+        jump_err = mpmath.fsum(abs(mpmath.mpf(int(num)) / int(den)
+                                   - (exact_b[n - i - 1] - exact_b[n - i]))
+                               for i, (num, den) in enumerate(ratios))
+        # within the slack the drift bound gives its own float64 arithmetic
+        assert 0.0 < jump_err <= jumps.err * (1.0 + 1e-9), (case, float(jump_err), jumps.err)
+    assert [c for *_, c in segs] == pw.c.tolist()
+
+
 def _matches_exact(f, eps):
     pw = to_piecewise(f, None, eps)
     segs = to_piecewise_exact(f, None, Fraction(eps))
@@ -95,7 +152,7 @@ def _same_jumps(rho, phi, eps):
             if w is not None:
                 g = np.concatenate(g)
                 assert g.dtype == w.dtype and np.array_equal(g, w), lane
-    assert got.err() == want.err
+    assert got.err == want.err
 
 
 def test_distinct_breakpoints_on_one_double_stay_apart():
@@ -266,11 +323,12 @@ def test_drift_fold_brackets_mpmath(profile, p):
 def test_closed_form_rounding_brackets_mpmath(profile):
     # no coefficient rounds here (drift_bound 0), so only the bound on the
     # float64 evaluation of the closed forms keeps the truth inside: the p = 2
-    # form, and at p = 1 the signed pieces between roots and their sum
+    # form, and at p = 1 the signed pieces between roots and their sum, with
+    # and without log segments (Phi terms always carry a drift bound)
     for f, gen, p in ((make_family("sn", 5, profile), NEG_CHI, 2.0),
-                      (Gn(20, profile), LAMBDA, 2.0),
+                      (make_family("sn", 20, profile), LAMBDA, 2.0),
                       (make_family("sn", 7, profile), NEG_CHI, 1.0),
-                      (Gn(24, profile), LAMBDA, 1.0),
+                      (make_family("sn", 24, profile), LAMBDA, 1.0),
                       (make_family("fn", 2, profile), LAMBDA, 1.0)):
         assert to_piecewise(f, gen, 0.05).drift_bound == 0.0
         rep = lp_distance(f, gen, p, 0.05, include_far=False)
@@ -475,6 +533,23 @@ def test_far_tail_exact_for_sn(profile):
                             rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_far_tail_rounding_is_bounded(p):
+    # one short segment leaves the power almost all far tail |a|^p/(p-1),
+    # whose pow, quotient and sum into the power quad_error must cover; a
+    # counts as the exact double it is
+    lo = 1.0 - 2.0 ** -30
+    pw = PiecewiseHyperbolic(edges=np.array([lo, 1.0]), b=np.array([0.1]), c=np.array([0.0]),
+                             a=0.7, sup_const=0.0, has_log_tail=False)
+    rep = lp_norm(pw, p)
+    assert rep.far_tail > 1e6 * (rep.power_value - rep.far_tail)
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(pw.a), mpmath.mpf(0.1)
+        true = (mpmath.quad(lambda x: abs(a / x + b) ** p, [mpmath.mpf(lo), 1])
+                + a ** p / (p - 1))
+        assert abs(rep.power_value - true) <= rep.quad_error
+
+
 def test_l1_infinite_when_tail_present(profile):
     rep = lp_distance(make_family("sn", 3, profile), NEG_CHI, 1.0, 1e-4,
                       include_far=True)
@@ -535,14 +610,6 @@ def test_blocked_sq_integral_equals_whole_array_rn_and_one_segment(profile):
         one = PiecewiseHyperbolic(edges=np.array([0.25, 1.0]), b=np.array([0.5]),
                                   c=np.array([c]), a=0.3, sup_const=1.0, has_log_tail=False)
         assert norms._sq_integral(one) == sq_integral_whole_array(one)
-
-
-def _u_image(family, n, profile):
-    """The class-B sum u_l2_norm flattens for a family: thetas k/n and
-    Fraction coefficients mu(k)/k, in the long double lane."""
-    usum = apply_u(make_family(family, n, profile))
-    t = min(theta for _, theta in usum.terms)
-    return BeurlingSum.make([(d, t / theta) for d, theta in usum.terms])
 
 
 # (sum, how _merged_jumps lays it out, or None for a dense lattice): dense
@@ -625,11 +692,6 @@ def test_pairwise_sum_follows_numpy(dtype, size):
     want = np.sum(values)
     got = norms._pairwise_sum(size, lambda i0, i1: np.sum(values[i0:i1]))
     assert got.dtype == want.dtype and got == want
-    stream = norms._PairwiseStream(size)
-    cuts = np.unique(np.concatenate([[0, size], rng.integers(0, size, 5)]))
-    for i0, i1 in zip(cuts, cuts[1:]):
-        stream.feed(values[i0:i1])
-    assert stream.total() == want
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1.0 / 1000.5])

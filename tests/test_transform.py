@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 import scipy.integrate as si
 from hypothesis import given, settings
@@ -77,6 +78,17 @@ def test_gn_pointwise_tends_to_log(profile):
     # G_n(1/2) approaches log(1/2) with shrinking error
     errs = [abs(Gn(n, profile)(0.5) - math.log(0.5)) for n in (10, 100, 1000)]
     assert errs[0] > errs[1] > errs[2]
+
+
+@pytest.mark.parametrize("n", [2, 10, 1000])
+def test_gn_sup_bound_is_an_upper_bound(profile, n):
+    # at or above sum |M(k)| log((k+1)/k) at 30 digits, and within its own
+    # rounding allowance of it
+    with mpmath.workdps(30):
+        exact = mpmath.fsum(abs(profile.M(k)) * mpmath.log(mpmath.mpf(k + 1) / k)
+                            for k in range(1, n))
+        bound = Gn(n, profile).sup_bound
+        assert exact <= bound <= exact * (1 + (n + 6) * 2.0 ** -52)
 
 
 def test_gn_validation(profile):
