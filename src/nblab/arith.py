@@ -187,34 +187,6 @@ def build_profile(table: MobiusTable) -> ArithProfile:
     return ArithProfile(limit=n, mu_values=mu, mertens=mertens)
 
 
-_SERIES = ("M", "g", "gamma")
-
-
-def sign_changes(profile: ArithProfile, series: str, lo: int = 1,
-                 hi: int | None = None) -> list[int]:
-    """Positions n in [lo, hi] where the series strictly changes sign.
-
-    A run of consecutive zeros counts as a single crossing iff the signs
-    flanking the run differ; the reported position is the last n of the old
-    sign.  An empty range yields an empty list.
-    """
-    if series not in _SERIES:
-        raise ValueError(f"series must be one of {_SERIES}, got {series!r}")
-    hi = profile.limit if hi is None else hi
-    if hi < lo:
-        return []
-    if not (1 <= lo and hi <= profile.limit):
-        raise ValueError(f"range [{lo}, {hi}] outside profile [1, {profile.limit}]")
-    arr = {"M": profile.mertens, "g": profile.g_float,
-           "gamma": profile.gamma_float}[series][lo - 1:hi]
-    nz = np.flatnonzero(arr)
-    if len(nz) < 2:
-        return []
-    s = np.sign(arr[nz])
-    flips = np.flatnonzero(s[1:] != s[:-1])
-    return [int(lo + nz[i]) for i in flips]
-
-
 def floor_sum_check(profile: ArithProfile, j_max: int) -> bool:
     """Verify sum_{k<=j} mu(k) * floor(j/k) == 1 exactly for all j <= j_max."""
     if j_max > profile.limit:

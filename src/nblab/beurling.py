@@ -234,14 +234,6 @@ class BeurlingSum:
         return self.lanes.tail_exact()
 
     @property
-    def is_class_b(self) -> bool:
-        return bool(np.all(self.lanes.num <= self.lanes.den))
-
-    @property
-    def is_class_c(self) -> bool:
-        return self.is_class_b and self.tail_coeff == 0
-
-    @property
     def sup_bound(self) -> float:
         """sum |c_k|, a pointwise bound since 0 <= rho < 1."""
         return self.lanes.abs_sum()
@@ -262,13 +254,6 @@ class BeurlingSum:
             return sum((c * rho(t / x) for c, t in self.terms), start=Fraction(0))
         x = float(x)
         return math.fsum(c * rho(float(t) / x) for c, t in self.terms)
-
-    def dilate(self, a) -> "BeurlingSum":
-        """K_a f(x) = f(ax), i.e. theta_k -> theta_k / a."""
-        if a <= 0:
-            raise ValueError(f"dilation factor must be positive, got {a}")
-        a = Fraction(a) if isinstance(a, Rational) and not isinstance(a, float) else a
-        return BeurlingSum.make([(c, t / a) for c, t in self.terms])
 
 
 FAMILIES = ("sn", "vn", "bn", "fn", "rn")
@@ -341,24 +326,3 @@ def make_family(family: str, n: int, profile: ArithProfile) -> BeurlingSum:
                          k[~whole].tolist())}
     g = np.gcd(k, n)
     return _family(coeff, k // g, n // g, irregular)
-
-
-def step_values(f: BeurlingSum, n: int) -> list:
-    """f(1/j) for j = 1..n, exact."""
-    return [f(Fraction(1, j)) for j in range(1, n + 1)]
-
-
-def recover_coefficients(values) -> list:
-    """Solve -f(1/j) = sum_k a_k floor(j/k) for a_1..a_n by forward substitution.
-
-    For the step values of a class-C sum with theta_k = 1/k this recovers the
-    coefficients exactly when the inputs are exact.
-    """
-    n = len(values)
-    coeffs: list = []
-    for j in range(1, n + 1):
-        acc = -values[j - 1]
-        for k in range(1, j):
-            acc -= coeffs[k - 1] * (j // k)
-        coeffs.append(acc)
-    return coeffs

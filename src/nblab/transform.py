@@ -19,7 +19,7 @@ from numbers import Rational
 import numpy as np
 
 from .arith import ArithProfile
-from .beurling import BeurlingSum, Lanes
+from .beurling import Lanes
 from .special import _U, _up, log_factorial
 
 
@@ -127,23 +127,10 @@ class TIndicator(TStep):
         self.b = b
         self.phi_terms = [(-1, b), (1, a)]
         self.inv_coeff = float(b - a)
-        self.sup_bound = float((b - a) / a)
-
-
-def riemann_sum_T(a, b, n: int):
-    """The n-point Riemann sum of T chi_[a,b] as a Beurling sum.
-
-    s_n(x) = ((b-a)/n) sum_k (1/theta_k) rho(theta_k/x),
-    theta_k = a + (b-a) k/n.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if not 0 < a < b:
-        raise ValueError(f"need 0 < a < b, got a={a}, b={b}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    h = (b - a) / n
-    thetas = (a + h * k for k in range(n, 0, -1))
-    return BeurlingSum.make((h / t, t) for t in thetas)
+        # (b - a)/a rounded up: to nearest it can fall below the quotient
+        bound = (b - a) / a
+        sup = float(bound)
+        self.sup_bound = sup if Fraction(sup) >= bound else _up(sup)
 
 
 def mobius_log_identity(x, profile: ArithProfile):

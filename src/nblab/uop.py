@@ -33,11 +33,6 @@ class USum:
     terms: tuple  # of (d_k, theta_k: Fraction), descending theta
 
     @property
-    def head_constant(self):
-        """sum c_k = sum d_k / theta_k, the exact value on (0, min theta)."""
-        return sum((d / t for d, t in self.terms), start=Fraction(0))
-
-    @property
     def envelope(self) -> float:
         return float(sum(abs(d) for d, _ in self.terms))
 

@@ -1,4 +1,4 @@
-"""Divergence and convergence checks over n-grids, with certified margins.
+"""Lower-bound witnesses and measured divergence records, with certified margins.
 
 Each lower-bound inequality becomes a report comparing a certified norm
 interval against an exactly computable right-hand side.  A theorem-backed
@@ -10,11 +10,10 @@ them) record growth without a pass/fail verdict.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 from .arith import ArithProfile
-from .beurling import FAMILIES, LAMBDA, NEG_CHI, Generator, make_family
+from .beurling import FAMILIES, LAMBDA, NEG_CHI, make_family
 from .norms import NormReport, lp_distance
 from .transform import Gn
 from .uop import gn_chain_lower, usn_lower_integral
@@ -140,38 +139,3 @@ def witness(family: str, n: int, p: float, profile: ArithProfile,
     if family == "rn":
         return witness_rn_measured(n, profile, eps)
     raise ValueError(f"no witness for family {family!r}")
-
-
-@dataclass(frozen=True)
-class TrendRow:
-    n: int
-    report: NormReport
-    seconds: float
-
-
-@dataclass(frozen=True)
-class TrendTable:
-    family: str
-    p: float
-    rows: tuple  # of TrendRow, ascending n
-
-    def decreasing(self, last: int = 3) -> bool:
-        """Strict decrease over the last points, beyond certified error."""
-        tail = self.rows[-last:]
-        if len(tail) < 2:
-            return False
-        return all(b.report.upper < a.report.lower
-                   for a, b in zip(tail, tail[1:]))
-
-
-def convergence_trend(family: str, generator: Generator | None, p: float,
-                      n_grid, profile: ArithProfile, eps: float = 1e-6) -> TrendTable:
-    """Certified ||f_n - generator||_p over an ascending n-grid."""
-    if family not in ALL_FAMILIES:
-        raise ValueError(f"family must be one of {ALL_FAMILIES}, got {family!r}")
-    rows = []
-    for n in sorted(n_grid):
-        t0 = time.perf_counter()
-        rep = lp_distance(make_target(family, n, profile), generator, p, eps)
-        rows.append(TrendRow(n=n, report=rep, seconds=time.perf_counter() - t0))
-    return TrendTable(family=family, p=p, rows=tuple(rows))

@@ -1,11 +1,14 @@
 """Slow, independent reference implementations that the tests compare the
-package against.  None of them is used by nblab itself.
+package against, and the harnesses the acceptance tests read (coefficient
+recovery from step values, certified convergence trend tables).  None of
+them is used by nblab itself.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -16,9 +19,10 @@ import numpy as np
 from nblab.arith import EXACT_LIMIT, ArithProfile
 from nblab.beurling import BeurlingSum, Generator, GeneratorKind, Lanes
 from nblab.norms import (_EXACT, _F64_EPS, _LD_EPS, _SEPARABLE, FLATTEN_BUDGET, BudgetError,
-                         Difference, PiecewiseHyperbolic, _gen_offsets, _jump_err, _ld_coeff,
-                         _sum_rounding, _term_spec, check_cutoff)
+                         Difference, NormReport, PiecewiseHyperbolic, _gen_offsets, _jump_err,
+                         _ld_coeff, _sum_rounding, _term_spec, check_cutoff, lp_distance)
 from nblab.special import EULER_GAMMA
+from nblab.witnesses import ALL_FAMILIES, make_target
 
 
 def naive_mu(k: int) -> int:
@@ -96,10 +100,44 @@ def family_tuples(family: str, n: int, profile: ArithProfile) -> tuple:
 
 
 def riemann_sum_via_make(a, b, n: int) -> BeurlingSum:
-    """nblab.transform.riemann_sum_T from its formula through BeurlingSum.make."""
+    """The n-point Riemann sum of T chi_[a,b] as a Beurling sum, through
+    BeurlingSum.make:
+
+    s_n(x) = ((b-a)/n) sum_k (1/theta_k) rho(theta_k/x),
+    theta_k = a + (b-a) k/n.
+    """
     a, b = Fraction(a), Fraction(b)
     h = (b - a) / n
     return BeurlingSum.make([(h / (a + h * k), a + h * k) for k in range(1, n + 1)])
+
+
+def dilate(f: BeurlingSum, a) -> BeurlingSum:
+    """K_a f(x) = f(ax), i.e. theta_k -> theta_k / a."""
+    if a <= 0:
+        raise ValueError(f"dilation factor must be positive, got {a}")
+    a = Fraction(a) if isinstance(a, Rational) and not isinstance(a, float) else a
+    return BeurlingSum.make([(c, t / a) for c, t in f.terms])
+
+
+def step_values(f: BeurlingSum, n: int) -> list:
+    """f(1/j) for j = 1..n, exact."""
+    return [f(Fraction(1, j)) for j in range(1, n + 1)]
+
+
+def recover_coefficients(values) -> list:
+    """Solve -f(1/j) = sum_k a_k floor(j/k) for a_1..a_n by forward substitution.
+
+    For the step values of a class-C sum with theta_k = 1/k this recovers the
+    coefficients exactly when the inputs are exact.
+    """
+    n = len(values)
+    coeffs: list = []
+    for j in range(1, n + 1):
+        acc = -values[j - 1]
+        for k in range(1, j):
+            acc -= coeffs[k - 1] * (j // k)
+        coeffs.append(acc)
+    return coeffs
 
 
 def gn_phi_terms(n: int, profile: ArithProfile) -> list:
@@ -677,3 +715,38 @@ def merged_jumps_sorted(rho: Lanes, phi: Lanes, eps: float) -> WholeJumps:
         return None if lane is None else np.add.reduceat(lane[order], starts)
 
     return WholeJumps(xs[starts], merged(db), merged(dc), err)
+
+
+@dataclass(frozen=True)
+class TrendRow:
+    n: int
+    report: NormReport
+    seconds: float
+
+
+@dataclass(frozen=True)
+class TrendTable:
+    family: str
+    p: float
+    rows: tuple  # of TrendRow, ascending n
+
+    def decreasing(self, last: int = 3) -> bool:
+        """Strict decrease over the last points, beyond certified error."""
+        tail = self.rows[-last:]
+        if len(tail) < 2:
+            return False
+        return all(b.report.upper < a.report.lower
+                   for a, b in zip(tail, tail[1:]))
+
+
+def convergence_trend(family: str, generator: Generator | None, p: float,
+                      n_grid, profile: ArithProfile, eps: float = 1e-6) -> TrendTable:
+    """Certified ||f_n - generator||_p over an ascending n-grid."""
+    if family not in ALL_FAMILIES:
+        raise ValueError(f"family must be one of {ALL_FAMILIES}, got {family!r}")
+    rows = []
+    for n in sorted(n_grid):
+        t0 = time.perf_counter()
+        rep = lp_distance(make_target(family, n, profile), generator, p, eps)
+        rows.append(TrendRow(n=n, report=rep, seconds=time.perf_counter() - t0))
+    return TrendTable(family=family, p=p, rows=tuple(rows))

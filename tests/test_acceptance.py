@@ -14,17 +14,16 @@ import numpy as np
 import pytest
 
 from nblab.arith import build_profile, floor_sum_check
-from nblab.beurling import (BeurlingSum, LAMBDA, NEG_CHI, make_family,
-                            recover_coefficients, step_values)
+from nblab.beurling import BeurlingSum, LAMBDA, NEG_CHI, make_family
 from nblab.mellin import mellin_numeric
 from nblab.norms import lp_distance, lp_norm, to_piecewise
 from nblab.sieve import sieve_mobius
-from nblab.transform import Gn, TIndicator, mobius_log_identity, riemann_sum_T
+from nblab.transform import Gn, TIndicator, mobius_log_identity
 from nblab.uop import isometry_check, ut_direct, ut_head
-from nblab.witnesses import (convergence_trend, witness_gn,
-                             witness_sn_hurdle)
+from nblab.witnesses import witness_gn, witness_sn_hurdle
 from nblab.norms import Difference
-from oracles import quad_abs_p
+from oracles import (convergence_trend, quad_abs_p, recover_coefficients,
+                     riemann_sum_via_make as riemann_sum_T, step_values)
 
 
 @pytest.fixture(scope="module")

@@ -3,10 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from nblab.arith import CHUNK, EXACT_LIMIT, build_profile, floor_sum_check, sign_changes
+from nblab.arith import CHUNK, EXACT_LIMIT, build_profile, floor_sum_check
 from nblab.sieve import sieve_mobius
 
 from oracles import whole_array_lanes
@@ -67,58 +65,11 @@ def test_floor_sum_oracle_small(profile):
         assert sum(profile.mu(k) * (j // k) for k in range(1, j + 1)) == 1
 
 
-def _sign_changes_reference(arr, lo):
-    out = []
-    last_sign, last_pos = 0, None
-    for i, v in enumerate(arr):
-        s = int(v > 0) - int(v < 0)
-        if s == 0:
-            continue
-        if last_sign != 0 and s != last_sign:
-            out.append(lo + last_pos)
-        last_sign, last_pos = s, i
-    return out
-
-
-def test_sign_changes_vs_reference(profile):
-    for series in ("M", "g", "gamma"):
-        arr = {"M": profile.mertens, "g": profile.g_float,
-               "gamma": profile.gamma_float}[series][:1500]
-        assert sign_changes(profile, series, 1, 1500) == \
-            _sign_changes_reference(arr, 1)
-
-
-@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1,
-                max_size=60))
-@settings(max_examples=60, deadline=None)
-def test_sign_changes_property(values):
-    # embed arbitrary small integers as a fake Mertens series
-    class Fake:
-        limit = len(values)
-        mertens = np.array(values, dtype=np.int64)
-        g_float = gamma_float = mertens.astype(np.float64)
-    got = sign_changes(Fake, "M", 1, len(values))
-    assert got == _sign_changes_reference(values, 1)
-
-
-def test_mertens_zero_runs_handled(profile):
-    # M(n) = 0 exactly at the reported crossing boundaries' successors
-    changes = sign_changes(profile, "M", 1, 2000)
-    for n in changes:
-        after = profile.M(n)
-        assert after != 0
-
-
 def test_range_validation(profile):
     with pytest.raises(ValueError):
         profile.M(0)
     with pytest.raises(ValueError):
         profile.g_exact(min(profile.limit, EXACT_LIMIT) + 1)
-    with pytest.raises(ValueError):
-        sign_changes(profile, "bogus")
-    with pytest.raises(ValueError):
-        sign_changes(profile, "M", 0, 10)
-    assert sign_changes(profile, "M", 10, 5) == []
 
 
 def test_hp_values_rejects_bad_p(profile):

@@ -14,11 +14,12 @@ from nblab import norms
 from nblab.beurling import BeurlingSum, LAMBDA, NEG_CHI, make_family
 from nblab.norms import (_LADDER, Difference, PiecewiseHyperbolic, _gl_nodes, lp_distance,
                          lp_norm, to_piecewise)
-from nblab.transform import Gn, TIndicator, riemann_sum_T
+from nblab.transform import Gn, TIndicator
 from nblab.uop import apply_u
 from oracles import (_quad_refined, dilation_quotient_minus_chi, lp_power_mpmath,
-                     merged_jumps_sorted, quad_abs_p, segments_mpmath, sq_integral_whole_array,
-                     to_piecewise_exact, to_piecewise_whole, values_at)
+                     merged_jumps_sorted, quad_abs_p, riemann_sum_via_make, segments_mpmath,
+                     sq_integral_whole_array, to_piecewise_exact, to_piecewise_whole,
+                     values_at)
 
 
 def _exact_value(segments, x):
@@ -764,7 +765,7 @@ def test_riemann_sums_approach_transformed_indicator(profile):
     ti = TIndicator(Fraction(1, 2), 1)
     vals = []
     for n in (4, 16, 64):
-        s = riemann_sum_T(Fraction(1, 2), 1, n)
+        s = riemann_sum_via_make(Fraction(1, 2), 1, n)
         vals.append(lp_norm(to_piecewise(Difference(s, ti), None, 1e-5), 2.0))
     assert vals[0].value > vals[1].value > vals[2].value
     assert vals[1].upper < vals[0].lower

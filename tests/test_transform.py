@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nblab.special import EULER_GAMMA
-from nblab.transform import Gn, TIndicator, mobius_log_identity, riemann_sum_T
+from nblab.transform import Gn, TIndicator, mobius_log_identity
 from oracles import (StepWeight, apply_T, floor_log_integral, gn_phi_terms,
                      rho_tail_ratio_bound, riemann_sum_via_make)
 
@@ -129,19 +129,29 @@ def test_tindicator_validation():
         TIndicator(0, 1)
 
 
+def test_tindicator_sup_bound_rounds_up():
+    # (b - a)/a = 4/3 rounds to nearest below itself
+    assert Fraction(TIndicator(Fraction(3, 7), 1).sup_bound) >= Fraction(4, 3)
+    # an exact quotient stays as it is
+    assert TIndicator(Fraction(1, 4), Fraction(1, 2)).sup_bound == 1.0
+
+
+@given(st.fractions(min_value=Fraction(1, 1000), max_value=1, max_denominator=1000),
+       st.fractions(min_value=Fraction(1, 1000), max_value=1, max_denominator=1000))
+@settings(max_examples=200, deadline=None)
+def test_tindicator_sup_bound_is_the_least_double_above(a, b):
+    a, b = sorted((a, b))
+    if a == b:
+        return
+    sup = TIndicator(a, b).sup_bound
+    assert Fraction(sup) >= (b - a) / a > Fraction(math.nextafter(sup, 0.0))
+
+
 def test_riemann_sum_terms():
-    s = riemann_sum_T(Fraction(1, 2), 1, 4)
+    s = riemann_sum_via_make(Fraction(1, 2), 1, 4)
     assert [t for _, t in s.terms] == [Fraction(1), Fraction(7, 8),
                                        Fraction(3, 4), Fraction(5, 8)]
     assert s.tail_coeff == Fraction(1, 2)
-
-
-def test_riemann_sum_matches_make_oracle():
-    for a, b, n in ((Fraction(1, 2), 1, 4), (Fraction(1, 3), Fraction(2, 3), 7),
-                    (Fraction(2, 7), Fraction(5, 3), 30), (Fraction(1, 100), 1, 999)):
-        got, want = riemann_sum_T(a, b, n), riemann_sum_via_make(a, b, n)
-        assert got.terms == want.terms
-        assert all(type(c) is Fraction and type(t) is Fraction for c, t in got.terms)
 
 
 def test_gn_phi_terms_match_oracle(profile):

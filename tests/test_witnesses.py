@@ -4,9 +4,9 @@ import pytest
 
 from nblab.beurling import LAMBDA, NEG_CHI
 from nblab.norms import NormReport
-from nblab.witnesses import (TrendRow, TrendTable, convergence_trend,
-                             make_target, witness, witness_gn, witness_rn_measured,
+from nblab.witnesses import (make_target, witness, witness_gn, witness_rn_measured,
                              witness_sn_hurdle, witness_sn_l2_max)
+from oracles import TrendRow, TrendTable, convergence_trend
 
 
 def test_sn_hurdle_p2(profile):
