@@ -20,6 +20,7 @@ from numbers import Rational
 import numpy as np
 
 from .arith import ArithProfile
+from .special import float_up
 
 # integer coefficients below this in size live in the int64 lane, so a sum
 # of up to 2^32 of them, or one times a theta numerator below 2^32, fits
@@ -125,9 +126,8 @@ class Lanes:
         return int(self.coeff.sum()) + pairwise_sum(self.irregular.values())
 
     def abs_sum(self) -> float:
-        """float(sum |c_k|): the exact sum rounded once."""
-        return float(int(np.abs(self.coeff).sum())
-                     + pairwise_sum(abs(c) for c in self.irregular.values()))
+        """The least double at or above sum |c_k|."""
+        return float_up(int(abs(self.coeff).sum()), pairwise_sum(map(abs, self.irregular.values())))
 
     def tail_float(self) -> float:
         """float(sum c_k theta_k) without a rational sum where possible.
@@ -235,7 +235,7 @@ class BeurlingSum:
 
     @property
     def sup_bound(self) -> float:
-        """sum |c_k|, a pointwise bound since 0 <= rho < 1."""
+        """sum |c_k| rounded up, a pointwise bound since 0 <= rho < 1."""
         return self.lanes.abs_sum()
 
     @property

@@ -23,16 +23,16 @@ remaining long double lane, the start state and the cast to float64 can
 round, from the shape of the lattice (each term's breakpoint count, jump
 size and coefficient rounding) and from maxima and counts of the states,
 none of which depends on how the jumps are chunked.  p = 2 takes a
-closed form from values at the edges, with 16 B a segment more.  At any
-other p, _split cuts the segments at critical points into monotone pieces
-and cuts a bracket out around each root, enclosed at its midpoint; p = 1
-integrates the pieces in closed form, and general p by Gauss-Legendre at
-the lowest order whose Bernstein-ellipse bound meets a fixed relative
-target, cutting pieces toward roots.  Every integrator bounds its own
-float64 rounding, and the truncation and rounding bounds are proofs.  The
-regions (0, eps) and (1, inf) are handled by a rigorous sup-bound and by
-the exact tail integral of (a / x)^p respectively, so every report is an
-interval certified to contain the true norm.
+closed form from values at the edges, summed a _pairwise_sum leaf at a
+time.  At any other p, _split cuts the segments at critical points into
+monotone pieces and cuts a bracket out around each root, enclosed at its
+midpoint; p = 1 integrates the pieces in closed form, leaf by leaf, and
+general p by Gauss-Legendre at the lowest order whose Bernstein-ellipse
+bound meets a fixed relative target, cutting pieces toward roots.  Every
+integrator bounds its own float64 rounding, and the truncation and
+rounding bounds are proofs.  The regions (0, eps) and (1, inf) are
+handled by a sup-bound rounded up and by the exact tail integral of
+(a / x)^p, so every report is an interval certified to hold the norm.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from .beurling import BeurlingSum, Generator, GeneratorKind, Lanes
-from .special import gamma_upper, log_gamma_upper
+from .special import _U, _up, float_up, gamma_upper, log_gamma_upper
 from .transform import TStep
 
 _LD_EPS = float(np.finfo(np.longdouble).eps)
@@ -168,7 +168,7 @@ def _term_spec(f):
     if isinstance(f, Difference):
         rp, pp, ip, sp = _term_spec(f.plus)
         rm, pm, im, sm = _term_spec(f.minus)
-        return rp.concat(rm.negated()), pp.concat(pm.negated()), ip - im, sp + sm
+        return rp.concat(rm.negated()), pp.concat(pm.negated()), ip - im, float_up(sp, sm)
     raise TypeError(f"cannot flatten {type(f).__name__}")
 
 
@@ -235,7 +235,7 @@ def _jump_err(rho: Lanes, phi: Lanes, counts, roundings: int) -> float:
 
 def _pairwise_sum(n: int, leaf, start: int = 0):
     """np.sum of the n entries [start, start + n) in NumPy's own order,
-    from leaf(i0, i1), the np.sum of entries [i0, i1).
+    from leaf(i0, i1), the np.sum of entries [i0, i1) (or of each lane).
 
     np.add.reduce over one contiguous array adds pairwise (Higham, Accuracy
     and Stability of Numerical Algorithms, 2nd ed., ch. 4): a stretch of
@@ -539,7 +539,7 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     if phi.irregular or np.any(phi.num > phi.den):
         raise ValueError("Phi terms need integer weights and theta <= 1")
     # near zero the generator's constant part survives alongside the sum
-    sup_bound = float(sup_bound) + abs(b_gen)
+    sup_bound = float_up(sup_bound, abs(b_gen))
     # the tail coefficient must vanish exactly for class-C sums, so it is
     # rounded once from its exact value
     a = float(inv_coeff)
@@ -598,28 +598,40 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     drift = float(drift) * (1.0 + 1e-9)
 
     return PiecewiseHyperbolic(
-        edges=edges, b=b, c=c, a=a, sup_const=float(sup_bound), has_log_tail=log_tail,
+        edges=edges, b=b, c=c, a=a, sup_const=sup_bound, has_log_tail=log_tail,
         drift_bound=drift,
     )
 
 
 def _near_zero_tail(pw: PiecewiseHyperbolic, p: float) -> float:
     """Bound integral_0^eps |difference|^p dx; inf only when the bound
-    itself passes the float range."""
+    itself passes the float range.
+
+    With the log tail, Minkowski gives (cst eps^(1/p) + G^(1/p))^p, with
+    G = Gamma(p + 1, L), L = -log eps, the integral of |log x|^p on (0, eps).
+    Rounded up: with the formula's operations within k u (u = 2^-53), the
+    result times 1 + (k + 2) u is stepped up an ulp.  cst^p eps takes a pow
+    and a product: k = 3.  Gamma(a, x) takes a = p + 1 and x = L stepped to
+    its larger side (it grows with a >= 2, falls with x); the rounded 1/p
+    moves eps^(1/p) and G^(1/p) by L u/p and |log G| u/p, and with the pows,
+    the product, the sum and the p-th power, k = 2 + 4p + L + |log G|.
+    """
     e, cst = pw.eps, pw.sup_const
+    a, x = _up(p + 1.0), math.nextafter(-math.log(e), 0.0)
     try:
         if not pw.has_log_tail:
-            return cst ** p * e
-        # Minkowski: ||C + |log x|||_p <= C e^(1/p) + (integral |log|^p)^(1/p);
-        # the log integral is the upper incomplete gamma Gamma(p+1, -log eps)
-        log_part = gamma_upper(p + 1.0, -math.log(e))
-        return (cst * e ** (1.0 / p) + log_part ** (1.0 / p)) ** p
+            k, bound = 3.0, cst ** p * e
+        else:
+            log_part = gamma_upper(a, x)
+            k = 2.0 + 4.0 * p - math.log(e) + abs(math.log(log_part))
+            bound = (cst * e ** (1.0 / p) + log_part ** (1.0 / p)) ** p
+        return _up(bound * (1.0 + (k + 2.0) * _U)) if cst or pw.has_log_tail else 0.0
     except OverflowError:
         # a factor passed the float range: the bound is R^p for its p-th
         # root R, taken as exp(p log R) with slack for the logarithms
         root = cst * e ** (1.0 / p)
         if pw.has_log_tail:
-            root += math.exp(log_gamma_upper(p + 1.0, -math.log(e)) / p)
+            root += math.exp(log_gamma_upper(a, x) / p)
         t = p * math.log(root)
         with np.errstate(over="ignore"):
             return float(np.exp(t + 1e-12 * (abs(t) + 1.0)))
@@ -630,58 +642,57 @@ def _sq_integral(pw: PiecewiseHyperbolic) -> tuple[float, float]:
 
     Each integral_lo^hi (a/x + b + c log x)^2 dx is taken in difference
     form, from log x, x (log x - 1) and x (log^2 x - 2 log x + 2) taken once
-    at each edge, in blocks of _BLOCK segments (an edge at a block join is
-    taken twice by the same operations, to one value); c == 0 skips the c
-    terms, exact zeros.  Every sum, so the bound, runs over whole arrays:
-    two of them, the segments' integrals and widths (16 B a segment); once
-    they are summed, the b c and c^2 lanes of the bound and their jumps
-    take their places.  The bound assumes np.log and np.log1p within 1 ulp
-    (NumPy's float64 accuracy tests hold them to that), every other
-    operation within half an ulp, and np.sum within _sum_rounding.  With
-    L = -log(eps) and d = hi - lo, log(hi/lo) <= d / sqrt(lo hi) and AM-GM
-    bound the six parts of a segment's integral by
-    3 (a^2 d/(lo hi) + b^2 d + c^2 L^2 d); each part is within 5 eps, and
-    adding them costs 2.5 eps more.  The b c and c^2 parts difference the
-    edge values x (log x - 1) and x (log^2 x - 2 log x + 2), rounded within
-    2 eps of x (L + 1) and 4 eps of x ((L + 1)^2 + 1).  Neighbouring
-    segments share the rounded value at their common edge, so the sum sees
-    it only times the jump of 2 b c or c^2 there (log 1 = 0 is exact), and
-    through the 4 eps of roundings after it on each segment, taken at the
-    largest |2 b c| and c^2 with lo + hi <= 2.  The slack in the constants
-    absorbs the other second-order terms.
+    at each edge; c == 0 throughout skips the c terms, exact zeros.  Each
+    _pairwise_sum leaf returns the sums of its segments' integrals, of their
+    magnitudes and of the bound's lanes, each np.sum's over the whole array.
+    The bound assumes np.log and np.log1p within 1 ulp (NumPy's float64
+    accuracy tests hold them to that), every other operation within half an
+    ulp, and np.sum within _sum_rounding.  With L = -log(eps) and
+    d = hi - lo, log(hi/lo) <= d / sqrt(lo hi) and AM-GM bound the six parts
+    of a segment's integral by 3 (a^2 d/(lo hi) + b^2 d + c^2 L^2 d); each
+    part is within 5 eps, and adding them costs 2.5 eps more.  The b c and
+    c^2 parts difference the edge values x (log x - 1) and
+    x (log^2 x - 2 log x + 2), rounded within 2 eps of x (L + 1) and 4 eps
+    of x ((L + 1)^2 + 1).  Neighbouring segments share the rounded value at
+    their common edge, so the sum sees it only times the jump of q = 2 b c
+    or c^2 there (from 0 below the first edge; log 1 = 0 is exact), and
+    through the 4 eps of roundings after it on each segment, at that
+    segment's |q| with lo + hi <= 2.  The slack in the constants absorbs
+    the other second-order terms.
     """
     a, x, b, c = pw.a, pw.edges, pw.b, pw.c
     has_c = bool(np.any(c))
-    d, out = np.empty(len(b)), np.empty(len(b))
-    for i in range(0, len(b), _BLOCK):
-        s, xb = slice(i, i + _BLOCK), x[i:i + _BLOCK + 1]
-        lo, hi, bb, cb = xb[:-1], xb[1:], b[s], c[s]
-        dx = np.subtract(hi, lo, out=d[s])
-        lr = np.log1p(dx / lo)          # log(hi/lo)
-        ob = np.divide(a * a * dx, lo * hi, out=out[s])
-        ob += 2.0 * a * bb * lr
+
+    def leaf(i0, i1):
+        xb, bb, cb = x[i0:i1 + 1], b[i0:i1], c[i0:i1]
+        lo, hi, d = xb[:-1], xb[1:], np.diff(xb)
+        lr = np.log1p(d / lo)           # log(hi/lo)
+        out = a * a * d / (lo * hi)
+        out += 2.0 * a * bb * lr
         if has_c:
             lx = np.log(xb)
-            ob += a * cb * lr * (lx[1:] + lx[:-1])     # a c (log^2 hi - log^2 lo)
-        ob += bb * bb * dx
+            out += a * cb * lr * (lx[1:] + lx[:-1])     # a c (log^2 hi - log^2 lo)
+        lanes = [bb * bb * d]
+        out += lanes[0]
         if has_c:
-            ob += 2.0 * bb * cb * np.diff(xb * (lx - 1.0))
-            ob += cb * cb * np.diff(xb * (lx * lx - 2.0 * lx + 2.0))
-    power = float(np.sum(out))
-    out_abs = np.sum(np.abs(out, out=out))
+            out += 2.0 * bb * cb * np.diff(xb * (lx - 1.0))
+            out += cb * cb * np.diff(xb * (lx * lx - 2.0 * lx + 2.0))
+            lanes.append(cb * cb * d)
+            # q = b c (its r carries the 2 of 2 b c), then c^2, from the
+            # segment before the leaf on, for the jump at its first edge
+            j = max(i0 - 1, 0)
+            for q in (b[j:i1] * c[j:i1], c[j:i1] * c[j:i1]):
+                lanes += [lo * np.abs(np.diff(q, prepend=0.0)[i0 - j:]), np.abs(q[i0 - j:])]
+        return np.array([np.sum(out), np.sum(np.abs(out))] + [np.sum(v) for v in lanes])
+
+    power, out_abs, bbd, *c_lanes = _pairwise_sum(len(b), leaf)
     L = -math.log(x[0])
-    err = 24.0 * (a * a / x[0] + np.einsum("i,i,i->", b, b, d))
+    err = 24.0 * (a * a / x[0] + bbd) + _sum_rounding(len(b)) * out_abs
     if has_c:
-        err += 24.0 * L * L * np.einsum("i,i,i->", c, c, d)
-        # q = b c (its r carries the 2 of 2 b c), then c^2, in out; their
-        # jumps in d
-        for f, r in ((b, 4.0 * (L + 1.0)), (c, 4.0 * ((L + 1.0) ** 2 + 1.0))):
-            q = np.multiply(f, c, out=out)
-            jumps = np.subtract(q[1:], q[:-1], out=d[:-1])
-            err += r * (abs(q[0]) * x[0] + np.dot(x[1:-1], np.abs(jumps, out=jumps))
-                        + 8.0 * _F64_EPS * len(q) * max(q.max(), -q.min()))
-    err += _sum_rounding(len(out)) * out_abs
-    return power, float(_F64_EPS * err)
+        ccd, bc_jumps, bc_abs, cc_jumps, cc_abs = c_lanes
+        err += (24.0 * L * L * ccd + 4.0 * (L + 1.0) * (bc_jumps + 8.0 * _F64_EPS * bc_abs)
+                + 4.0 * ((L + 1.0) ** 2 + 1.0) * (cc_jumps + 8.0 * _F64_EPS * cc_abs))
+    return float(power), float(_F64_EPS * err)
 
 
 def _value(a, b, c, x):
@@ -797,7 +808,8 @@ def _abs_integral_l1(pw: PiecewiseHyperbolic) -> tuple[float, float]:
     """(integral of |a/x + b + c log x| over the segments, error bound).
 
     On the pieces of _split, v is monotone and of one sign, so each integral
-    is the absolute value of the signed one, taken in difference form; each
+    is the absolute value of the signed one, taken in difference form and
+    summed, with the bound's lanes, a _pairwise_sum leaf at a time; each
     root bracket is enclosed in [0, 2h vbr] and counted at its midpoint, as
     in _abs_power_integral.  The bound adds the float64 rounding of the
     pieces and their sum under the assumptions of _sq_integral.  On a piece
@@ -807,31 +819,21 @@ def _abs_integral_l1(pw: PiecewiseHyperbolic) -> tuple[float, float]:
     eps |c| (3L + 1)(u + w).  Adding the parts costs
     eps (|a| log(w/u) + |b| d + |c| L d), and the brackets one more addition.
     """
-    pc = _split(pw)
-    u, w = pc.u, pc.w
-    # |a log1p((w - u)/u) + b (w - u) + c (w (log w - 1) - u (log u - 1))|
-    # in three buffers, operation for operation
-    d = np.subtract(w, u)
-    pieces = np.log1p(np.divide(d, u))
-    pieces *= pw.a
-    part = np.multiply(pc.b, d)
-    pieces += part
-    np.log(w, out=part)
-    part -= 1.0
-    part *= w
-    np.log(u, out=d)
-    d -= 1.0
-    d *= u
-    part -= d
-    part *= pc.c
-    pieces += part
-    np.abs(pieces, out=pieces)
+    a, pc = pw.a, _split(pw)
+
+    def leaf(i0, i1):
+        u, w, b, c = pc.u[i0:i1], pc.w[i0:i1], pc.b[i0:i1], pc.c[i0:i1]
+        d = w - u
+        pieces = np.abs(a * np.log1p(d / u) + b * d
+                        + c * (w * (np.log(w) - 1.0) - u * (np.log(u) - 1.0)))
+        return np.array([np.sum(pieces), np.sum(np.abs(b) * d), np.sum(np.abs(c) * (u + w))])
+
+    total, b_lane, c_lane = _pairwise_sum(len(pc.u), leaf)
     brackets = pc.bracket_power(1.0)
-    power, L = float(np.sum(pieces)) + brackets, -math.log(pw.eps)
+    power, L = float(total) + brackets, -math.log(pw.eps)
     err = (1.0 + 64.0 * _F64_EPS) * brackets + _F64_EPS * (
-        4.0 * abs(pw.a) * L + 2.0 * np.dot(np.abs(pc.b, out=part), np.subtract(w, u, out=d))
-        + (4.0 * L + 2.0) * np.dot(np.abs(pc.c, out=part), np.add(u, w, out=d))
-        + (_sum_rounding(len(pieces)) + 0.5) * power)
+        4.0 * abs(a) * L + 2.0 * b_lane + (4.0 * L + 2.0) * c_lane
+        + (_sum_rounding(len(pc.u)) + 0.5) * power)
     return power, float(err)
 
 
@@ -1044,13 +1046,8 @@ def lp_norm(pw: PiecewiseHyperbolic, p: float,
         power, quad_err = _sq_integral(pw)
     elif a == 0.0 and not np.any(pw.c):
         # the terms |b|^p (hi - lo), made and summed a leaf at a time
-        def leaf(i0, i1):
-            terms = np.abs(pw.b[i0:i1])
-            terms **= p
-            terms *= np.diff(pw.edges[i0:i1 + 1])
-            return np.sum(terms)
-
-        power = float(_pairwise_sum(pw.segment_count, leaf))
+        power = float(_pairwise_sum(pw.segment_count, lambda i0, i1: np.sum(
+            np.abs(pw.b[i0:i1]) ** p * np.diff(pw.edges[i0:i1 + 1]))))
         # terms of one sign, so their magnitudes sum to the power; each term
         # is within eps (two with a pow): a rounded width and product
         quad_err = _sum_rounding(pw.segment_count) * _F64_EPS * power

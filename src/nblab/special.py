@@ -37,6 +37,12 @@ def _up(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
+def float_up(*parts) -> float:
+    """The least double at or above the exact sum of parts (ints, Fractions, floats)."""
+    f = float(x := sum(map(Fraction, parts)))
+    return f if Fraction(f) >= x else _up(f)
+
+
 def _stirling(z):
     """Stirling's series for log Gamma(z), z >= 16 (a float or an array),
     less its remainder, which is below _STIRLING_REM."""

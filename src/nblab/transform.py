@@ -20,7 +20,7 @@ import numpy as np
 
 from .arith import ArithProfile
 from .beurling import Lanes
-from .special import _U, _up, log_factorial
+from .special import _U, _up, float_up, log_factorial
 
 
 def _phi(num, den, x) -> np.ndarray:
@@ -123,14 +123,10 @@ class TIndicator(TStep):
         a, b = Fraction(a), Fraction(b)
         if not 0 < a < b <= 1:
             raise ValueError(f"need 0 < a < b <= 1, got a={a}, b={b}")
-        self.a = a
-        self.b = b
+        self.a, self.b = a, b
         self.phi_terms = [(-1, b), (1, a)]
         self.inv_coeff = float(b - a)
-        # (b - a)/a rounded up: to nearest it can fall below the quotient
-        bound = (b - a) / a
-        sup = float(bound)
-        self.sup_bound = sup if Fraction(sup) >= bound else _up(sup)
+        self.sup_bound = float_up((b - a) / a)
 
 
 def mobius_log_identity(x, profile: ArithProfile):

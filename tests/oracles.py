@@ -21,7 +21,7 @@ from nblab.beurling import BeurlingSum, Generator, GeneratorKind, Lanes
 from nblab.norms import (_EXACT, _F64_EPS, _LD_EPS, _SEPARABLE, FLATTEN_BUDGET, BudgetError,
                          Difference, NormReport, PiecewiseHyperbolic, _gen_offsets, _jump_err,
                          _ld_coeff, _sum_rounding, _term_spec, check_cutoff, lp_distance)
-from nblab.special import EULER_GAMMA
+from nblab.special import EULER_GAMMA, float_up
 from nblab.witnesses import ALL_FAMILIES, make_target
 
 
@@ -385,19 +385,13 @@ def quad_abs_p(a, b, c, lo, hi, p, order):
 
 def sq_integral_whole_array(pw: PiecewiseHyperbolic) -> tuple[float, float]:
     """nblab.norms._sq_integral as one pass over whole arrays, every term
-    evaluated even where c is zero: the blocked closed form must return
-    the same two doubles."""
+    evaluated even where c is zero, and every lane of the bound a per-segment
+    array summed by np.sum: the closed form summed a leaf at a time must
+    return the same two doubles."""
     a, x, b, c = pw.a, pw.edges, pw.b, pw.c
     lo, hi = x[:-1], x[1:]
     d = np.diff(x)
     L = -math.log(x[0])
-    err = 24.0 * (a * a / x[0] + np.einsum("i,i,i->", b, b, d))
-    if np.any(c):
-        err += 24.0 * L * L * np.einsum("i,i,i->", c, c, d)
-        for q, r in ((b * c, 4.0 * (L + 1.0)), (c * c, 4.0 * ((L + 1.0) ** 2 + 1.0))):
-            jumps = np.diff(q)
-            err += r * (abs(q[0]) * x[0] + np.dot(x[1:-1], np.abs(jumps, out=jumps))
-                        + 8.0 * _F64_EPS * len(q) * max(q.max(), -q.min()))
     lr = np.log1p(d / lo)
     lx = np.log(x)
     out = a * a * d / (lo * hi)
@@ -407,7 +401,13 @@ def sq_integral_whole_array(pw: PiecewiseHyperbolic) -> tuple[float, float]:
     out += 2.0 * b * c * np.diff(x * (lx - 1.0))
     out += c * c * np.diff(x * (lx * lx - 2.0 * lx + 2.0))
     power = float(np.sum(out))
-    err += _sum_rounding(len(out)) * np.sum(np.abs(out, out=out))
+    err = 24.0 * (a * a / x[0] + np.sum(b * b * d)) + _sum_rounding(len(out)) * np.sum(np.abs(out))
+    if np.any(c):
+        # x-weighted |jump| at every edge below 1, from 0 below the first
+        bc_jumps, cc_jumps = (np.sum(lo * np.abs(np.diff(q, prepend=0.0))) for q in (b * c, c * c))
+        err += (24.0 * L * L * np.sum(c * c * d)
+                + 4.0 * (L + 1.0) * (bc_jumps + 8.0 * _F64_EPS * np.sum(np.abs(b * c)))
+                + 4.0 * ((L + 1.0) ** 2 + 1.0) * (cc_jumps + 8.0 * _F64_EPS * np.sum(c * c)))
     return power, float(_F64_EPS * err)
 
 
@@ -597,7 +597,7 @@ def to_piecewise_whole(f, generator: Generator | None, eps: float) -> PiecewiseH
     total = float(np.sum(thetas / eps // 1.0 + 1.0))
     if total > FLATTEN_BUDGET:
         raise BudgetError(f"{total:.3g} breakpoints exceed budget {FLATTEN_BUDGET}")
-    sup_bound = float(sup_bound) + abs(b_gen)
+    sup_bound = float_up(sup_bound, abs(b_gen))
     a = float(inv_coeff)
     if len(rho):
         a += rho.tail_float()
@@ -626,7 +626,7 @@ def to_piecewise_whole(f, generator: Generator | None, eps: float) -> PiecewiseH
     drift = float(drift) * (1.0 + 1e-9)
     return PiecewiseHyperbolic(
         edges=edges, b=b[::-1].copy(), c=c_state[::-1].astype(np.float64),
-        a=a, sup_const=float(sup_bound), has_log_tail=log_tail, drift_bound=drift)
+        a=a, sup_const=sup_bound, has_log_tail=log_tail, drift_bound=drift)
 
 
 def merged_jumps_sorted(rho: Lanes, phi: Lanes, eps: float) -> WholeJumps:

@@ -91,11 +91,30 @@ def test_pairwise_sum_is_the_running_sum(count):
             assert abs(Fraction(total) - exact) <= scale
 
 
+def _least_double_at_or_above(d: float, exact: Fraction) -> bool:
+    return Fraction(d) >= exact > Fraction(math.nextafter(d, -math.inf))
+
+
 def test_tail_coeff_and_sup_bound_are_the_running_sums(profile):
     for fam in FAMILIES:
         f = make_family(fam, 2000, profile)
         assert f.tail_coeff == sum((c * t for c, t in f.terms), start=Fraction(0))
-        assert f.sup_bound == float(sum(abs(c) for c, _ in f.terms))
+        assert _least_double_at_or_above(f.sup_bound, sum(abs(c) for c, _ in f.terms))
+
+
+@pytest.fixture(scope="module")
+def profile_3e4():
+    return build_profile(sieve_mobius(3 * 10 ** 4))
+
+
+@pytest.mark.parametrize("family, n", [("vn", 100), ("vn", 29989), ("bn", 10), ("bn", 100),
+                                       ("rn", 10), ("rn", 47)])
+def test_sup_bound_is_not_below_the_sum(profile_3e4, family, n):
+    # the sum rounded to nearest lies below the exact sum |c_k| at these n
+    f = make_family(family, n, profile_3e4)
+    exact = sum((abs(Fraction(c)) for c in f.lanes.coefficients()), start=Fraction(0))
+    assert Fraction(float(exact)) < exact
+    assert _least_double_at_or_above(f.sup_bound, exact)
 
 
 def test_family_class_membership(profile):
@@ -157,18 +176,17 @@ def test_families_match_make_oracle_beyond_exact_limit():
                         family_via_make(family, n, profile))
 
 
-def test_sums_past_exact_limit_are_exact():
+def test_sums_past_exact_limit_are_exact(profile_3e4):
     # the folded g(n) is a dyadic Fraction, so the tail coefficient and the
-    # sup bound are exact sums rounded once (a float sum put a at -1.6e-19
-    # for bn 25000, whose exact value is +8.5e-20)
-    profile = build_profile(sieve_mobius(3 * 10 ** 4))
+    # sup bound are exact sums rounded once, the sup bound upward (a float
+    # sum put a at -1.6e-19 for bn 25000, whose exact value is +8.5e-20)
     for family, n in (("vn", 20000), ("vn", 29989), ("bn", 20000), ("bn", 25000)):
-        f = make_family(family, n, profile)
+        f = make_family(family, n, profile_3e4)
         lanes = f.lanes
         assert lanes.irregular and all(type(c) is Fraction for c in lanes.irregular.values())
         assert lanes.tail_float() == float(lanes.tail_exact())
         exact_abs = sum((abs(Fraction(c)) for c in lanes.coefficients()), start=Fraction(0))
-        assert f.sup_bound == float(exact_abs)
+        assert _least_double_at_or_above(f.sup_bound, exact_abs)
 
 
 def test_empty_families(profile):

@@ -474,6 +474,29 @@ def test_near_zero_tail_in_logarithms():
     assert math.isclose(lp_norm(pw, 310.0).tail_low, 1e304, rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("log_tail", [False, True])
+def test_near_zero_tail_not_below_its_formula(log_tail):
+    # cst^p eps, or (cst eps^(1/p) + Gamma(p + 1, -log eps)^(1/p))^p with
+    # the log tail, at 60 digits of the same doubles: rounded to nearest, 73
+    # of the grid's 240 results lay below it (70 without the log tail)
+    below = []
+    for cst in (1.0 / 3.0, 1.0, 1.1, 2.5, 62.0, 371.3):
+        for eps in (1e-6, 1e-5, 1e-4, 0.05):
+            pw = PiecewiseHyperbolic(edges=np.array([eps, 1.0]), b=np.zeros(1),
+                                     c=np.zeros(1), a=0.0, sup_const=cst,
+                                     has_log_tail=log_tail)
+            for p in (1.0, 1.1, 1.5, 2.0, 3.0):
+                with mpmath.workdps(60):
+                    c, e, q = mpmath.mpf(cst), mpmath.mpf(eps), mpmath.mpf(p)
+                    exact = c ** q * e
+                    if log_tail:
+                        log_part = mpmath.gammainc(q + 1, -mpmath.log(e))
+                        exact = (c * e ** (1 / q) + log_part ** (1 / q)) ** q
+                    if norms._near_zero_tail(pw, p) < exact:
+                        below.append((cst, eps, p))
+    assert below == []
+
+
 def test_general_p_flat_extrema_bounded_rounds(monkeypatch):
     # 40 segments tiling (0.1, 1], each with its minimum v = 1e-14 at an
     # interior critical point: within rounding noise of it no order fits,
@@ -693,6 +716,27 @@ def test_pairwise_sum_follows_numpy(dtype, size):
     want = np.sum(values)
     got = norms._pairwise_sum(size, lambda i0, i1: np.sum(values[i0:i1]))
     assert got.dtype == want.dtype and got == want
+    # a leaf of two lanes sums each as np.sum does on its own
+    other = values[::-1] * 3.0
+    lanes = norms._pairwise_sum(size, lambda i0, i1: np.array([np.sum(values[i0:i1]),
+                                                               np.sum(other[i0:i1])]))
+    assert lanes.dtype == dtype and lanes.tolist() == [want, np.sum(other)]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("case", ["rn", "gn", "sn"])
+def test_closed_forms_do_not_depend_on_the_leaf_size(profile, monkeypatch, case, p):
+    # the p = 1 and p = 2 closed forms sum a leaf at a time in NumPy's own
+    # order, so the leaf size moves no bit of the power or its bound
+    f, gen = {"rn": (make_family("rn", 12, profile), LAMBDA), "gn": (Gn(100, profile), LAMBDA),
+              "sn": (make_family("sn", 100, profile), NEG_CHI)}[case]
+    pw = to_piecewise(f, gen, 1e-5)
+    reports = []
+    for block in (1, 7, 128, 2 ** 15):
+        monkeypatch.setattr(norms, "_BLOCK", block)
+        rep = lp_norm(pw, p)
+        reports.append((rep.power_value, rep.quad_error))
+    assert pw.segment_count > 3 * 2 ** 15 and len(set(reports)) == 1, reports
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1.0 / 1000.5])
