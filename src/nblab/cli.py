@@ -112,6 +112,7 @@ def _fmt(x: float) -> str:
 
 
 def cmd_sieve(args) -> int:
+    arith.check_limit(args.limit)
     table, hit = sieve.sieve_mobius_cached(args.limit)
     mertens = table.mertens()
     status = "cache hit" if hit else "sieved"

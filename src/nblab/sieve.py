@@ -27,10 +27,9 @@ _DECODE = np.array([0, 1, -1, 0], dtype=np.int8)
 _LUT = _DECODE[(np.arange(256)[:, None] >> np.array([0, 2, 4, 6])) & 3]
 _BYTE_SUM = _LUT.sum(axis=1, dtype=np.int8)
 
-# 2, 3, 5 and 7 are sieved once into a pattern of period 4 * 9 * 25 * 49
-# that every segment copies; the strided loop starts at 11
-_PRESIEVED = (2, 3, 5, 7)
-_PERIOD = math.prod(p * p for p in _PRESIEVED)
+_PRESIEVED = (2, 3, 5, 7)  # sieved once into a pattern every segment copies
+_PERIOD = math.prod(_PRESIEVED)
+_LANE_LIMIT = 1 << 48  # see _sieve_segment
 
 
 def _pack(values: np.ndarray) -> np.ndarray:
@@ -45,7 +44,8 @@ def _pack(values: np.ndarray) -> np.ndarray:
 
 def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
     """Unpack n leading mu values from a packed byte array."""
-    return _LUT[packed].reshape(-1)[:n]
+    # one 4-byte lookup per packed byte; np.take would first copy packed to intp
+    return _LUT.view("<u4")[packed, 0].view(np.int8)[:n]
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,8 @@ def sieve_mobius(n: int, segment_size: int = 1 << 19) -> MobiusTable:
     slice of the packed output.  Peak working memory beyond the packed
     output is O(segment_size) per thread.
     """
-    if n < 1:
-        raise ValueError(f"sieve limit must be >= 1, got {n}")
+    if not 1 <= n < _LANE_LIMIT:
+        raise ValueError(f"sieve limit must be in [1, 2^48), got {n}")
     if segment_size < 4 or segment_size % 4:
         raise ValueError(f"segment size must be a positive multiple of 4, got {segment_size}")
     primes = _base_primes(math.isqrt(n))
@@ -140,41 +140,42 @@ def _cores() -> int:
 
 
 @functools.cache
-def _presieve_pattern() -> tuple[np.ndarray, np.ndarray]:
-    """mu(k) over the primes of _PRESIEVED alone, squares zeroed, and the
-    product of those primes dividing k, at index (k - 1) % _PERIOD, over
-    two periods so that any window of one period is a slice."""
-    sign = np.ones(2 * _PERIOD, dtype=np.int8)
-    prod = np.ones(2 * _PERIOD, dtype=np.int32)
+def _presieve_pattern(bits: int) -> np.ndarray:
+    """_sieve_segment's lane over _PRESIEVED at k % _PERIOD, 2**bits past one period."""
+    pattern = np.zeros(_PERIOD + (1 << bits), dtype=np.uint8)
     for p in _PRESIEVED:
-        sign[p - 1::p] *= -1
-        prod[p - 1::p] *= p
-        sign[p * p - 1::p * p] = 0
-    sign.flags.writeable = prod.flags.writeable = False
-    return sign, prod
+        pattern[::p] += 2 * (p * p).bit_length() - 1
+    pattern.flags.writeable = False
+    return pattern
 
 
 def _sieve_segment(lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """mu(k) for lo <= k < hi.  primes must cover sqrt(hi - 1)."""
-    # the product lane holds a divisor of k, so int32 suffices below 2**31
-    lane = np.int32 if hi <= 2 ** 31 else np.int64
-    sign, small = _presieve_pattern()
-    window = slice((lo - 1) % _PERIOD, (lo - 1) % _PERIOD + _PERIOD)
-    # np.resize repeats the window into a new, writable array
-    mu = np.resize(sign[window], hi - lo)
-    prod = np.resize(small[window], hi - lo).astype(lane, copy=False)
-    # product of the distinct sieved primes dividing k; a remaining
-    # cofactor > 1 is a single prime above sqrt and flips the sign once more
+    """mu(k) for lo <= k < hi < 2^48.  primes must cover sqrt(hi - 1).
+
+    Each prime p <= B = max(7, primes[-1]) adds 2 floor(2 log2 p) + 1 to a
+    uint8 lane at its multiples: lane = r (mod 2) and 4 log2 P - r < lane <=
+    4 log2 P + r for P the product and r the count of those dividing k.  With
+    j = floor(2 log2 k) and L = floor(2 log2 (B + 1)), squarefree k < (B + 1)^2
+    is P, so r <= log2 k gives r <= L and lane > 2j - L, or P q with one prime
+    q > B, so r < log2 (B + 1) gives lane < 2j + 2 - 3 log2 (B + 1) <= 2j + 1 - L.
+    So mu = (-1)^lane, flipped where lane <= 2j - L, and 0 at multiples of p^2.
+    The lane stays below 4 log2 k + omega(k) < 4 * 48 + 12 < 256.
+    """
+    if hi > _LANE_LIMIT:
+        raise ValueError(f"sieve segment must end below 2^48, got {hi}")
+    lane = _presieve_pattern((hi - lo - 1).bit_length())[lo % _PERIOD:][:hi - lo].copy()
     for p in primes[primes > _PRESIEVED[-1]].tolist():
-        start = (-lo) % p
-        view = mu[start::p]
-        np.negative(view, out=view)
-        prod[start::p] *= p
-        p2 = p * p
-        if p2 < hi:
-            mu[(-lo) % p2::p2] = 0
-    ks = np.arange(lo, hi, dtype=lane)
-    np.negative(mu, out=mu, where=prod != ks)
+        lane[(-lo) % p::p] += 2 * (p * p).bit_length() - 1
+    margin = ((max(_PRESIEVED[-1], int(primes.max(initial=0))) + 1) ** 2).bit_length() - 1
+    for j in range((lo * lo).bit_length() - 1, ((hi - 1) ** 2).bit_length()):
+        # floor(2 log2 k) = j for isqrt(2^j - 1) < k <= isqrt(2^(j+1) - 1)
+        run = lane[max(lo, math.isqrt((1 << j) - 1) + 1) - lo:
+                   min(hi, math.isqrt((2 << j) - 1) + 1) - lo]
+        np.add(run, run <= 2 * j - margin, out=run)  # a prime above B flips mu
+    mu = (1 - 2 * (lane & 1)).view(np.int8)
+    for q in (primes[primes * primes < hi] ** 2).tolist():
+        if (f := (-lo) % q) < hi - lo:
+            mu[f::q] = 0
     return mu
 
 

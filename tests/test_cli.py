@@ -32,6 +32,17 @@ def test_sieve_command(capsys):
     assert "cache hit" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("limit", [2 ** 31, 10 ** 12])
+def test_sieve_limit_checked_before_sieving(limit, tmp_path, monkeypatch, capsys):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("the sieve ran past the profile limit")
+
+    monkeypatch.setattr(sieve, "sieve_mobius", no_sieve)
+    assert cli.main(["sieve", "--limit", str(limit)]) == 3
+    assert "below 2^31" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()
+
+
 def test_norm_csv_schema_and_determinism(tmp_path):
     out = tmp_path / "norm.csv"
     argv = ["norm", "--family", "bn", "--p", "1.0",

@@ -49,7 +49,7 @@ def test_segment_size_independence():
     for seg in (4, 16, 64, 100):
         assert np.array_equal(sieve_mobius(500, segment_size=seg).mu_array(),
                               big.mu_array())
-    # segments that start at many phases of the period-44100 pattern
+    # segments that start at many phases of the pre-sieved pattern
     whole = sieve_mobius(200_000, segment_size=1 << 20)
     for seg in (44_100, 44_104, 65_536, 99_996):
         assert np.array_equal(sieve_mobius(200_000, segment_size=seg).packed,
@@ -72,6 +72,57 @@ def test_default_segments_on_all_threads():
 def test_segment_beyond_int32(lo, hi):
     mu = _sieve_segment(lo, hi, _base_primes(math.isqrt(hi - 1)))
     assert mu.tolist() == [naive_mu(k) for k in range(lo, hi)]
+
+
+def _is_prime(m):
+    return m > 1 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+
+@pytest.mark.parametrize("bound", [7, 10, 30, 31, 32, 100, 210, 2310, 30030, 65535])
+def test_largest_rounding_loss(bound):
+    # k = P q with P a product of the smallest primes and q the least prime
+    # above the sieve bound, in a table up to (bound + 1)^2 - 1
+    q = next(m for m in range(bound + 1, 2 * bound + 2) if _is_prime(m))
+    primes, P = _base_primes(bound), 1
+    for p in (2, 3, 5, 7, 11, 13, 17, 19):
+        P *= p
+        k = P * q
+        if k >= (bound + 1) ** 2:
+            break
+        lo, hi = k - 1, min(k + 2, (bound + 1) ** 2)
+        assert _sieve_segment(lo, hi, primes).tolist() == [naive_mu(m) for m in range(lo, hi)]
+
+
+def test_both_sides_of_each_log_run():
+    # floor(2 log2 k) steps from j - 1 to j between isqrt(2^j - 1) and the next k
+    for j in range(65):
+        c = math.isqrt(2 ** j)
+        lo, hi = max(1, c - 2), c + 3
+        mu = _sieve_segment(lo, hi, _base_primes(math.isqrt(hi - 1)))
+        assert mu.tolist() == [naive_mu(k) for k in range(lo, hi)], j
+
+
+def test_every_small_limit():
+    # sieve bounds isqrt(n) = 1..33; below 7 the pattern still sieves 2, 3, 5 and 7
+    expected = naive_mobius(1100)
+    for n in range(1, 1101):
+        assert np.array_equal(sieve_mobius(n).mu_array(), expected[:n]), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2 ** 40))
+def test_segment_windows_against_oracle(lo):
+    hi = lo + 64
+    mu = _sieve_segment(lo, hi, _base_primes(math.isqrt(hi - 1)))
+    assert mu.tolist() == [naive_mu(k) for k in range(lo, hi)]
+
+
+def test_uint8_lane_bound():
+    # the log-weight lane holds 4 log2 k + omega(k) < 256 only below 2^48
+    with pytest.raises(ValueError, match="2\\^48"):
+        _sieve_segment(2 ** 48 - 8, 2 ** 48 + 1, np.array([2, 3, 5, 7]))
+    with pytest.raises(ValueError, match="2\\^48"):
+        sieve_mobius(2 ** 48)
 
 
 def test_segment_size_validated():
