@@ -9,30 +9,31 @@ indices are array expressions.  The segments are the exact breakpoint
 lattice {theta_k / j}: one segment per distinct breakpoint, with the
 jumps of coincident terms summed, including breakpoints where that sum
 is zero; one ascending edge array holds them.  When every theta is 1/k
-the jumps are divisor sums at x = 1/m; otherwise the lattice repeats
-with period 1 in y = 1/(Q x), Q the lcm of the theta denominators, and
-one period is sorted and merged, and its tiles are made on demand down
-to eps (the whole lattice is one period when Q eps >= 1, with Phi terms,
-or past 2^53 in its integer products).  The jumps are made and summed a
-_BLOCK at a time and written straight into the final edge, b and c
-arrays, so a flatten holds 24 B a segment besides the merged period or
-the int64 scatter lanes of a dense lattice, and O(_BLOCK) transients.
-Integer jumps are carried exactly, so c is always exact and b is exact
-when every coefficient is an integer; drift_bound bounds what the
-remaining long double lane, the start state and the cast to float64 can
-round, from the shape of the lattice (each term's breakpoint count, jump
-size and coefficient rounding) and from maxima and counts of the states,
-none of which depends on how the jumps are chunked.  p = 2 takes a
-closed form from values at the edges, summed a _pairwise_sum leaf at a
-time.  At any other p, _split cuts the segments at critical points into
-monotone pieces and cuts a bracket out around each root, enclosed at its
+and one is 1, the lattice is every x = 1/m and the jumps are divisor
+sums there; otherwise the lattice repeats with period 1 in y = 1/(Q x),
+Q the lcm of the theta denominators, and one period is sorted and
+merged, and its tiles are made on demand down to eps (the whole lattice
+is one period when Q eps >= 1, with Phi terms, or past 2^53 in its
+integer products).  The jumps are made and summed a _BLOCK at a time and
+written straight into the final edge, b and c arrays, so a flatten holds
+24 B a segment besides the merged period or the int64 scatter lanes of a
+dense lattice, and O(_BLOCK) transients.  Integer jumps are carried
+exactly, so c is always exact and b is exact when every coefficient is
+an integer; drift_bound bounds what the remaining long double lane, the
+start state and the cast to float64 can round, from the shape of the
+lattice (each term's breakpoint count, jump size and coefficient
+rounding) and from maxima and counts of the states, none of which
+depends on how the jumps are chunked.  p = 2 takes a closed form from
+values at the edges, summed a _pairwise_sum leaf at a time.  At any
+other p, _split cuts the segments at critical points into monotone
+pieces and cuts a bracket out around each root, enclosed at its
 midpoint; p = 1 integrates the pieces in closed form, leaf by leaf, and
 general p by Gauss-Legendre at the lowest order whose Bernstein-ellipse
 bound meets a fixed relative target, cutting pieces toward roots.  Every
 integrator bounds its own float64 rounding, and the truncation and
 rounding bounds are proofs.  The regions (0, eps) and (1, inf) are
 handled by a sup-bound rounded up and by the exact tail integral of
-(a / x)^p, so every report is an interval certified to hold the norm.
+(a/x)^p, so every report is an interval certified to hold the norm.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ class NormReport:
 
     value is the computed norm; tail_low, tail_high and quad_error are
     uncertainty contributions in the units of the p-th power integral, so
-    the certified enclosure is [lower, upper].  far_tail records the exact
+    the certified enclosure is [lower, upper], whose sums and p-th roots
+    are rounded outward (_root).  far_tail records the exact
     (1, inf) contribution already included in value.
     """
 
@@ -120,23 +122,39 @@ class NormReport:
 
     @property
     def lower(self) -> float:
+        if math.isinf(self.quad_error):
+            # nothing is known below, as when the power only passed the float range
+            return 0.0
         if not math.isfinite(self.power_value):
-            # an inf error means the power only passed the float range
-            return 0.0 if math.isinf(self.quad_error) else math.inf
-        return max(self.power_value - self.quad_error, 0.0) ** (1.0 / self.p)
+            return math.inf
+        # the greatest double at or below power_value - quad_error
+        return _root(-float_up(self.quad_error, -self.power_value), self.p, 0.0)
 
     @property
     def upper(self) -> float:
-        if not math.isfinite(self.power_value):
+        parts = (self.power_value, self.quad_error, self.tail_low, self.tail_high)
+        if not all(map(math.isfinite, parts)):
             return math.inf
-        return (self.power_value + self.quad_error + self.tail_low
-                + self.tail_high) ** (1.0 / self.p)
+        return _root(float_up(*parts), self.p, math.inf)
 
     @property
     def err(self) -> float:
-        if not math.isfinite(self.power_value):
+        upper = self.upper
+        if not math.isfinite(upper):
             return math.inf
-        return max(self.value - self.lower, self.upper - self.value)
+        # value +- err holds [lower, upper]: each difference rounded up
+        return max(float_up(self.value, -self.lower), float_up(upper, -self.value))
+
+
+def _root(s: float, p: float, toward: float) -> float:
+    """s^(1/p) for a finite s (0 where s <= 0), stepped toward 0 or inf past
+    its rounding: pow within 1 ulp (2 u, u = 2^-53) and, unless 1/p is an
+    exact double, the rounded 1/p (|log s| u / p), relative; 2 u more covers
+    the factor's own rounding and second-order terms."""
+    if s <= 0.0 or p == 1.0:
+        return max(s, 0.0)
+    k = 4.0 if Fraction(1.0 / p) * Fraction(p) == 1 else 4.0 + abs(math.log(s)) / p
+    return math.nextafter(s ** (1.0 / p) * (1.0 + k * _U if toward else 1.0 - k * _U), toward)
 
 
 def _gen_offsets(generator: Generator | None) -> tuple[float, float, bool]:
@@ -259,12 +277,13 @@ def _sum_rounding(n: int) -> float:
 
 
 def _lattice_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
-    """Jumps when every theta is 1/k: all breakpoints lie on x = 1/m, and
-    the jump at m is a divisor sum over the terms with k | m, scattered as
-    D[k::k] += c_k into int64 lanes over m <= 1/eps.  A Phi term of weight w
-    jumps by -w log m in b and -w in c there, so the log lane and
-    non-integer coefficients are the only inexact parts; they are made a
-    chunk at a time."""
+    """Jumps when every theta is 1/k and one term has theta = 1: that term
+    breaks at every x = 1/m but x = 1, whose floor is in the start state, so
+    the breakpoints are 1/m for m >= 2, and the jump at m is a divisor sum
+    over the terms with k | m, scattered as D[k::k] += c_k into int64 lanes
+    over m <= 1/eps.  A Phi term of weight w jumps by -w log m in b and -w
+    in c there, so the log lane and non-integer coefficients are the only
+    inexact parts; they are made a chunk at a time."""
     top = int(1.0 / eps) + 1
     db_int = np.zeros(top + 1, dtype=np.int64)
     for k, c in zip(rho.den.tolist(), rho.coeff.tolist()):
@@ -281,31 +300,20 @@ def _lattice_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
     m_cap = top
     while 1.0 / m_cap <= eps:
         m_cap -= 1
-    # theta = 1 breaks at every 1/m (no mask) but x = 1, whose floor is in
-    # the start state; without it, the m some k divides are listed (int64)
     ks = np.concatenate([rho.den, phi.den])
-    if np.any(ks == 1):
-        m_hit, n = None, m_cap - 1
-    else:
-        hit = np.zeros(m_cap + 1, dtype=bool)
-        for k in ks.tolist():
-            hit[k::k] = True
-        m_hit = np.flatnonzero(hit)
-        n = len(m_hit)
-    m_max = (m_cap if m_hit is None else int(m_hit[-1])) if n else 1
     # at each m the scatter and the sum into the integer jump round once per
     # irregular lane; -w log m takes logl's ulp, a product and a sum
     roundings = len(floats) + 2 * (weights is not None)
-    err = _jump_err(rho, phi, m_max // ks - (ks == 1), roundings)
+    err = _jump_err(rho, phi, m_cap // ks - (ks == 1), roundings)
 
     def take(i0, i1):
-        m = np.arange(i0 + 2, i1 + 2) if m_hit is None else m_hit[i0:i1]
-        at = slice(i0 + 2, i1 + 2) if m_hit is None else m
+        at = slice(i0 + 2, i1 + 2)
+        m = np.arange(at.start, at.stop)
         db, dc, parts = db_int[at], None, []
         if floats:
             v = np.zeros(len(m), dtype=np.longdouble)
             for k, cl in floats:
-                v[slice(-(i0 + 2) % k, None, k) if m_hit is None else m % k == 0] -= cl
+                v[-at.start % k::k] -= cl
             parts.append(v)
         if weights is not None:
             w = weights[at]
@@ -317,7 +325,7 @@ def _lattice_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
                 db += v
         return 1.0 / m, db, dc
 
-    return _Jumps(n, not roundings, take, err)
+    return _Jumps(m_cap - 1, not roundings, take, err)
 
 
 def _merged_jumps(rho: Lanes, phi: Lanes, eps: float) -> _Jumps:
@@ -507,8 +515,8 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     {theta_k / j}, one segment each; crossing one from above increments
     floor(theta_k / x) for every term through it, which bumps b (and, for
     integral terms, the log coefficient c) by the summed jump.  When every
-    theta is 1/k and the lattice 1/m is no larger than the breakpoint count,
-    the jumps are divisor sums built by scatter; otherwise the lattice
+    theta is 1/k and one is 1, the lattice is every 1/m and _lattice_jumps
+    builds the jumps as divisor sums by scatter; otherwise the lattice
     repeats with period 1 in y = 1/(Q x), Q the lcm of the theta
     denominators, and _merged_jumps sorts one period, sums its coincident
     breakpoints and tiles it (one period is the whole lattice when
@@ -555,8 +563,9 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     b0_err = float(abs(Fraction(b0) - b_exact))
     c0 = int(c_gen) - int(phi.coeff[phi.den == 1].sum())
 
-    # the lattice arrays hold 1/eps entries, never more than the sort would
-    dense = bool(np.all(rho.num == 1) and np.all(phi.num == 1)) and int(1.0 / eps) <= total
+    # with theta = 1 the lattice is every 1/m, so no sort holds fewer entries
+    dense = (np.all(rho.num == 1) and np.all(phi.num == 1)
+             and (np.any(rho.den == 1) or np.any(phi.den == 1)))
     jumps = (_lattice_jumps if dense else _merged_jumps)(rho, phi, eps)
 
     # each chunk's states i0 + 1 .. i1 land at n - i1 .. n - i0 - 1, so the

@@ -12,7 +12,6 @@ import math
 import os
 import struct
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,9 +109,8 @@ def _base_primes(limit: int) -> np.ndarray:
 def sieve_mobius(n: int, segment_size: int = 1 << 19) -> MobiusTable:
     """Compute mu(k) for 1 <= k <= n by a segmented sieve.
 
-    Segments run on one thread per available core; each owns a disjoint
-    slice of the packed output.  Peak working memory beyond the packed
-    output is O(segment_size) per thread.
+    Each segment fills its own slice of the packed output, so peak working
+    memory beyond the packed output is O(segment_size).
     """
     if not 1 <= n < _LANE_LIMIT:
         raise ValueError(f"sieve limit must be in [1, 2^48), got {n}")
@@ -120,23 +118,11 @@ def sieve_mobius(n: int, segment_size: int = 1 << 19) -> MobiusTable:
         raise ValueError(f"segment size must be a positive multiple of 4, got {segment_size}")
     primes = _base_primes(math.isqrt(n))
     packed = np.empty((n + 3) // 4, dtype=np.uint8)
-
-    def fill(lo: int) -> None:
+    for lo in range(1, n + 1, segment_size):
         hi = min(lo + segment_size, n + 1)
         # lo - 1 is a multiple of 4, so the segment's codes fill whole bytes
         packed[(lo - 1) // 4:(hi + 2) // 4] = _pack(_sieve_segment(lo, hi, primes))
-
-    starts = range(1, n + 1, segment_size)
-    with ThreadPoolExecutor(max_workers=min(_cores(), len(starts))) as pool:
-        for _ in pool.map(fill, starts):  # re-raises a segment's exception
-            pass
     return MobiusTable(limit=n, packed=packed)
-
-
-def _cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 @functools.cache

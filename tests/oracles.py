@@ -525,10 +525,10 @@ class WholeJumps:
 
 
 def lattice_jumps_whole(rho: Lanes, phi: Lanes, eps: float) -> WholeJumps:
-    """nblab.norms._lattice_jumps with every lane over the whole lattice:
-    all breakpoints lie on x = 1/m, and the jump at m is a divisor sum
-    scattered as D[k::k] += c_k; a Phi term of weight w jumps by -w log m in
-    b and -w in c there."""
+    """nblab.norms._lattice_jumps with every lane over the whole lattice of
+    a 1/k sum with a theta = 1 term: the breakpoints are every x = 1/m,
+    m >= 2, and the jump at m is a divisor sum scattered as D[k::k] += c_k;
+    a Phi term of weight w jumps by -w log m in b and -w in c there."""
     top = int(1.0 / eps) + 1
     db_int = np.zeros(top + 1, dtype=np.int64)
     db_flt = weights = None
@@ -544,20 +544,13 @@ def lattice_jumps_whole(rho: Lanes, phi: Lanes, eps: float) -> WholeJumps:
         weights = np.zeros(top + 1, dtype=np.int64)
         for k, w in zip(phi.den.tolist(), phi.coeff.tolist()):
             weights[k::k] += w
-    # theta = 1 breaks at every 1/m (no mask) but x = 1, whose floor is in the start state
+    # theta = 1 breaks at every 1/m but x = 1, whose floor is in the start state
     ks = np.concatenate([rho.den, phi.den])
-    has_one = bool(np.any(ks == 1))
-    if has_one:
-        m = np.arange(2, top + 1)
-    else:
-        hit = np.zeros(top + 1, dtype=bool)
-        for k in ks.tolist():
-            hit[k::k] = True
-        m = np.flatnonzero(hit)
+    m = np.arange(2, top + 1)
     xs = 1.0 / m
     keep = len(xs) - int(np.searchsorted(xs[::-1], eps, side="right"))
     m, xs = m[:keep], xs[:keep]
-    at = slice(2, 2 + keep) if has_one else m
+    at = slice(2, 2 + keep)
 
     db, dc = db_int[at], None
     m_max = int(m[-1]) if len(m) else 1
@@ -607,7 +600,8 @@ def to_piecewise_whole(f, generator: Generator | None, eps: float) -> PiecewiseH
     b0 = float(b_exact)
     b0_err = float(abs(Fraction(b0) - b_exact))
     c0 = int(c_gen) - int(phi.coeff[phi.den == 1].sum())
-    dense = bool(np.all(rho.num == 1) and np.all(phi.num == 1)) and int(1.0 / eps) <= total
+    dense = (np.all(rho.num == 1) and np.all(phi.num == 1)
+             and (np.any(rho.den == 1) or np.any(phi.den == 1)))
     jumps = (lattice_jumps_whole if dense else merged_jumps_sorted)(rho, phi, eps)
 
     n = len(jumps.xs)

@@ -15,7 +15,7 @@ from nblab.beurling import BeurlingSum, LAMBDA, NEG_CHI, make_family
 from nblab.norms import (_LADDER, Difference, PiecewiseHyperbolic, _gl_nodes, lp_distance,
                          lp_norm, to_piecewise)
 from nblab.transform import Gn, TIndicator
-from nblab.uop import apply_u
+from nblab.uop import apply_u, u_l2_norm
 from oracles import (_quad_refined, dilation_quotient_minus_chi, lp_power_mpmath,
                      merged_jumps_sorted, quad_abs_p, riemann_sum_via_make, segments_mpmath,
                      sq_integral_whole_array, to_piecewise_exact, to_piecewise_whole,
@@ -574,6 +574,26 @@ def test_far_tail_rounding_is_bounded(p):
         assert abs(rep.power_value - true) <= rep.quad_error
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_enclosure_ends_bracket_the_exact_roots(profile, p):
+    # lower and upper lie on their sides of the exact p-th roots of the
+    # report's own doubles, taken at 50 digits, and within 1e-13 of them;
+    # value +- err holds both
+    for family in ("sn", "vn", "bn", "fn", "rn"):
+        for n in (10, 30, 100, 300, 1000):
+            for gen in (NEG_CHI, LAMBDA):
+                rep = lp_distance(make_family(family, n, profile), gen, p, 1e-3)
+                with mpmath.workdps(50):
+                    pv, qe, tl, th = map(mpmath.mpf, (rep.power_value, rep.quad_error,
+                                                      rep.tail_low, rep.tail_high))
+                    low = max(pv - qe, 0) ** (1 / mpmath.mpf(p))
+                    high = (pv + qe + tl + th) ** (1 / mpmath.mpf(p))
+                    assert low * (1 - 1e-13) <= rep.lower <= low, (family, n, gen)
+                    assert high <= rep.upper <= high * (1 + 1e-13), (family, n, gen)
+                assert (Fraction(rep.value) - Fraction(rep.err) <= Fraction(rep.lower)
+                        and Fraction(rep.upper) <= Fraction(rep.value) + Fraction(rep.err))
+
+
 def test_l1_infinite_when_tail_present(profile):
     rep = lp_distance(make_family("sn", 3, profile), NEG_CHI, 1.0, 1e-4,
                       include_far=True)
@@ -637,15 +657,15 @@ def test_blocked_sq_integral_equals_whole_array_rn_and_one_segment(profile):
 
 
 # (sum, how _merged_jumps lays it out, or None for a dense lattice): dense
-# int (sn), dense with Phi terms (gn), masked dense (no theta = 1) with an
-# irregular coefficient, the
-# class-B U-images with a long double lane, tiled int (fn) and tiled long
-# double (rn), one period (Q eps >= 1), a tiled theta = 1 term with an
-# irregular coefficient, and the empty sum; all at eps = 1e-3
+# int (sn), dense with Phi terms (gn), a 1/k sum with no theta = 1 term and
+# an irregular coefficient (one merged period), the class-B U-images with a
+# long double lane, tiled int (fn) and tiled long double (rn), one period
+# (Q eps >= 1), a tiled theta = 1 term with an irregular coefficient, and
+# the empty sum; all at eps = 1e-3
 _STREAM_CASES = {
     "sn": (lambda pr: make_family("sn", 30, pr), None),
     "gn": (lambda pr: Gn(30, pr), None),
-    "bn_masked": (lambda pr: BeurlingSum.make(make_family("bn", 12, pr).terms[1:]), None),
+    "bn_masked": (lambda pr: BeurlingSum.make(make_family("bn", 12, pr).terms[1:]), "_slices"),
     "vn_u": (lambda pr: _u_image("vn", 10, pr), "_tile"),
     "bn_u": (lambda pr: _u_image("bn", 10, pr), "_tile"),
     "fn": (lambda pr: make_family("fn", 100, pr), "_tile"),
@@ -742,17 +762,17 @@ def test_closed_forms_do_not_depend_on_the_leaf_size(profile, monkeypatch, case,
 @pytest.mark.parametrize("eps", [1e-3, 1.0 / 1000.5])
 @pytest.mark.parametrize("with_one", [True, False])
 def test_dense_lattice_matches_exact(profile, monkeypatch, with_one, eps):
-    # with theta = 1 every 1/m breaks and the lanes are read by slices; without
-    # it (sn 12 less its k = 1 term) the breakpoints are masked.  At eps = 1e-3
-    # the breakpoint 1/1000 equals eps and is trimmed from the kept prefix
+    # with theta = 1 every 1/m breaks and the dense lattice flattens the sum;
+    # without it (sn 12 less its k = 1 term) _merged_jumps does.  At
+    # eps = 1e-3 the breakpoint 1/1000 equals eps and is trimmed
     terms = make_family("sn", 12, profile).terms
     f = BeurlingSum.make(terms if with_one else tuple(t for t in terms if t[1] != 1))
     assert (f.terms[0][1] == 1) == with_one
 
     def refuse(*args):
-        raise AssertionError("the dense lattice must flatten this sum")
+        raise AssertionError("the other lattice must flatten this sum")
 
-    monkeypatch.setattr(norms, "_merged_jumps", refuse)
+    monkeypatch.setattr(norms, "_merged_jumps" if with_one else "_lattice_jumps", refuse)
     pw = to_piecewise(f, NEG_CHI, eps)
     segs = to_piecewise_exact(f, NEG_CHI, Fraction(eps))
     assert pw.segment_count == len(segs)
@@ -760,6 +780,30 @@ def test_dense_lattice_matches_exact(profile, monkeypatch, with_one, eps):
     assert all(Fraction(float(b)) == seg[3] and c == seg[4]
                for b, c, seg in zip(pw.b, pw.c, segs))
     assert pw.a == float(segs[0][2])
+
+
+@pytest.mark.parametrize("n", [2, 10, 100])
+def test_command_families_take_their_lattice(profile, monkeypatch, n):
+    # every 1/k family the commands flatten has a theta = 1 term, which the
+    # dense lattice needs; fn and rn past n = 2 (fn 2 is 1 - 2 rho(1/(2x)))
+    # and U-images have thetas k/n
+    called = []
+    for name in ("_lattice_jumps", "_merged_jumps"):
+        monkeypatch.setattr(norms, name, lambda *args, name=name, real=getattr(norms, name):
+                            called.append(name) or real(*args))
+
+    def path(run):
+        called.clear()
+        run()
+        return called
+
+    for f in [make_family(fam, n, profile) for fam in ("sn", "vn", "bn")] + [Gn(n, profile)]:
+        assert path(lambda: to_piecewise(f, NEG_CHI, 1e-3)) == ["_lattice_jumps"], f
+    for fam in ("fn", "rn") if n > 2 else ():
+        f = make_family(fam, n, profile)
+        assert path(lambda: to_piecewise(f, NEG_CHI, 1e-3)) == ["_merged_jumps"], fam
+    image = apply_u(make_family("sn", 10, profile))
+    assert path(lambda: u_l2_norm(image, 1e3)) == ["_merged_jumps"]
 
 
 def test_general_p_interval_contains_p2(profile):

@@ -56,7 +56,7 @@ def test_segment_size_independence():
                               whole.packed)
 
 
-def test_default_segments_on_all_threads():
+def test_default_segments_match_one_segment():
     table = sieve_mobius(10 ** 6)  # two default segments
     assert table.mertens() == 212
     assert int(table.mu_array().sum(dtype=np.int64)) == 212
