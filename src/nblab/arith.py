@@ -5,7 +5,8 @@ gamma are built on first read: as exact rationals up to EXACT_LIMIT and as
 float64 lanes summed in long double, chunk by chunk; beyond EXACT_LIMIT
 the exact value read for a folded coefficient is that of the float entry.
 The profile does not fix p: an H_p lane is accumulated from M on request,
-for any p > 1.  The defining relations are
+for any p > 1.  lane_chunks streams M, g and H_p from a packed table a
+chunk at a time, for sums that need no whole lane.  The defining relations are
 
     M(n) = sum_{k<=n} mu(k)
     g(n) = sum_{k<=n} mu(k)/k
@@ -24,10 +25,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .sieve import MobiusTable
+from .sieve import MobiusTable, _unpack
 
 EXACT_LIMIT = 10**4
-# terms per chunk of every long double running sum (and of the Mellin sums)
+# terms per chunk of every long double running sum (and of the Mellin sums);
+# a multiple of 4, so each chunk starts on a whole byte of a packed table
 CHUNK = 1 << 16
 
 
@@ -38,21 +40,27 @@ def check_limit(limit: int) -> None:
         raise ValueError(f"profile limit must be below 2^31, got {limit}")
 
 
+def _fold(x: np.ndarray, carry):
+    """Prefix sums of x in place, starting from carry; returns the new carry.
+
+    Folding the carry into the first term makes the same sequence of
+    roundings as one cumsum over all terms, so a lane can be summed a chunk
+    at a time and still match the whole-array sum bit for bit.
+    """
+    x[0] += carry
+    np.cumsum(x, out=x)
+    return x[-1]
+
+
 def _running_sums(out: np.ndarray, terms) -> np.ndarray:
     """Fill out with the prefix sums of terms(lo, hi), the long double terms
-    lo..hi-1, chunk by chunk.
-
-    Folding the carry into each chunk's first term makes the same sequence
-    of roundings as one cumsum over all terms, so only O(CHUNK) long doubles
-    are alive at a time.
-    """
+    lo..hi-1, chunk by chunk, so only O(CHUNK) long doubles are alive at a
+    time."""
     carry = np.longdouble(0.0)
     for lo in range(0, len(out), CHUNK):
         hi = min(lo + CHUNK, len(out))
         x = terms(lo, hi)
-        x[0] += carry
-        np.cumsum(x, out=x)
-        carry = x[-1]
+        carry = _fold(x, carry)
         out[lo:hi] = x
     return out
 
@@ -60,6 +68,65 @@ def _running_sums(out: np.ndarray, terms) -> np.ndarray:
 def _ks(lo: int, hi: int) -> np.ndarray:
     """k = lo+1..hi, the 1-based indices of positions lo..hi-1, as long doubles."""
     return np.arange(lo + 1, hi + 1, dtype=np.float64).astype(np.longdouble)
+
+
+def _g_terms(mu: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """mu(k)/k for k = lo+1..hi, from mu(lo+1..hi), in long double."""
+    return mu.astype(np.longdouble) / _ks(lo, hi)
+
+
+def _hp_step(p: float):
+    """step(lo, hi): integral_k^(k+1) t^(-2/p) dt for k = lo+1..hi, the weight
+    of M(k) in H_p(k+1) - H_p(k)."""
+    if not p > 1:
+        raise ValueError(f"p must be > 1, got {p}")
+    if abs(p - 2.0) < 1e-15:
+        def step(lo, hi):
+            k = _ks(lo, hi)
+            return np.log(k + 1.0) - np.log(k)
+    else:
+        e = 1.0 - 2.0 / p
+
+        def step(lo, hi):
+            # ((k+1)^e - k^e)/e without the cancellation of the difference
+            k = np.arange(lo + 1, hi + 1, dtype=np.float64)
+            return k ** e * np.expm1(e * np.log1p(1.0 / k)) / e
+    return step
+
+
+def lane_chunks(table: MobiusTable, upto: int, lane: str | None = None,
+                p: float = 2.0):
+    """Yield (lo, mertens, values) for each CHUNK of positions lo..hi-1 of
+    1..upto, straight from the packed table: M(lo+1..hi) as int64, and
+    values the chunk of lane "g" or "hp" (H_p) as float64, else None.
+
+    Every entry equals ArithProfile's (mertens, g_float, hp_values(p, upto))
+    bit for bit, but only O(CHUNK) memory is alive beyond the table.
+    """
+    if not 1 <= upto <= table.limit:
+        raise ValueError(f"upto={upto} outside table range [1, {table.limit}]")
+    if lane not in (None, "g", "hp"):
+        raise ValueError(f"lane must be None, 'g' or 'hp', got {lane!r}")
+    step = _hp_step(p) if lane == "hp" else None
+    m_carry, carry = 0, np.longdouble(0.0)
+    for lo in range(0, upto, CHUNK):
+        hi = min(lo + CHUNK, upto)
+        mu = _unpack(table.packed[lo // 4:(hi + 3) // 4], hi - lo)
+        mert = mu.astype(np.int64)
+        m_carry = _fold(mert, m_carry)
+        values = None
+        if lane == "g":
+            x = _g_terms(mu, lo, hi)
+            carry = _fold(x, carry)
+            values = x.astype(np.float64)
+        elif lane == "hp":
+            # x[i] = H_p(lo+i+2): H_p at position lo is the carry coming in
+            x = mert.astype(np.longdouble) * step(lo, hi)
+            values = np.empty(hi - lo)
+            values[0] = carry
+            carry = _fold(x, carry)
+            values[1:] = x[:-1]
+        yield lo, mert, values
 
 
 @dataclass(frozen=True)
@@ -78,7 +145,7 @@ class ArithProfile:
     def g_float(self) -> np.ndarray:
         """g(1..limit) as float64."""
         def terms(lo, hi):
-            return self.mu_values[lo:hi].astype(np.longdouble) / _ks(lo, hi)
+            return _g_terms(self.mu_values[lo:hi], lo, hi)
 
         return _running_sums(np.empty(self.limit), terms)
 
@@ -127,20 +194,8 @@ class ArithProfile:
 
     def hp_values(self, p: float, upto: int) -> np.ndarray:
         """H_p(1..upto) as float64, accumulated in extended precision."""
-        if not p > 1:
-            raise ValueError(f"p must be > 1, got {p}")
+        step = _hp_step(p)
         self._check(upto)
-        if abs(p - 2.0) < 1e-15:
-            def step(lo, hi):
-                k = _ks(lo, hi)
-                return np.log(k + 1.0) - np.log(k)
-        else:
-            e = 1.0 - 2.0 / p
-
-            def step(lo, hi):
-                # ((k+1)^e - k^e)/e without the cancellation of the difference
-                k = np.arange(lo + 1, hi + 1, dtype=np.float64)
-                return k ** e * np.expm1(e * np.log1p(1.0 / k)) / e
 
         def terms(lo, hi):
             return self.mertens[lo:hi].astype(np.longdouble) * step(lo, hi)

@@ -85,10 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _profile(limit: int) -> arith.ArithProfile:
+def _table(limit: int) -> tuple[sieve.MobiusTable, bool]:
     arith.check_limit(limit)
-    table, _ = sieve.sieve_mobius_cached(limit)
-    return arith.build_profile(table)
+    return sieve.sieve_mobius_cached(limit)
+
+
+def _profile(limit: int) -> arith.ArithProfile:
+    return arith.build_profile(_table(limit)[0])
 
 
 def _write_rows(path: str, columns, rows) -> int:
@@ -112,8 +115,7 @@ def _fmt(x: float) -> str:
 
 
 def cmd_sieve(args) -> int:
-    arith.check_limit(args.limit)
-    table, hit = sieve.sieve_mobius_cached(args.limit)
+    table, hit = _table(args.limit)
     mertens = table.mertens()
     status = "cache hit" if hit else "sieved"
     print(f"limit={args.limit} mertens={mertens} ({status}, "
@@ -169,8 +171,8 @@ def cmd_identity(args) -> int:
 
 def cmd_mellin(args) -> int:
     mellin.check_arguments(args.kernel, args.s, args.cutoff, args.p)
-    profile = _profile(max(args.cutoff - 1, 1))
-    res = mellin.mellin_numeric(profile, args.kernel, args.s, args.cutoff, args.p)
+    table, _ = _table(max(args.cutoff - 1, 1))
+    res = mellin.mellin_numeric(table, args.kernel, args.s, args.cutoff, args.p)
     ref = mellin.mellin_reference(args.kernel, args.s, args.p)
     diff = abs(res.value - ref)
     ok = diff <= res.tail_bound + 1e-9

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import CHUNK, ArithProfile
+from .arith import lane_chunks
+from .sieve import MobiusTable
 from .special import zeta
 
 
@@ -25,11 +26,12 @@ class MellinResult:
 
 
 _KERNELS = ("M", "xg", "hp")
+_LANES = {"M": None, "xg": "g", "hp": "hp"}     # the lane each kernel reads beside M
 
 
 def check_arguments(kernel: str, s: float, cutoff: int, p: float = 2.0) -> None:
     """Raise ValueError unless mellin_numeric accepts these arguments for a
-    profile that covers the cutoff."""
+    table that covers the cutoff."""
     if kernel not in _KERNELS:
         raise ValueError(f"kernel must be one of {_KERNELS}, got {kernel!r}")
     if kernel == "hp" and not 1 < p < math.inf:
@@ -43,48 +45,46 @@ def check_arguments(kernel: str, s: float, cutoff: int, p: float = 2.0) -> None:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
 
 
-def mellin_numeric(profile: ArithProfile, kernel: str, s: float,
+def mellin_numeric(table: MobiusTable, kernel: str, s: float,
                    cutoff: int, p: float = 2.0) -> MellinResult:
     """integral_1^T kernel(x) x^(-s-1) dx, for real s, with a rigorous tail bound.
 
     kernel "M" and "xg" need s > 1; "hp" needs p > 1 and s > 2/q
     where q is the conjugate index of p, which only this kernel reads.
-    cutoff T must be covered by the profile (M(n) for n < T).  The sum over
-    n runs in chunks, so beyond the profile's lanes it needs O(CHUNK) memory.
+    cutoff T must be covered by the table (mu(n) for n < T).  M, g and H_p
+    are summed from the packed table a chunk at a time, so the sum needs
+    O(CHUNK) memory beyond the table.
     """
     check_arguments(kernel, s, cutoff, p)
-    if cutoff - 1 > profile.limit:
-        raise ValueError(f"cutoff {cutoff} beyond profile limit {profile.limit}")
+    if cutoff - 1 > table.limit:
+        raise ValueError(f"cutoff {cutoff} beyond table limit {table.limit}")
     if cutoff == 1:
         return MellinResult(0.0, _tail(kernel, s, 1, p), 1)
 
-    if kernel == "xg":
-        lane = profile.g_float
-    elif kernel == "hp":
-        lane = profile.hp_values(p, cutoff - 1)
+    if kernel == "hp":
         e = 1.0 - 2.0 / p
     power = 1 - s if kernel == "xg" else -s
     total = 0.0
-    for lo in range(1, cutoff, CHUNK):
-        hi = min(lo + CHUNK, cutoff)
-        # m = lo..hi; the n = lo..hi-1 and n + 1 terms are its two shifted views
-        logm = np.log(np.arange(lo, hi + 1, dtype=np.float64))
+    for lo, mertens, lane in lane_chunks(table, cutoff - 1, _LANES[kernel], p):
+        hi = lo + len(mertens)
+        # m = lo+1..hi+1; the n = lo+1..hi and n + 1 terms are its two shifted views
+        logm = np.log(np.arange(lo + 1, hi + 2, dtype=np.float64))
         logn = logm[:-1]
         pow_m = np.exp(power * logm)
         pow_s, pow_s1 = pow_m[:-1], pow_m[1:]      # n^power, (n+1)^power
-        mert = profile.mertens[lo - 1:hi - 1].astype(np.float64)
+        mert = mertens.astype(np.float64)
         if kernel == "M":
             total += np.sum(mert * (pow_s - pow_s1))
         elif kernel == "xg":
-            total += np.sum(lane[lo - 1:hi - 1] * (pow_s - pow_s1))
+            total += np.sum(lane * (pow_s - pow_s1))
         elif abs(p - 2.0) < 1e-15:
             # H_2(x) = H_2(n) + M(n)(log x - log n) on [n, n+1]
-            base = (lane[lo - 1:hi - 1] - mert * logn) * (pow_s - pow_s1) / s
+            base = (lane - mert * logn) * (pow_s - pow_s1) / s
             # antiderivative of log(x) x^(-s-1): -x^-s (log x / s + 1/s^2)
             f = -pow_m * (logm / s + 1.0 / s**2)
             total += np.sum(base + mert * (f[1:] - f[:-1]))
         else:
-            base = (lane[lo - 1:hi - 1] - mert * np.exp(e * logn) / e) * (pow_s - pow_s1) / s
+            base = (lane - mert * np.exp(e * logn) / e) * (pow_s - pow_s1) / s
             pow_es = np.exp((e - s) * logm)
             total += np.sum(base + mert / e * ((pow_es[:-1] - pow_es[1:]) / (s - e)))
     if kernel == "M":

@@ -29,6 +29,7 @@ _BYTE_SUM = _LUT.sum(axis=1, dtype=np.int8)
 _PRESIEVED = (2, 3, 5, 7)  # sieved once into a pattern every segment copies
 _PERIOD = math.prod(_PRESIEVED)
 _LANE_LIMIT = 1 << 48  # see _sieve_segment
+_SUM_SLICE = 1 << 20   # packed bytes per slice of MobiusTable.mertens
 
 
 def _pack(values: np.ndarray) -> np.ndarray:
@@ -67,13 +68,15 @@ class MobiusTable:
 
     def mertens(self) -> int:
         """M(limit), the sum of mu(k) over 1 <= k <= limit."""
-        return int(_BYTE_SUM[self.packed].sum(dtype=np.int64))
+        # in slices: one int8 temporary of the whole table is n/4 bytes
+        return sum(int(_BYTE_SUM[self.packed[i:i + _SUM_SLICE]].sum(dtype=np.int64))
+                   for i in range(0, len(self.packed), _SUM_SLICE))
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<Q", self.limit))
-            fh.write(self.packed.tobytes())
+            fh.write(self.packed)
 
     @classmethod
     def load(cls, path: str) -> "MobiusTable":
@@ -81,13 +84,24 @@ class MobiusTable:
             magic = fh.read(4)
             if magic != MAGIC:
                 raise CorruptCacheError(f"bad magic {magic!r} in {path}")
-            (limit,) = struct.unpack("<Q", fh.read(8))
-            raw = fh.read()
-        expected = (limit + 3) // 4
-        if len(raw) != expected:
+            header = fh.read(8)
+            if len(header) != 8:
+                raise CorruptCacheError(f"cache {path}: truncated header")
+            (limit,) = struct.unpack("<Q", header)
+            expected = (limit + 3) // 4
+            # checked before allocating, so a bad limit cannot ask for memory
+            size = os.fstat(fh.fileno()).st_size - len(MAGIC) - len(header)
+            if size != expected:
+                raise CorruptCacheError(
+                    f"cache {path}: expected {expected} packed bytes, got {size}")
+            # read() would join its buffer with a second full copy
+            packed = np.empty(expected, dtype=np.uint8)
+            got = fh.readinto(packed)
+        if got != expected:
             raise CorruptCacheError(
-                f"cache {path}: expected {expected} packed bytes, got {len(raw)}")
-        return cls(limit=int(limit), packed=np.frombuffer(raw, dtype=np.uint8))
+                f"cache {path}: expected {expected} packed bytes, read {got}")
+        packed.flags.writeable = False
+        return cls(limit=int(limit), packed=packed)
 
 
 class CorruptCacheError(Exception):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nblab.arith import CHUNK, EXACT_LIMIT, build_profile, floor_sum_check
+from nblab.arith import CHUNK, EXACT_LIMIT, build_profile, floor_sum_check, lane_chunks
 from nblab.sieve import sieve_mobius
 
 from oracles import whole_array_lanes
@@ -88,6 +88,26 @@ def test_chunked_lanes_equal_whole_array():
     assert np.array_equal(prof.hp_values(2.0, prof.limit), ref["h2"])
     assert [prof.g_exact(n) for n in range(1, 3001)] == ref["g_exact"]
     assert [prof.gamma_exact(n) for n in range(1, 3001)] == ref["gamma_exact"]
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_lane_chunks_equal_profile_lanes(p):
+    # the lanes streamed from the packed table, chunk by chunk, are the
+    # profile's whole lanes bit for bit, across three carries and a ragged end
+    table = sieve_mobius(3 * CHUNK + 77)
+    prof = build_profile(table)
+
+    def lane(name):
+        chunks = list(lane_chunks(table, table.limit, name, p))
+        assert [lo for lo, _, _ in chunks] == [0, CHUNK, 2 * CHUNK, 3 * CHUNK]
+        assert np.array_equal(np.concatenate([m for _, m, _ in chunks]), prof.mertens)
+        return np.concatenate([v for _, _, v in chunks])
+
+    assert np.array_equal(lane("g"), prof.g_float)
+    assert np.array_equal(lane("hp"), prof.hp_values(p, prof.limit))
+    assert all(v is None for _, _, v in lane_chunks(table, 5, None))
+    with pytest.raises(ValueError):
+        next(lane_chunks(table, table.limit + 1))
 
 
 @pytest.fixture(scope="module")

@@ -147,6 +147,20 @@ def test_mellin_command(capsys):
     assert "pass" in out and "kernel=M" in out
 
 
+@pytest.mark.parametrize("kernel,p", [("M", "2"), ("xg", "2"), ("hp", "3")])
+def test_mellin_streams_from_the_packed_table(kernel, p, monkeypatch, capsys):
+    # neither a profile nor a whole mu array is built, over more than one chunk
+    def no_whole_lanes(*args, **kwargs):
+        raise AssertionError("mellin built a whole-range lane")
+
+    monkeypatch.setattr(arith, "build_profile", no_whole_lanes)
+    monkeypatch.setattr(sieve.MobiusTable, "mu_array", no_whole_lanes)
+    cutoff = 3 * arith.CHUNK + 78
+    assert cli.main(["mellin", "--kernel", kernel, "--p", p, "--s", "2.5",
+                     "--cutoff", str(cutoff)]) == 0
+    assert f"cutoff={cutoff}" in capsys.readouterr().out
+
+
 def test_mellin_p_only_read_by_hp_kernel(capsys):
     assert cli.main(["mellin", "--kernel", "M", "--cutoff", "2000",
                      "--p", "1"]) == 0

@@ -181,6 +181,31 @@ def test_load_rejects_truncated_payload(tmp_path, table):
         MobiusTable.load(str(path))
 
 
+def test_load_rejects_trailing_bytes(tmp_path, table):
+    path = tmp_path / "long.bin"
+    table.save(str(path))
+    with open(path, "ab") as fh:
+        fh.write(b"\0")
+    with pytest.raises(CorruptCacheError, match="expected 500 packed bytes, got 501"):
+        MobiusTable.load(str(path))
+
+
+def test_load_rejects_truncated_header(tmp_path):
+    path = tmp_path / "short.bin"
+    path.write_bytes(b"NBL1" + b"\0" * 5)
+    with pytest.raises(CorruptCacheError):
+        MobiusTable.load(str(path))
+
+
+def test_loaded_table_is_read_only(tmp_path, table):
+    path = str(tmp_path / "m.bin")
+    table.save(path)
+    loaded = MobiusTable.load(path)
+    assert loaded.packed.dtype == np.uint8 and len(loaded.packed) == 500
+    with pytest.raises(ValueError):
+        loaded.packed[0] = 0
+
+
 def test_cached_miss_then_hit(tmp_path):
     d = str(tmp_path)
     t1, hit1 = sieve_mobius_cached(300, d)
