@@ -1,12 +1,14 @@
 """Arithmetic profiles: M(n), g(n), gamma(n), H_p(n) over a sieved range.
 
-A profile stores mu and M (int32, so its range ends below 2^31).  g and
-gamma are built on first read: as exact rationals up to EXACT_LIMIT and as
-float64 lanes summed in long double, chunk by chunk; beyond EXACT_LIMIT
-the exact value read for a folded coefficient is that of the float entry.
-The profile does not fix p: an H_p lane is accumulated from M on request,
-for any p > 1.  lane_chunks streams M, g and H_p from a packed table a
-chunk at a time, for sums that need no whole lane.  The defining relations are
+A profile stores mu, M (int32, so its range ends below 2^31) and the packed
+table it was built from.  lane_chunks is the one stream that sums the
+float lanes: it reads M, g, gamma or H_p from a packed table a chunk at a
+time, in long double, and the profile lays its chunks end to end.  g and
+gamma are built on first read, as those float64 lanes and as exact
+rationals up to EXACT_LIMIT; beyond EXACT_LIMIT the exact value read for a
+folded coefficient is that of the float entry.  The profile does not fix
+p: an H_p lane is accumulated on request, for any p > 1.  The defining
+relations are
 
     M(n) = sum_{k<=n} mu(k)
     g(n) = sum_{k<=n} mu(k)/k
@@ -52,27 +54,9 @@ def _fold(x: np.ndarray, carry):
     return x[-1]
 
 
-def _running_sums(out: np.ndarray, terms) -> np.ndarray:
-    """Fill out with the prefix sums of terms(lo, hi), the long double terms
-    lo..hi-1, chunk by chunk, so only O(CHUNK) long doubles are alive at a
-    time."""
-    carry = np.longdouble(0.0)
-    for lo in range(0, len(out), CHUNK):
-        hi = min(lo + CHUNK, len(out))
-        x = terms(lo, hi)
-        carry = _fold(x, carry)
-        out[lo:hi] = x
-    return out
-
-
 def _ks(lo: int, hi: int) -> np.ndarray:
     """k = lo+1..hi, the 1-based indices of positions lo..hi-1, as long doubles."""
     return np.arange(lo + 1, hi + 1, dtype=np.float64).astype(np.longdouble)
-
-
-def _g_terms(mu: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """mu(k)/k for k = lo+1..hi, from mu(lo+1..hi), in long double."""
-    return mu.astype(np.longdouble) / _ks(lo, hi)
 
 
 def _hp_step(p: float):
@@ -98,15 +82,17 @@ def lane_chunks(table: MobiusTable, upto: int, lane: str | None = None,
                 p: float = 2.0):
     """Yield (lo, mertens, values) for each CHUNK of positions lo..hi-1 of
     1..upto, straight from the packed table: M(lo+1..hi) as int64, and
-    values the chunk of lane "g" or "hp" (H_p) as float64, else None.
+    values the chunk of lane "g", "gamma" or "hp" (H_p) as float64, else
+    None.
 
-    Every entry equals ArithProfile's (mertens, g_float, hp_values(p, upto))
-    bit for bit, but only O(CHUNK) memory is alive beyond the table.
+    This is the one stream every lane is summed by: each entry is
+    ArithProfile's (mertens, g_float, gamma_float, hp_values(p, upto)), and
+    only O(CHUNK) memory is alive beyond the table.
     """
     if not 1 <= upto <= table.limit:
         raise ValueError(f"upto={upto} outside table range [1, {table.limit}]")
-    if lane not in (None, "g", "hp"):
-        raise ValueError(f"lane must be None, 'g' or 'hp', got {lane!r}")
+    if lane not in (None, "g", "gamma", "hp"):
+        raise ValueError(f"lane must be None, 'g', 'gamma' or 'hp', got {lane!r}")
     step = _hp_step(p) if lane == "hp" else None
     m_carry, carry = 0, np.longdouble(0.0)
     for lo in range(0, upto, CHUNK):
@@ -116,12 +102,17 @@ def lane_chunks(table: MobiusTable, upto: int, lane: str | None = None,
         m_carry = _fold(mert, m_carry)
         values = None
         if lane == "g":
-            x = _g_terms(mu, lo, hi)
+            x = mu.astype(np.longdouble) / _ks(lo, hi)
             carry = _fold(x, carry)
             values = x.astype(np.float64)
-        elif lane == "hp":
-            # x[i] = H_p(lo+i+2): H_p at position lo is the carry coming in
-            x = mert.astype(np.longdouble) * step(lo, hi)
+        elif lane is not None:
+            # x[i] = gamma(lo+i+2) or H_p(lo+i+2): the lane at position lo
+            # is the carry coming in
+            if lane == "gamma":
+                k = _ks(lo, hi)
+                x = mert.astype(np.longdouble) / (k * (k + 1.0))
+            else:
+                x = mert.astype(np.longdouble) * step(lo, hi)
             values = np.empty(hi - lo)
             values[0] = carry
             carry = _fold(x, carry)
@@ -136,30 +127,28 @@ class ArithProfile:
     limit: int
     mu_values: np.ndarray        # int8, mu(1..limit)
     mertens: np.ndarray          # int32, M(1..limit)
+    table: MobiusTable           # packed mu(1..limit), which every float lane streams
 
     def _check(self, n: int) -> None:
         if not 1 <= n <= self.limit:
             raise ValueError(f"n={n} outside profile range [1, {self.limit}]")
 
+    def _lane(self, lane: str, upto: int, p: float = 2.0) -> np.ndarray:
+        """lane(1..upto) as float64: the chunks of lane_chunks end to end."""
+        out = np.empty(upto)
+        for lo, _, values in lane_chunks(self.table, upto, lane, p):
+            out[lo:lo + len(values)] = values
+        return out
+
     @cached_property
     def g_float(self) -> np.ndarray:
         """g(1..limit) as float64."""
-        def terms(lo, hi):
-            return _g_terms(self.mu_values[lo:hi], lo, hi)
-
-        return _running_sums(np.empty(self.limit), terms)
+        return self._lane("g", self.limit)
 
     @cached_property
     def gamma_float(self) -> np.ndarray:
         """gamma(1..limit) as float64."""
-        def terms(lo, hi):
-            k = _ks(lo, hi)
-            return self.mertens[lo:hi].astype(np.longdouble) / (k * (k + 1.0))
-
-        gamma = np.empty(self.limit)
-        gamma[0] = 0.0
-        _running_sums(gamma[1:], terms)
-        return gamma
+        return self._lane("gamma", self.limit)
 
     @cached_property
     def _exact(self) -> tuple:
@@ -194,16 +183,8 @@ class ArithProfile:
 
     def hp_values(self, p: float, upto: int) -> np.ndarray:
         """H_p(1..upto) as float64, accumulated in extended precision."""
-        step = _hp_step(p)
         self._check(upto)
-
-        def terms(lo, hi):
-            return self.mertens[lo:hi].astype(np.longdouble) * step(lo, hi)
-
-        hp = np.empty(upto)
-        hp[0] = 0.0
-        _running_sums(hp[1:], terms)
-        return hp
+        return self._lane("hp", upto, p)
 
     def hp(self, n: int, p: float = 2.0) -> float:
         return float(self.hp_values(p, n)[-1])
@@ -239,7 +220,7 @@ def build_profile(table: MobiusTable) -> ArithProfile:
     # in place: cumsum(mu, dtype=int32) would first cast all of mu to int32
     mertens = mu.astype(np.int32)
     np.cumsum(mertens, out=mertens)
-    return ArithProfile(limit=n, mu_values=mu, mertens=mertens)
+    return ArithProfile(limit=n, mu_values=mu, mertens=mertens, table=table)
 
 
 def floor_sum_check(profile: ArithProfile, j_max: int) -> bool:

@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--limit", type=int, default=10_000)
 
     p_mel = sub.add_parser("mellin", help="truncated transform vs closed form")
-    p_mel.add_argument("--kernel", choices=("M", "xg", "hp"), required=True)
+    p_mel.add_argument("--kernel", choices=mellin.KERNELS, required=True)
     p_mel.add_argument("--s", type=float, default=2.0)
     p_mel.add_argument("--cutoff", type=int, default=10**6)
     p_mel.add_argument("--p", type=float, default=2.0)

@@ -25,15 +25,15 @@ class MellinResult:
     cutoff: int
 
 
-_KERNELS = ("M", "xg", "hp")
 _LANES = {"M": None, "xg": "g", "hp": "hp"}     # the lane each kernel reads beside M
+KERNELS = tuple(_LANES)
 
 
 def check_arguments(kernel: str, s: float, cutoff: int, p: float = 2.0) -> None:
     """Raise ValueError unless mellin_numeric accepts these arguments for a
     table that covers the cutoff."""
-    if kernel not in _KERNELS:
-        raise ValueError(f"kernel must be one of {_KERNELS}, got {kernel!r}")
+    if kernel not in KERNELS:
+        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     if kernel == "hp" and not 1 < p < math.inf:
         raise ValueError(f"p must be > 1 and finite, got {p}")
     if not math.isfinite(s):

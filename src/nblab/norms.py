@@ -47,6 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .arith import _fold
 from .beurling import BeurlingSum, Generator, GeneratorKind, Lanes
 from .special import _U, _up, float_up, gamma_upper, log_gamma_upper
 from .transform import TStep
@@ -585,14 +586,10 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
         if jumps.exact:
             v = b0 + b_run.states(db).astype(np.float64)
         else:
-            # the carry folded into the first jump makes the roundings of
-            # one cumulative sum over every chunk
             nonzero += np.count_nonzero(db)
             s = np.array(db)
-            if i0:
-                s[0] += s_run
-            np.cumsum(s, out=s)
-            s_run, s_max = s[-1], max(s_max, float(np.max(np.abs(s))))
+            s_run = _fold(s, s_run)
+            s_max = max(s_max, float(np.max(np.abs(s))))
             v = (np.longdouble(b0) + s).astype(np.float64)
         b[out] = v[::-1]
         b_max = max(b_max, float(np.max(np.abs(v))))

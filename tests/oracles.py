@@ -457,20 +457,30 @@ def rho_tail_ratio_bound(theta: float, n: int) -> TailIntegralBound:
     return TailIntegralBound(value=value, bound=bound, satisfied=value <= bound)
 
 
-def whole_array_lanes(mu: np.ndarray, exact_limit: int) -> dict:
+def whole_array_lanes(mu: np.ndarray, exact_limit: int, ps=(2.0,)) -> dict:
     """The profile lanes of mu(1..n), each from one pass over the whole range:
-    float64 g, gamma and H_2 from one long double cumsum each, and exact g,
-    gamma up to exact_limit from Fraction sums."""
+    float64 g, gamma and H_p for each p in ps (under "hp", keyed by p) from
+    one long double cumsum each, and exact g, gamma up to exact_limit from
+    Fraction sums."""
     n = len(mu)
     mertens = np.cumsum(mu, dtype=np.int64)
     ks = np.arange(1, n + 1, dtype=np.float64)
     g = np.cumsum(mu.astype(np.longdouble) / ks.astype(np.longdouble))
     gamma = np.zeros(n, dtype=np.longdouble)
-    h2 = np.zeros(n, dtype=np.longdouble)
     k = ks[:-1].astype(np.longdouble)
     m = mertens[:-1].astype(np.longdouble)
     gamma[1:] = np.cumsum(m / (k * (k + 1.0)))
-    h2[1:] = np.cumsum(m * (np.log(k + 1.0) - np.log(k)))
+    hp = {}
+    for p in ps:
+        if p == 2.0:
+            step = np.log(k + 1.0) - np.log(k)
+        else:
+            # integral_k^(k+1) t^(-2/p) dt = ((k+1)^e - k^e)/e, in float64
+            e = 1.0 - 2.0 / p
+            step = ks[:-1] ** e * np.expm1(e * np.log1p(1.0 / ks[:-1])) / e
+        h = np.zeros(n, dtype=np.longdouble)
+        h[1:] = np.cumsum(m * step)
+        hp[p] = h.astype(np.float64)
     g_exact, gamma_exact = [], []
     acc_g = acc_gamma = Fraction(0)
     for i in range(exact_limit):
@@ -480,8 +490,7 @@ def whole_array_lanes(mu: np.ndarray, exact_limit: int) -> dict:
             acc_gamma += Fraction(int(mertens[i - 1]), i * (i + 1))
         gamma_exact.append(acc_gamma)
     return {"g": g.astype(np.float64), "gamma": gamma.astype(np.float64),
-            "h2": h2.astype(np.float64), "g_exact": g_exact,
-            "gamma_exact": gamma_exact}
+            "hp": hp, "g_exact": g_exact, "gamma_exact": gamma_exact}
 
 
 def mellin_whole_array(profile: ArithProfile, kernel: str, s: float,

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nblab import arith
 from nblab.arith import CHUNK, EXACT_LIMIT, build_profile, floor_sum_check, lane_chunks
 from nblab.sieve import sieve_mobius
 
@@ -82,32 +83,58 @@ def test_chunked_lanes_equal_whole_array():
     # round exactly as one cumsum over the whole range does
     table = sieve_mobius(3 * CHUNK + 123)
     prof = build_profile(table)
-    ref = whole_array_lanes(table.mu_array(), 3000)
+    ref = whole_array_lanes(table.mu_array(), 3000, ps=(2.0, 1.5, 3.0))
     assert np.array_equal(prof.g_float, ref["g"])
     assert np.array_equal(prof.gamma_float, ref["gamma"])
-    assert np.array_equal(prof.hp_values(2.0, prof.limit), ref["h2"])
+    for p, hp in ref["hp"].items():
+        assert np.array_equal(prof.hp_values(p, prof.limit), hp)
     assert [prof.g_exact(n) for n in range(1, 3001)] == ref["g_exact"]
     assert [prof.gamma_exact(n) for n in range(1, 3001)] == ref["gamma_exact"]
 
 
 @pytest.mark.parametrize("p", [2.0, 1.5])
 def test_lane_chunks_equal_profile_lanes(p):
-    # the lanes streamed from the packed table, chunk by chunk, are the
-    # profile's whole lanes bit for bit, across three carries and a ragged end
+    # the lanes streamed from the packed table, chunk by chunk, which the
+    # profile lays end to end, are the whole-array lanes bit for bit, across
+    # three carries and a ragged end
     table = sieve_mobius(3 * CHUNK + 77)
-    prof = build_profile(table)
+    mu = table.mu_array()
+    ref = whole_array_lanes(mu, 0, ps=(p,))
 
     def lane(name):
         chunks = list(lane_chunks(table, table.limit, name, p))
         assert [lo for lo, _, _ in chunks] == [0, CHUNK, 2 * CHUNK, 3 * CHUNK]
-        assert np.array_equal(np.concatenate([m for _, m, _ in chunks]), prof.mertens)
+        assert np.array_equal(np.concatenate([m for _, m, _ in chunks]),
+                              np.cumsum(mu, dtype=np.int64))
         return np.concatenate([v for _, _, v in chunks])
 
-    assert np.array_equal(lane("g"), prof.g_float)
-    assert np.array_equal(lane("hp"), prof.hp_values(p, prof.limit))
+    assert np.array_equal(lane("g"), ref["g"])
+    assert np.array_equal(lane("gamma"), ref["gamma"])
+    assert np.array_equal(lane("hp"), ref["hp"][p])
     assert all(v is None for _, _, v in lane_chunks(table, 5, None))
     with pytest.raises(ValueError):
         next(lane_chunks(table, table.limit + 1))
+    with pytest.raises(ValueError, match="lane must be"):
+        next(lane_chunks(table, 5, "h2"))
+
+
+def test_profile_lanes_are_one_lane_chunks_stream(monkeypatch):
+    # each float lane of the profile is one pass of lane_chunks, laid end
+    # to end, and no second loop of its own
+    prof = build_profile(sieve_mobius(2 * CHUNK + 5))
+    calls = []
+    stream = arith.lane_chunks
+
+    def recording(table, upto, lane=None, p=2.0):
+        calls.append((lane, upto, p))
+        return stream(table, upto, lane, p)
+
+    monkeypatch.setattr(arith, "lane_chunks", recording)
+    prof.g_float
+    prof.gamma_float
+    prof.hp_values(1.5, prof.limit)
+    assert calls == [("g", prof.limit, 2.0), ("gamma", prof.limit, 2.0),
+                     ("hp", prof.limit, 1.5)]
 
 
 @pytest.fixture(scope="module")

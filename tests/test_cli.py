@@ -215,6 +215,7 @@ def test_witness_rn_rejects_p_other_than_two(monkeypatch, capsys):
     (["witness", "--family", "rn", "--n-grid", "10", "--epsilon", "5e-324"],
      "normal double"),
     (["norm", "--family", "rn", "--n-grid", "1", "--epsilon", "1e-310"], "normal double"),
+    (["mellin", "--kernel", "zeta"], "invalid choice: 'zeta'"),
 ])
 def test_arguments_rejected_before_any_sieve(argv, message, monkeypatch, capsys):
     def no_sieve(*args, **kwargs):
