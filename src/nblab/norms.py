@@ -16,8 +16,9 @@ merged, and its tiles are made on demand down to eps (the whole lattice
 is one period when Q eps >= 1, with Phi terms, or past 2^53 in its
 integer products).  The jumps are made and summed a _BLOCK at a time and
 written straight into the final edge, b and c arrays, so a flatten holds
-24 B a segment besides the merged period or the int64 scatter lanes of a
-dense lattice, and O(_BLOCK) transients.  Integer jumps are carried
+16 B a segment without Phi terms (no rho jump moves c: one constant) and
+24 B with them, besides the merged period or the int64 scatter lanes
+of a dense lattice, and O(_BLOCK) transients.  Integer jumps are carried
 exactly, so c is always exact and b is exact when every coefficient is
 an integer; drift_bound bounds what the remaining long double lane, the
 start state and the cast to float64 can round, from the shape of the
@@ -73,7 +74,8 @@ class PiecewiseHyperbolic:
     bounded by sup_const (+ |log x| when has_log_tail).  drift_bound bounds
     |b - b_exact| and |c - c_exact| on every segment: the rounding of
     non-integer coefficients and of the log jumps, the long double sums and
-    the final cast to float64.
+    the final cast to float64.  Without Phi terms c is the generator's
+    constant, held as a read-only 0-stride view: read it, never write it.
     """
 
     edges: np.ndarray
@@ -572,7 +574,10 @@ def to_piecewise(f, generator: Generator | None, eps: float) -> PiecewiseHyperbo
     # each chunk's states i0 + 1 .. i1 land at n - i1 .. n - i0 - 1, so the
     # segments ascend; state 0, just below x = 1, is the last
     n = jumps.n
-    edges, b, c = np.empty(n + 2), np.empty(n + 1), np.full(n + 1, float(c0))
+    # without Phi terms no jump moves c, so it is one read-only constant
+    c = (np.full(n + 1, float(c0)) if len(phi)
+         else np.broadcast_to(np.float64(c0), (n + 1,)))
+    edges, b = np.empty(n + 2), np.empty(n + 1)
     edges[0], edges[-1], b[n] = eps, 1.0, b0
     b_run, c_run = _IntRun(0), _IntRun(c0)
     s_run, s_max, b_max, nonzero = np.longdouble(0.0), 0.0, abs(b0), 0

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -710,6 +712,52 @@ def test_streamed_flatten_equals_whole_array_many_chunks(profile, family, gen):
     got, want = to_piecewise(f, gen, 1e-5), to_piecewise_whole(f, gen, 1e-5)
     assert got.segment_count > 3 * norms._BLOCK
     _same_flatten(got, want)
+
+
+_RHO_ONLY = [case for case in _STREAM_CASES if case != "gn"]
+
+
+@pytest.mark.parametrize("case", _RHO_ONLY)
+def test_rho_only_flatten_shares_one_log_coefficient(profile, case):
+    # no jump of a rho sum moves c, so it is the generator's c offset, held
+    # once as a read-only 0-stride view, and every integrator reads it as it
+    # reads a full lane: each field of each report is the same bits
+    f = _STREAM_CASES[case][0](profile)
+    for gen in (NEG_CHI, LAMBDA, None):
+        pw = to_piecewise(f, gen, 1e-3)
+        assert pw.c.strides == (0,) and not pw.c.flags.writeable, gen
+        assert np.all(pw.c == norms._gen_offsets(gen)[1]), gen
+        full = dataclasses.replace(pw, c=np.array(pw.c))
+        if case == "sn" and gen is LAMBDA:
+            # an interior critical point x = a/c, where _split concatenates c
+            crit = pw.a / full.c
+            assert np.any((crit > pw.lo) & (crit < pw.hi))
+        if case == "rn" and gen is LAMBDA:
+            # a = 0, so _split brackets roots at x = exp(-b/c) of the view's c
+            assert pw.a == 0.0 and len(norms._split(pw).glo)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            assert dataclasses.asdict(lp_norm(pw, p)) == dataclasses.asdict(lp_norm(full, p)), \
+                (gen, p)
+
+
+@pytest.mark.parametrize("case", ["gn", "t_indicator", "fn_less_gn"])
+def test_phi_flatten_keeps_its_log_coefficient_lane(profile, case):
+    make, gen = _DRIFT_CASES[case]
+    c = to_piecewise(make(profile), gen, 1e-3).c
+    assert c.strides == (c.itemsize,) and c.flags.writeable and c.flags.owndata
+
+
+def test_rho_only_flatten_holds_16_bytes_a_segment(profile):
+    # edges and b, 8 B each a segment, and no c lane; the 4 MiB covers the
+    # merged period and the O(_BLOCK) transients
+    f = make_family("rn", 10, profile)
+    tracemalloc.start()
+    try:
+        pw = to_piecewise(f, LAMBDA, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * pw.segment_count + 4 * 2 ** 20, (peak, pw.segment_count)
 
 
 @pytest.mark.parametrize("extra", [1, 0])
