@@ -1,13 +1,13 @@
 """Arithmetic profiles: M(n), g(n), gamma(n), H_p(n) over a sieved range.
 
-A profile stores mu, M (int32, so its range ends below 2^31) and the packed
-table it was built from.  lane_chunks is the one stream that sums the
-float lanes: it reads M, g, gamma or H_p from a packed table a chunk at a
-time, in long double, and the profile lays its chunks end to end.  g and
-gamma are built on first read, as those float64 lanes and as exact
-rationals up to EXACT_LIMIT; beyond EXACT_LIMIT the exact value read for a
-folded coefficient is that of the float entry.  The profile does not fix
-p: an H_p lane is accumulated on request, for any p > 1.  The defining
+A profile stores M (int32, so its range ends below 2^31) and the packed
+table it was built from, which holds mu.  lane_chunks is the one stream
+that sums the float lanes: it reads M, g, gamma or H_p from a packed table
+a chunk at a time, in long double, and the profile lays its chunks end to
+end.  g and gamma are built on first read, as those float64 lanes and as
+exact rationals up to EXACT_LIMIT; beyond EXACT_LIMIT the exact value read
+for a folded coefficient is that of the float entry.  The profile does not
+fix p: an H_p lane is accumulated on request, for any p > 1.  The defining
 relations are
 
     M(n) = sum_{k<=n} mu(k)
@@ -36,10 +36,11 @@ CHUNK = 1 << 16
 
 
 def check_limit(limit: int) -> None:
-    """Reject a profile range the int32 Mertens lane cannot hold."""
+    """Reject a Moebius table past what a profile's int32 M can read; every
+    command that sieves checks its table here first."""
     # |M(n)| <= n, so int32 holds M(n) for every n below 2^31
     if limit >= 2**31:
-        raise ValueError(f"profile limit must be below 2^31, got {limit}")
+        raise ValueError(f"table limit must be below 2^31 (a profile's int32 M), got {limit}")
 
 
 def _fold(x: np.ndarray, carry):
@@ -125,7 +126,6 @@ class ArithProfile:
     """M(1..limit), with the float and exact lanes built on first read."""
 
     limit: int
-    mu_values: np.ndarray        # int8, mu(1..limit)
     mertens: np.ndarray          # int32, M(1..limit)
     table: MobiusTable           # packed mu(1..limit), which every float lane streams
 
@@ -156,7 +156,7 @@ class ArithProfile:
         upto = min(self.limit, EXACT_LIMIT)
         g_exact, gamma_exact = [], []
         acc_g = acc_gamma = Fraction(0)
-        for k, mu, m in zip(range(1, upto + 1), self.mu_values[:upto].tolist(),
+        for k, mu, m in zip(range(1, upto + 1), self.table.mu_array()[:upto].tolist(),
                             self.mertens[:upto].tolist()):
             if mu:
                 acc_g += Fraction(mu, k)
@@ -167,7 +167,7 @@ class ArithProfile:
 
     def mu(self, n: int) -> int:
         self._check(n)
-        return int(self.mu_values[n - 1])
+        return self.table.mu(n)
 
     def M(self, n: int) -> int:
         self._check(n)
@@ -216,11 +216,10 @@ def build_profile(table: MobiusTable) -> ArithProfile:
     first read."""
     n = table.limit
     check_limit(n)
-    mu = table.mu_array()
     # in place: cumsum(mu, dtype=int32) would first cast all of mu to int32
-    mertens = mu.astype(np.int32)
+    mertens = table.mu_array().astype(np.int32)
     np.cumsum(mertens, out=mertens)
-    return ArithProfile(limit=n, mu_values=mu, mertens=mertens, table=table)
+    return ArithProfile(limit=n, mertens=mertens, table=table)
 
 
 def floor_sum_check(profile: ArithProfile, j_max: int) -> bool:
@@ -229,8 +228,9 @@ def floor_sum_check(profile: ArithProfile, j_max: int) -> bool:
         raise ValueError(f"j_max={j_max} beyond profile limit {profile.limit}")
     # difference-array form: floor(j/k) increments exactly at multiples of k
     diff = np.zeros(j_max + 1, dtype=np.int64)
-    for k in np.flatnonzero(profile.mu_values[:j_max]).tolist():
-        diff[k + 1::k + 1] += profile.mu_values[k]
+    mu = profile.table.mu_array()[:j_max]
+    for k in np.flatnonzero(mu).tolist():
+        diff[k + 1::k + 1] += mu[k]
     return bool(np.all(np.cumsum(diff[1:]) == 1))
 
 
@@ -258,7 +258,7 @@ def decomposition_checks(profile: ArithProfile, n_max: int) -> tuple[bool, bool]
     g_num = gam_num = 0
     m_prev = q_prev = 0               # M(n-1) and L/(n-1)
     exact_ok = float_ok = True
-    lanes = (profile.mu_values[:n_max].tolist(), profile.mertens[:n_max].tolist(),
+    lanes = (profile.table.mu_array()[:n_max].tolist(), profile.mertens[:n_max].tolist(),
              gamma.tolist(), bound.tolist())
     for n, mu, m, gam, err in zip(range(1, n_max + 1), *lanes):
         q = big_l // n

@@ -88,7 +88,7 @@ class Gn(TStep):
         self.inv_coeff = profile.gamma(n)
         self.m_tail = profile.M(n - 1) if n > 1 else 0
         w = np.empty(n, dtype=np.int64)
-        np.negative(profile.mu_values[:n - 1], out=w[:n - 1])
+        np.negative(profile.table.mu_array()[:n - 1], out=w[:n - 1])
         w[-1] = self.m_tail
         k = np.flatnonzero(w) + 1
         self.phi_lanes = Lanes(w[k - 1], np.ones(len(k), dtype=np.int64), k, {})

@@ -18,10 +18,9 @@ import numpy as np
 
 from nblab.arith import EXACT_LIMIT, ArithProfile
 from nblab.beurling import BeurlingSum, Generator, GeneratorKind, Lanes
-from nblab.norms import (_EXACT, _F64_EPS, _LD_EPS, _SEPARABLE, FLATTEN_BUDGET, BudgetError,
-                         Difference, NormReport, PiecewiseHyperbolic, _gen_offsets, _jump_err,
-                         _ld_coeff, _sum_rounding, _term_spec, check_cutoff, lp_distance)
-from nblab.special import EULER_GAMMA, float_up
+from nblab.norms import (_EXACT, _SEPARABLE, Difference, NormReport, PiecewiseHyperbolic,
+                         _gen_offsets, _jump_err, _ld_coeff, lp_distance)
+from nblab.special import EULER_GAMMA
 from nblab.witnesses import ALL_FAMILIES, make_target
 
 
@@ -81,7 +80,7 @@ def family_tuples(family: str, n: int, profile: ArithProfile) -> tuple:
     Fraction-tuple form built them, one (coeff, theta) pair per term
     straight from the profile's mu and Mertens arrays."""
     if family in ("sn", "vn", "bn"):
-        coeffs = profile.mu_values[:n].tolist()
+        coeffs = profile.table.mu_array()[:n].tolist()
         if family == "vn":
             coeffs[0] -= _g_of(profile, n)
         elif family == "bn":
@@ -217,13 +216,12 @@ def to_piecewise_exact(f: BeurlingSum, generator: Generator | None, eps) -> list
 
     Returns ascending segments (lo, hi, a, b, c) with Fraction endpoints,
     exact a and b (when the coefficients are rational) and integer c.
-    A priority queue merges the per-term breakpoint streams.
+    A priority queue merges the per-term breakpoint streams; a term with
+    theta <= eps breaks nowhere above eps and lies wholly in a.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError(f"cutoff must lie in (0, 1), got {eps}")
-    if f.terms and eps >= f.min_theta:
-        raise ValueError(f"cutoff {eps} must be below min theta {f.min_theta}")
     b_off, c_off, _ = _gen_offsets(generator)
     b_off = Fraction(int(b_off))
     c_off = int(c_off)
@@ -383,34 +381,6 @@ def quad_abs_p(a, b, c, lo, hi, p, order):
     return half * (vals @ w0)
 
 
-def sq_integral_whole_array(pw: PiecewiseHyperbolic) -> tuple[float, float]:
-    """nblab.norms._sq_integral as one pass over whole arrays, every term
-    evaluated even where c is zero, and every lane of the bound a per-segment
-    array summed by np.sum: the closed form summed a leaf at a time must
-    return the same two doubles."""
-    a, x, b, c = pw.a, pw.edges, pw.b, pw.c
-    lo, hi = x[:-1], x[1:]
-    d = np.diff(x)
-    L = -math.log(x[0])
-    lr = np.log1p(d / lo)
-    lx = np.log(x)
-    out = a * a * d / (lo * hi)
-    out += 2.0 * a * b * lr
-    out += a * c * lr * (lx[1:] + lx[:-1])
-    out += b * b * d
-    out += 2.0 * b * c * np.diff(x * (lx - 1.0))
-    out += c * c * np.diff(x * (lx * lx - 2.0 * lx + 2.0))
-    power = float(np.sum(out))
-    err = 24.0 * (a * a / x[0] + np.sum(b * b * d)) + _sum_rounding(len(out)) * np.sum(np.abs(out))
-    if np.any(c):
-        # x-weighted |jump| at every edge below 1, from 0 below the first
-        bc_jumps, cc_jumps = (np.sum(lo * np.abs(np.diff(q, prepend=0.0))) for q in (b * c, c * c))
-        err += (24.0 * L * L * np.sum(c * c * d)
-                + 4.0 * (L + 1.0) * (bc_jumps + 8.0 * _F64_EPS * np.sum(np.abs(b * c)))
-                + 4.0 * ((L + 1.0) ** 2 + 1.0) * (cc_jumps + 8.0 * _F64_EPS * np.sum(c * c)))
-    return power, float(_F64_EPS * err)
-
-
 def dilation_quotient_minus_chi(a_dil: float, eps: float = 1e-6) -> PiecewiseHyperbolic:
     """(K_a - I) lambda / (a - 1) - chi as a piecewise object, a > 1.
 
@@ -531,105 +501,6 @@ class WholeJumps:
     db: np.ndarray
     dc: np.ndarray | None
     err: float
-
-
-def lattice_jumps_whole(rho: Lanes, phi: Lanes, eps: float) -> WholeJumps:
-    """nblab.norms._lattice_jumps with every lane over the whole lattice of
-    a 1/k sum with a theta = 1 term: the breakpoints are every x = 1/m,
-    m >= 2, and the jump at m is a divisor sum scattered as D[k::k] += c_k;
-    a Phi term of weight w jumps by -w log m in b and -w in c there."""
-    top = int(1.0 / eps) + 1
-    db_int = np.zeros(top + 1, dtype=np.int64)
-    db_flt = weights = None
-    for k, c in zip(rho.den.tolist(), rho.coeff.tolist()):
-        if c:
-            db_int[k::k] -= c
-    for i, coeff in rho.irregular.items():
-        k = int(rho.den[i])
-        if db_flt is None:
-            db_flt = np.zeros(top + 1, dtype=np.longdouble)
-        db_flt[k::k] -= _ld_coeff(coeff)[0]
-    if len(phi):
-        weights = np.zeros(top + 1, dtype=np.int64)
-        for k, w in zip(phi.den.tolist(), phi.coeff.tolist()):
-            weights[k::k] += w
-    # theta = 1 breaks at every 1/m but x = 1, whose floor is in the start state
-    ks = np.concatenate([rho.den, phi.den])
-    m = np.arange(2, top + 1)
-    xs = 1.0 / m
-    keep = len(xs) - int(np.searchsorted(xs[::-1], eps, side="right"))
-    m, xs = m[:keep], xs[:keep]
-    at = slice(2, 2 + keep)
-
-    db, dc = db_int[at], None
-    m_max = int(m[-1]) if len(m) else 1
-    err = _jump_err(rho, phi, m_max // ks - (ks == 1),
-                    len(rho.irregular) + 2 * (weights is not None))
-    parts = [] if db_flt is None else [db_flt[at]]
-    if weights is not None:
-        w = weights[at]
-        dc = -w
-        parts.append(-w * np.log(m.astype(np.longdouble)))
-    if parts:
-        db = db.astype(np.longdouble)
-        for v in parts:
-            db += v
-    return WholeJumps(xs, db, dc, err)
-
-
-def int_state_whole(jumps, n: int) -> np.ndarray:
-    """Cumulative integer state, 0 before the first jump, checked exact in float64."""
-    state = np.zeros(n + 1, dtype=np.int64)
-    if jumps is not None:
-        if float(np.sum(np.abs(jumps), dtype=np.float64)) >= 2.0 ** 52:
-            raise OverflowError("integer jumps too large for an exact float64 state")
-        np.cumsum(jumps, out=state[1:])
-    return state
-
-
-def to_piecewise_whole(f, generator: Generator | None, eps: float) -> PiecewiseHyperbolic:
-    """nblab.norms.to_piecewise over whole arrays: the jumps of the whole
-    lattice (merged_jumps_sorted sorts all of it), one cumulative sum per
-    lane and one cast, each b and c copied out in ascending order.  The
-    streamed flatten must return the same bits."""
-    rho, phi, inv_coeff, sup_bound = _term_spec(f)
-    check_cutoff(eps)
-    b_gen, c_gen, log_tail = _gen_offsets(generator)
-    thetas = np.concatenate([rho.thetas(), phi.thetas()])
-    total = float(np.sum(thetas / eps // 1.0 + 1.0))
-    if total > FLATTEN_BUDGET:
-        raise BudgetError(f"{total:.3g} breakpoints exceed budget {FLATTEN_BUDGET}")
-    sup_bound = float_up(sup_bound, abs(b_gen))
-    a = float(inv_coeff)
-    if len(rho):
-        a += rho.tail_float()
-    at_one = np.flatnonzero(rho.den == 1).tolist()
-    b_exact = Fraction(b_gen) - sum((rho.irregular.get(i, int(rho.coeff[i]))
-                                     for i in at_one), start=Fraction(0))
-    b0 = float(b_exact)
-    b0_err = float(abs(Fraction(b0) - b_exact))
-    c0 = int(c_gen) - int(phi.coeff[phi.den == 1].sum())
-    dense = (np.all(rho.num == 1) and np.all(phi.num == 1)
-             and (np.any(rho.den == 1) or np.any(phi.den == 1)))
-    jumps = (lattice_jumps_whole if dense else merged_jumps_sorted)(rho, phi, eps)
-
-    n = len(jumps.xs)
-    edges = np.concatenate([[eps], jumps.xs[::-1], [1.0]])
-    c_state = int_state_whole(jumps.dc, n) + c0
-    if jumps.db.dtype == np.int64:
-        b = b0 + int_state_whole(jumps.db, n).astype(np.float64)
-        drift = b0_err if b0.is_integer() else b0_err + _F64_EPS * float(np.max(np.abs(b)))
-    else:
-        s = np.zeros(n + 1, dtype=np.longdouble)
-        np.cumsum(jumps.db, out=s[1:])
-        b = (np.longdouble(b0) + s).astype(np.float64)
-        drift = (b0_err + jumps.err
-                 + _LD_EPS * np.count_nonzero(jumps.db) * float(np.max(np.abs(s)))
-                 + (_LD_EPS + _F64_EPS) * float(np.max(np.abs(b))))
-    drift = float(drift) * (1.0 + 1e-9)
-    return PiecewiseHyperbolic(
-        edges=edges, b=b[::-1].copy(), c=c_state[::-1].astype(np.float64),
-        a=a, sup_const=sup_bound, has_log_tail=log_tail, drift_bound=drift)
 
 
 def merged_jumps_sorted(rho: Lanes, phi: Lanes, eps: float) -> WholeJumps:

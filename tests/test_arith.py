@@ -148,7 +148,7 @@ def test_hp_general_p_summation_by_parts(million_profile, p):
     n = 10**6
     e = 1.0 - 2.0 / p
     ks = np.arange(1, n, dtype=np.float64)
-    tail = math.fsum((million_profile.mu_values[:n - 1] * ks ** e).tolist())
+    tail = math.fsum((million_profile.table.mu_array()[:n - 1] * ks ** e).tolist())
     oracle = (million_profile.M(n - 1) * n ** e - tail) / e
     assert math.isclose(million_profile.hp(n, p), oracle, rel_tol=1e-13)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 import sys
@@ -20,15 +21,21 @@ from nblab.transform import Gn, TIndicator
 from nblab.uop import apply_u, u_l2_norm
 from oracles import (_quad_refined, dilation_quotient_minus_chi, lp_power_mpmath,
                      merged_jumps_sorted, quad_abs_p, riemann_sum_via_make, segments_mpmath,
-                     sq_integral_whole_array, to_piecewise_exact, to_piecewise_whole,
-                     values_at)
+                     to_piecewise_exact, values_at)
 
 
-def _exact_value(segments, x):
-    for lo, hi, a, b, c in segments:
-        if lo < x <= hi:
-            return float(a) / x + float(b) + c * math.log(x)
-    raise AssertionError(f"{x} not covered")
+def _matches_exact(f, eps, gen=None):
+    """The flatten of f - gen against the Fraction segments: one segment per
+    distinct lattice point on the same partition, a rounded once from its
+    exact value, c exact and b within drift_bound (0 when nothing rounds)."""
+    pw = to_piecewise(f, gen, eps)
+    segs = to_piecewise_exact(f, gen, Fraction(eps))
+    assert pw.segment_count == len(segs), gen
+    assert np.array_equal(pw.lo, [float(seg[0]) for seg in segs]), gen
+    assert pw.a == float(f.tail_coeff), gen
+    assert [seg[4] for seg in segs] == pw.c.tolist(), gen
+    db = max(abs(Fraction(float(b)) - seg[3]) for b, seg in zip(pw.b, segs))
+    assert db <= pw.drift_bound, (gen, float(db), pw.drift_bound)
 
 
 def test_single_term_flatten():
@@ -44,33 +51,19 @@ def test_single_term_flatten():
 
 def test_fast_flattener_matches_exact(profile):
     for fam, n in (("bn", 7), ("vn", 9), ("sn", 5), ("fn", 6), ("rn", 12)):
-        f = make_family(fam, n, profile)
-        pw = to_piecewise(f, NEG_CHI, 1e-3)
-        segs = to_piecewise_exact(f, NEG_CHI, Fraction(1, 1000))
-        # one segment per distinct lattice point, on the same partition
-        assert pw.segment_count == len(segs)
-        assert np.array_equal(pw.lo, [float(seg[0]) for seg in segs])
-        assert np.all(pw.hi > pw.lo)
-        for lo, hi, a, b, c in segs[::5]:
-            mid = (float(lo) + float(hi)) / 2.0
-            assert math.isclose(float(values_at(pw, np.array([mid]))[0]),
-                                _exact_value(segs, mid), rel_tol=0,
-                                abs_tol=1e-10)
+        _matches_exact(make_family(fam, n, profile), 1e-3, NEG_CHI)
     # G_n breaks at every 1/m in (eps, 1)
     assert to_piecewise(Gn(12, profile), LAMBDA, 1e-3).segment_count == 998 + 1
 
 
 def test_drift_bound_covers_rounding(profile):
-    for fam, n in (("sn", 9), ("vn", 9), ("bn", 7), ("fn", 6), ("rn", 12)):
-        f = make_family(fam, n, profile)
-        pw = to_piecewise(f, NEG_CHI, 1e-3)
-        segs = to_piecewise_exact(f, NEG_CHI, Fraction(1, 1000))
-        mids = np.array([(float(lo) + float(hi)) / 2.0 for lo, hi, *_ in segs])
-        idx = np.searchsorted(pw.lo, mids, side="left") - 1
-        db = max(abs(Fraction(float(pw.b[i])) - seg[3]) for i, seg in zip(idx, segs))
-        dc = max(abs(float(pw.c[i]) - seg[4]) for i, seg in zip(idx, segs))
-        assert db <= pw.drift_bound, (fam, float(db), pw.drift_bound)
-        assert dc <= pw.drift_bound, (fam, dc, pw.drift_bound)
+    # the families, and every rho sum of _STREAM_CASES (each layout the
+    # chunking tests compare with itself), against every generator
+    sums = [make_family(fam, n, profile)
+            for fam, n in (("sn", 9), ("vn", 9), ("bn", 7), ("fn", 6), ("rn", 12))]
+    sums += [_STREAM_CASES[case][0](profile) for case in _RHO_ONLY]
+    for f, gen in itertools.product(sums, (NEG_CHI, LAMBDA, None)):
+        _matches_exact(f, 1e-3, gen)
 
 
 def _u_image(family, n, profile):
@@ -128,15 +121,6 @@ def test_drift_bound_covers_phi_and_tiled_lanes(profile, monkeypatch, case):
         # within the slack the drift bound gives its own float64 arithmetic
         assert 0.0 < jump_err <= jumps.err * (1.0 + 1e-9), (case, float(jump_err), jumps.err)
     assert [c for *_, c in segs] == pw.c.tolist()
-
-
-def _matches_exact(f, eps):
-    pw = to_piecewise(f, None, eps)
-    segs = to_piecewise_exact(f, None, Fraction(eps))
-    assert pw.segment_count == len(segs)
-    assert np.array_equal(pw.lo, [float(seg[0]) for seg in segs])
-    assert all(Fraction(float(b)) == seg[3] and c == seg[4]
-               for b, c, seg in zip(pw.b, pw.c, segs))
 
 
 def _same_jumps(rho, phi, eps):
@@ -632,32 +616,6 @@ def test_p2_closed_form_vs_quadrature_randomized(profile):
         assert math.isclose(closed.power_value, quad, rel_tol=1e-9)
 
 
-@pytest.mark.parametrize("segments", [norms._BLOCK - 1, norms._BLOCK, norms._BLOCK + 1,
-                                      7 * norms._BLOCK // 2])
-@pytest.mark.parametrize("kind", ["sn", "gn"])
-def test_blocked_sq_integral_equals_whole_array(profile, kind, segments):
-    # every 1/m above eps = 1/(N + 1/2) breaks, m = 2..N: N segments; sn has
-    # c == 0 throughout (its log lanes are skipped), gn has log segments
-    eps = 1.0 / (segments + 0.5)
-    if kind == "sn":
-        pw = to_piecewise(make_family("sn", 12, profile), NEG_CHI, eps)
-    else:
-        pw = to_piecewise(Gn(12, profile), LAMBDA, eps)
-    assert pw.segment_count == segments
-    assert np.any(pw.c) == (kind == "gn")
-    assert norms._sq_integral(pw) == sq_integral_whole_array(pw)
-
-
-def test_blocked_sq_integral_equals_whole_array_rn_and_one_segment(profile):
-    pw = to_piecewise(make_family("rn", 12, profile), LAMBDA, 3e-5)
-    assert 3 * norms._BLOCK < pw.segment_count < 4 * norms._BLOCK and np.any(pw.c)
-    assert norms._sq_integral(pw) == sq_integral_whole_array(pw)
-    for c in (0.0, -1.0):
-        one = PiecewiseHyperbolic(edges=np.array([0.25, 1.0]), b=np.array([0.5]),
-                                  c=np.array([c]), a=0.3, sup_const=1.0, has_log_tail=False)
-        assert norms._sq_integral(one) == sq_integral_whole_array(one)
-
-
 # (sum, how _merged_jumps lays it out, or None for a dense lattice): dense
 # int (sn), dense with Phi terms (gn), a 1/k sum with no theta = 1 term and
 # an irregular coefficient (one merged period), the class-B U-images with a
@@ -679,39 +637,50 @@ _STREAM_CASES = {
 }
 
 
-def _same_flatten(got, want):
+# a _BLOCK above any segment or piece count: one chunk of jumps and one
+# leaf of every sum, each a single pass over whole arrays with no carry
+_ONE_CHUNK = 2 ** 40
+
+
+def _flatten_as_one_chunk(monkeypatch, block, f, gen, eps):
+    """to_piecewise and its _sq_integral at _BLOCK = block, checked bit for
+    bit against both as one chunk."""
+    runs = []
+    for size in (block, _ONE_CHUNK):
+        monkeypatch.setattr(norms, "_BLOCK", size)
+        pw = to_piecewise(f, gen, eps)
+        runs.append((pw, norms._sq_integral(pw)))
+    (got, got_sq), (want, want_sq) = runs
     for lane in ("edges", "b", "c"):
         g, w = getattr(got, lane), getattr(want, lane)
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), lane
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (lane, gen)
     for field in ("a", "sup_const", "drift_bound", "has_log_tail"):
-        assert getattr(got, field) == getattr(want, field), field
+        assert getattr(got, field) == getattr(want, field), (field, gen)
+    assert got_sq == want_sq, gen
+    return got
 
 
 @pytest.mark.parametrize("block", [1, 7, 128, 2 ** 15])
 @pytest.mark.parametrize("case", list(_STREAM_CASES))
 def test_streamed_flatten_equals_whole_array(profile, monkeypatch, block, case):
     # chunk joins anywhere (every jump at block 1) leave every bit of the
-    # flatten and of the p = 2 closed form as the whole-array oracle has it
+    # flatten and of the p = 2 closed form as one chunk has them
     make, layout = _STREAM_CASES[case]
     f = make(profile)
     if layout is not None:
         assert norms._merged_jumps(f.lanes, norms._NO_TERMS, 1e-3).take.func.__name__ == layout
-    monkeypatch.setattr(norms, "_BLOCK", block)
     for gen in (NEG_CHI, LAMBDA, None):
-        got, want = to_piecewise(f, gen, 1e-3), to_piecewise_whole(f, gen, 1e-3)
-        _same_flatten(got, want)
-        assert norms._sq_integral(got) == sq_integral_whole_array(want)
+        _flatten_as_one_chunk(monkeypatch, block, f, gen, 1e-3)
 
 
 @pytest.mark.parametrize("family, gen", [("rn", LAMBDA), ("gn", LAMBDA), ("vn", NEG_CHI)])
-def test_streamed_flatten_equals_whole_array_many_chunks(profile, family, gen):
+def test_streamed_flatten_equals_whole_array_many_chunks(profile, monkeypatch, family, gen):
     # a tiled long double lane, a Phi lane and an irregular dense one over
-    # several chunks of _BLOCK
+    # several chunks of the default _BLOCK
     f = Gn(100, profile) if family == "gn" else make_family(family, 10 if family == "rn" else 100,
                                                            profile)
-    got, want = to_piecewise(f, gen, 1e-5), to_piecewise_whole(f, gen, 1e-5)
-    assert got.segment_count > 3 * norms._BLOCK
-    _same_flatten(got, want)
+    got = _flatten_as_one_chunk(monkeypatch, norms._BLOCK, f, gen, 1e-5)
+    assert got.segment_count > 3 * 2 ** 15
 
 
 _RHO_ONLY = [case for case in _STREAM_CASES if case != "gn"]
@@ -767,11 +736,15 @@ def test_integer_state_overflow_still_raises(extra):
     f = BeurlingSum.make([(2 ** 30, 1)])
     eps = 1.0 / (2 ** 22 + extra + 0.5)
     if extra:
-        for flatten in (to_piecewise, to_piecewise_whole):
-            with pytest.raises(OverflowError):
-                flatten(f, None, eps)
-    else:
-        _same_flatten(to_piecewise(f, None, eps), to_piecewise_whole(f, None, eps))
+        with pytest.raises(OverflowError):
+            to_piecewise(f, None, eps)
+        return
+    # 2^30 rho(1/x) = 2^30/x - 2^30 m on (1/(m+1), 1/m], exactly
+    pw = to_piecewise(f, None, eps)
+    m = np.arange(2 ** 22, 0, -1)
+    assert np.array_equal(pw.edges, np.concatenate([[eps], 1.0 / m[:-1], [1.0]]))
+    assert np.array_equal(pw.b, -2.0 ** 30 * m) and not np.any(pw.c)
+    assert pw.a == 2.0 ** 30 and pw.drift_bound == 0.0
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -791,6 +764,17 @@ def test_pairwise_sum_follows_numpy(dtype, size):
     assert lanes.dtype == dtype and lanes.tolist() == [want, np.sum(other)]
 
 
+def _same_at_every_leaf_size(monkeypatch, pw, p):
+    """The power and bound of lp_norm at leaves of 128 (any _BLOCK up to
+    128), of 2^15 and of one leaf over the whole array are the same bits."""
+    reports = set()
+    for block in (1, 7, 128, 2 ** 15, _ONE_CHUNK):
+        monkeypatch.setattr(norms, "_BLOCK", block)
+        rep = lp_norm(pw, p)
+        reports.add((rep.power_value, rep.quad_error))
+    assert len(reports) == 1, (p, reports)
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0])
 @pytest.mark.parametrize("case", ["rn", "gn", "sn"])
 def test_closed_forms_do_not_depend_on_the_leaf_size(profile, monkeypatch, case, p):
@@ -799,12 +783,42 @@ def test_closed_forms_do_not_depend_on_the_leaf_size(profile, monkeypatch, case,
     f, gen = {"rn": (make_family("rn", 12, profile), LAMBDA), "gn": (Gn(100, profile), LAMBDA),
               "sn": (make_family("sn", 100, profile), NEG_CHI)}[case]
     pw = to_piecewise(f, gen, 1e-5)
-    reports = []
-    for block in (1, 7, 128, 2 ** 15):
-        monkeypatch.setattr(norms, "_BLOCK", block)
-        rep = lp_norm(pw, p)
-        reports.append((rep.power_value, rep.quad_error))
-    assert pw.segment_count > 3 * 2 ** 15 and len(set(reports)) == 1, reports
+    assert pw.segment_count > 3 * 2 ** 15
+    _same_at_every_leaf_size(monkeypatch, pw, p)
+
+
+@pytest.mark.parametrize("segments", [norms._BLOCK - 1, norms._BLOCK, norms._BLOCK + 1,
+                                      7 * norms._BLOCK // 2])
+@pytest.mark.parametrize("kind", ["sn", "gn"])
+def test_blocked_sq_integral_equals_whole_array(profile, monkeypatch, kind, segments):
+    # more inputs of the leaf-size check, at the default leaf's boundaries:
+    # every 1/m above eps = 1/(N + 1/2) breaks, m = 2..N: N segments; sn has
+    # c == 0 throughout (its log lanes are skipped), gn has log segments
+    eps = 1.0 / (segments + 0.5)
+    if kind == "sn":
+        pw = to_piecewise(make_family("sn", 12, profile), NEG_CHI, eps)
+    else:
+        pw = to_piecewise(Gn(12, profile), LAMBDA, eps)
+    assert pw.segment_count == segments
+    assert np.any(pw.c) == (kind == "gn")
+    for p in (1.0, 2.0):
+        _same_at_every_leaf_size(monkeypatch, pw, p)
+
+
+def test_blocked_sq_integral_equals_whole_array_rn_and_one_segment(profile, monkeypatch):
+    pw = to_piecewise(make_family("rn", 12, profile), LAMBDA, 3e-5)
+    assert 3 * norms._BLOCK < pw.segment_count < 4 * norms._BLOCK and np.any(pw.c)
+    for p in (1.0, 2.0):
+        _same_at_every_leaf_size(monkeypatch, pw, p)
+    # one segment, with and without its log terms, against a 40-digit integral
+    for c in (0.0, -1.0):
+        one = PiecewiseHyperbolic(edges=np.array([0.25, 1.0]), b=np.array([0.5]),
+                                  c=np.array([c]), a=0.3, sup_const=1.0, has_log_tail=False)
+        rep = lp_norm(one, 2.0, include_far=False)
+        with mpmath.workdps(40):
+            exact = mpmath.quad(lambda x: (mpmath.mpf(0.3) / x + 0.5 + c * mpmath.log(x)) ** 2,
+                                [0.25, 1])
+            assert abs(rep.power_value - exact) <= rep.quad_error, (c, rep)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1.0 / 1000.5])
@@ -821,13 +835,7 @@ def test_dense_lattice_matches_exact(profile, monkeypatch, with_one, eps):
         raise AssertionError("the other lattice must flatten this sum")
 
     monkeypatch.setattr(norms, "_merged_jumps" if with_one else "_lattice_jumps", refuse)
-    pw = to_piecewise(f, NEG_CHI, eps)
-    segs = to_piecewise_exact(f, NEG_CHI, Fraction(eps))
-    assert pw.segment_count == len(segs)
-    assert np.array_equal(pw.lo, [float(seg[0]) for seg in segs])
-    assert all(Fraction(float(b)) == seg[3] and c == seg[4]
-               for b, c, seg in zip(pw.b, pw.c, segs))
-    assert pw.a == float(segs[0][2])
+    _matches_exact(f, eps, NEG_CHI)
 
 
 @pytest.mark.parametrize("n", [2, 10, 100])
