@@ -20,7 +20,6 @@ and g(n) = M(n)/n + gamma(n) holds exactly for every n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -156,7 +155,7 @@ class ArithProfile:
         upto = min(self.limit, EXACT_LIMIT)
         g_exact, gamma_exact = [], []
         acc_g = acc_gamma = Fraction(0)
-        for k, mu, m in zip(range(1, upto + 1), self.table.mu_array()[:upto].tolist(),
+        for k, mu, m in zip(range(1, upto + 1), self.table.mu_array(upto).tolist(),
                             self.mertens[:upto].tolist()):
             if mu:
                 acc_g += Fraction(mu, k)
@@ -228,43 +227,77 @@ def floor_sum_check(profile: ArithProfile, j_max: int) -> bool:
         raise ValueError(f"j_max={j_max} beyond profile limit {profile.limit}")
     # difference-array form: floor(j/k) increments exactly at multiples of k
     diff = np.zeros(j_max + 1, dtype=np.int64)
-    mu = profile.table.mu_array()[:j_max]
+    mu = profile.table.mu_array(j_max)
     for k in np.flatnonzero(mu).tolist():
         diff[k + 1::k + 1] += mu[k]
     return bool(np.all(np.cumsum(diff[1:]) == 1))
 
 
-def decomposition_checks(profile: ArithProfile, n_max: int) -> tuple[bool, bool]:
-    """(g(n) == M(n)/n + gamma(n) exactly, the float gamma lane within its
-    rounding bound of gamma(n)) for every n <= n_max.
+# every finite double is an integer multiple of 2^-1074, so of 2^-_SCALE
+_SCALE = 1100
 
-    Both stream integer numerators over L = lcm(1..n_max), O(n_max) bits
-    each: G = L g(n) = sum_{k<=n} mu(k) L/k, and Gam = L gamma(n) =
-    sum_{k<n} M(k) (L/k - L/(k+1)) from the piecewise integral of M t^-2.
+
+def _scaled(x: float) -> int:
+    """x 2^_SCALE for a finite double x, exactly."""
+    num, den = x.as_integer_ratio()
+    return num << (_SCALE + 1 - den.bit_length())
+
+
+def _gamma_rounding(profile: ArithProfile, n_max: int) -> np.ndarray:
+    """A bound on |gamma_float - gamma(n)| for n = 1..n_max.
+
     The float lane rounds each term t_k = M(k)/(k(k+1)) and each partial
     sum once in long double, then the result to float64, so it lies within
-    eps_ld sum_{k<n} (|t_k| + |gamma(k+1)|) + eps64 |gamma(n)| of Gam/L
-    rounded: each eps is twice the unit roundoff, so eps64 covers the two
-    last roundings and half of eps_ld the second-order terms.
+    eps_ld sum_{k<n} (|t_k| + |gamma(k+1)|) + eps64 |gamma(n)| of gamma(n):
+    each eps is twice the unit roundoff, so eps64 covers the last rounding
+    and half of eps_ld the second-order terms.
     """
-    if n_max > profile.limit:
-        raise ValueError(f"n_max={n_max} beyond profile limit {profile.limit}")
     gamma = profile.gamma_float[:n_max]
     k = np.arange(1, n_max, dtype=np.float64)
     bound = np.finfo(np.float64).eps * np.abs(gamma)
     bound[1:] += np.finfo(np.longdouble).eps * np.cumsum(
         np.abs(profile.mertens[:len(k)]) / (k * (k + 1.0)) + np.abs(gamma[1:]))
-    big_l = math.lcm(*range(1, n_max + 1))
-    g_num = gam_num = 0
-    m_prev = q_prev = 0               # M(n-1) and L/(n-1)
-    exact_ok = float_ok = True
-    lanes = (profile.table.mu_array()[:n_max].tolist(), profile.mertens[:n_max].tolist(),
-             gamma.tolist(), bound.tolist())
-    for n, mu, m, gam, err in zip(range(1, n_max + 1), *lanes):
-        q = big_l // n
-        gam_num += m_prev * (q_prev - q)
-        g_num += mu * q
-        exact_ok = exact_ok and g_num == m * q + gam_num
-        float_ok = float_ok and abs(gam - gam_num / big_l) <= err
-        m_prev, q_prev = m, q
-    return exact_ok, float_ok
+    return bound
+
+
+def decomposition_checks(profile: ArithProfile, n_max: int) -> tuple[bool, bool]:
+    """(g(n) == M(n)/n + gamma(n) exactly, the float gamma lane within its
+    rounding bound of gamma(n)) for every n <= n_max, in O(n_max) word
+    operations on numbers of at most about 1,200 bits.
+
+    g_decomposition, by summation by parts: with L = lcm(1..n_max) and
+    D(n) = L (g(n) - M(n)/n - gamma(n)), D(0) = 0, g(n) = sum_{k<=n} mu(k)/k
+    and gamma(n) = sum_{k<n} M(k) (1/k - 1/(k+1)), the piecewise integral
+    of M t^-2,
+
+        D(n) - D(n-1) = (L/n) (mu(n) - M(n) + M(n-1)).
+
+    So D(n) = 0 for every n <= n_max exactly when M(n) - M(n-1) = mu(n)
+    for every n <= n_max: one int64 comparison of the profile's M with the
+    table's mu decides what the integer numerators over L decided.
+
+    gamma_integral, by a fixed-point enclosure: with S = _SCALE and
+    Lo(n) = sum_{k<n} floor(M(k) 2^S / (k(k+1))) (// floors negative terms
+    too), each of the n - 1 terms drops less than 1, so gamma(n) 2^S lies
+    in [Lo(n), Lo(n) + n - 1].  The check passes when that interval lies
+    in [gam - err, gam + err] 2^S, gam the lane entry and err its bound,
+    both integers once scaled since S >= 1074.  That is a proof of
+    |gam - gamma(n)| <= err, and stricter than the exact test by at most
+    n 2^-S.  A non-finite entry fails.
+    """
+    if n_max > profile.limit:
+        raise ValueError(f"n_max={n_max} beyond profile limit {profile.limit}")
+    mertens = profile.mertens[:n_max].astype(np.int64)
+    exact_ok = bool(np.array_equal(np.diff(mertens, prepend=0),
+                                   profile.table.mu_array(n_max)))
+    gamma, bound = profile.gamma_float[:n_max], _gamma_rounding(profile, n_max)
+    if not (np.isfinite(gamma).all() and np.isfinite(bound).all()):
+        return exact_ok, False
+    low = 0                           # Lo(n)
+    for n, m, gam, err in zip(range(1, n_max + 1), mertens.tolist(), gamma.tolist(),
+                              bound.tolist()):
+        mid, half = _scaled(gam), _scaled(err)
+        if not (mid - half <= low and low + n - 1 <= mid + half):
+            return exact_ok, False
+        low += (m << _SCALE) // (n * (n + 1))
+    return exact_ok, True

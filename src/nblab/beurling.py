@@ -302,7 +302,7 @@ def make_family(family: str, n: int, profile: ArithProfile) -> BeurlingSum:
         raise ValueError(f"n={n} beyond profile limit {profile.limit}")
 
     if family in ("sn", "vn", "bn"):
-        coeff = profile.table.mu_array()[:n].astype(np.int64)
+        coeff = profile.table.mu_array(n).astype(np.int64)
         irregular = {}
         if family == "vn":
             irregular = _fold(coeff, 0, -profile.exact("g", n))

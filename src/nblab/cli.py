@@ -161,9 +161,10 @@ def cmd_identity(args) -> int:
     g_ok, gamma_ok = arith.decomposition_checks(profile, args.limit)
     xs = [Fraction(1), Fraction(2)] + [
         Fraction(j * args.limit, 20) + Fraction(1, 3) for j in range(1, 19)]
-    worst = max(transform.mobius_log_identity(min(x, args.limit), profile)[2] for x in xs)
+    log_ok = all(diff <= bound for *_, diff, bound in (
+        transform.mobius_log_identity(min(x, args.limit), profile) for x in xs))
     checks = (("floor_sum", floor_ok), ("g_decomposition", g_ok),
-              ("gamma_integral", gamma_ok), ("mobius_log", worst <= 1e-10))
+              ("gamma_integral", gamma_ok), ("mobius_log", log_ok))
     for name, ok in checks:
         print(f"{name}: {'pass' if ok else 'FAIL'}")
     return EXIT_OK if all(ok for _, ok in checks) else EXIT_WITNESS_FAILED

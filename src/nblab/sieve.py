@@ -62,9 +62,13 @@ class MobiusTable:
         code = (byte >> (2 * ((k - 1) & 3))) & 3
         return int(_DECODE[code])
 
-    def mu_array(self) -> np.ndarray:
-        """All values mu(1..limit) as int8."""
-        return _unpack(self.packed, self.limit)
+    def mu_array(self, upto: int | None = None) -> np.ndarray:
+        """mu(1..upto) as int8, all of them by default; only the leading
+        bytes that hold them are decoded."""
+        n = self.limit if upto is None else upto
+        if not 0 <= n <= self.limit:
+            raise ValueError(f"upto={n} outside table range [0, {self.limit}]")
+        return _unpack(self.packed[:(n + 3) // 4], n)
 
     def mertens(self) -> int:
         """M(limit), the sum of mu(k) over 1 <= k <= limit."""

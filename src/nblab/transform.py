@@ -88,7 +88,7 @@ class Gn(TStep):
         self.inv_coeff = profile.gamma(n)
         self.m_tail = profile.M(n - 1) if n > 1 else 0
         w = np.empty(n, dtype=np.int64)
-        np.negative(profile.table.mu_array()[:n - 1], out=w[:n - 1])
+        np.negative(profile.table.mu_array(n - 1), out=w[:n - 1])
         w[-1] = self.m_tail
         k = np.flatnonzero(w) + 1
         self.phi_lanes = Lanes(w[k - 1], np.ones(len(k), dtype=np.int64), k, {})
@@ -130,10 +130,38 @@ class TIndicator(TStep):
 
 
 def mobius_log_identity(x, profile: ArithProfile):
-    """Both sides of  chi_(1,inf)(x) log x = integral_1^x M(t) floor(x/t) dt/t.
+    """Both sides of  chi_(1,inf)(x) log x = integral_1^x M(t) floor(x/t) dt/t,
+    and a bound on what rounding leaves between them.
 
     The right-hand side is sum_{k <= x} M(k) (Phi(x/k) - Phi(x/(k+1))),
-    with exact floors for rational x; returns (lhs, rhs, |lhs - rhs|).
+    with exact floors for rational x; returns (lhs, rhs, |lhs - rhs|,
+    bound), and |lhs - rhs| <= bound whenever the identity holds for the
+    profile's M.  In the model of special (u = 2^-53), for K = floor(x)
+    and y_k = x/k:
+
+    - float(x) rounds within u x, so lhs = log(float(x)) is within
+      u + 2u log x of log x (np.log and math.log to 1 ulp), and 0 for
+      float(x) <= 1 within u of it.
+    - The quotient y'_k rounds within u y_k for rational x (int / int is
+      correctly rounded) and within 3.01u y_k for float x, where it is
+      1/(k fl(1/x)).  With m the floor of y_k (rational x), Phi moves by
+      m |log(y'/y)| <= 1.01 m u; with m the floor of y' (float x) the value
+      is Phi(y'), and Phi is 1-Lipschitz (Phi' = floor/id): 4u y_k in
+      both cases, 0 included.
+    - With A = m log y' <= y log y, which bounds log m! and Phi: np.log,
+      the product by m, log_factorial's 2^-50 max(1, log m!) and the
+      difference add 2.02u A + 1.01u A + 8u max(1, A) + 1.01u A, so
+      phi_k is within 4u y_k + 13u max(1, y_k log y_k) of Phi(y_k).
+    - The difference phi_k - phi_(k+1), its product by the exact M(k) and
+      fsum's last rounding add at most 3.03u (|phi_k| + |phi_(k+1)|) to
+      the error of term k, and |phi_k| <= 1.01 max(1, y_k log y_k).
+
+    So, with E_k = u (4 y_k + 20 max(1, y_k log y_k)) (20 > 13 + 3.1
+    leaves room for the second-order terms and for y_k read as a double),
+    |lhs - rhs| is within 2u (1 + log max(1, x)) + sum_{k<=K} |M(k)|
+    (E_k + E_(k+1)) plus the last subtraction's u of it.  The bound sums
+    those terms in float64, each within 16u of its value, with fsum; the
+    total times 1 + 32u, stepped up an ulp, holds them.
     """
     if x <= 0:
         raise ValueError(f"argument must be positive, got {x}")
@@ -145,5 +173,11 @@ def mobius_log_identity(x, profile: ArithProfile):
     # Phi(x/k) = Phi(1/(k/x)); Phi(x/(kmax+1)) = 0 closes the last difference
     k = np.arange(1, kmax + 2, dtype=object)
     phi = _phi(np.ones_like(k), k, 1 / (Fraction(x) if isinstance(x, Rational) else xf))
-    rhs = math.fsum((profile.mertens[:kmax] * (phi[:-1] - phi[1:])).tolist())
-    return lhs, rhs, abs(lhs - rhs)
+    mertens = profile.mertens[:kmax]
+    rhs = math.fsum((mertens * (phi[:-1] - phi[1:])).tolist())
+    y = xf / np.arange(1, kmax + 2, dtype=np.float64)
+    err = 4.0 * y + 20.0 * np.maximum(y * np.log(y), 1.0)
+    total = 2.0 * (1.0 + math.log(max(xf, 1.0))) + math.fsum(
+        (np.abs(mertens) * (err[:-1] + err[1:])).tolist())
+    bound = _up(total * _U * (1.0 + 32.0 * _U))
+    return lhs, rhs, abs(lhs - rhs), bound

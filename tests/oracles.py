@@ -16,7 +16,7 @@ from numbers import Rational
 import mpmath
 import numpy as np
 
-from nblab.arith import EXACT_LIMIT, ArithProfile
+from nblab.arith import EXACT_LIMIT, ArithProfile, _gamma_rounding
 from nblab.beurling import BeurlingSum, Generator, GeneratorKind, Lanes
 from nblab.norms import (_EXACT, _SEPARABLE, Difference, NormReport, PiecewiseHyperbolic,
                          _gen_offsets, _jump_err, _ld_coeff, lp_distance)
@@ -80,7 +80,7 @@ def family_tuples(family: str, n: int, profile: ArithProfile) -> tuple:
     Fraction-tuple form built them, one (coeff, theta) pair per term
     straight from the profile's mu and Mertens arrays."""
     if family in ("sn", "vn", "bn"):
-        coeffs = profile.table.mu_array()[:n].tolist()
+        coeffs = profile.table.mu_array(n).tolist()
         if family == "vn":
             coeffs[0] -= _g_of(profile, n)
         elif family == "bn":
@@ -96,6 +96,30 @@ def family_tuples(family: str, n: int, profile: ArithProfile) -> tuple:
         return tuple((Fraction(mertens[n // k], k), Fraction(k, n))
                      for k in range(n - 1, 0, -1) if mertens[n // k])
     raise ValueError(f"unknown family {family!r}")
+
+
+def decomposition_checks_lcm(profile: ArithProfile, n_max: int) -> tuple[bool, bool]:
+    """nblab.arith.decomposition_checks on integer numerators over
+    L = lcm(1..n_max), O(n_max) bits each, so O(n_max^2) bit operations:
+    G = L g(n) = sum_{k<=n} mu(k) L/k against M(n) L/n + Gam, with
+    Gam = L gamma(n) = sum_{k<n} M(k) (L/k - L/(k+1)), and the float gamma
+    lane within its rounding bound of Gam/L."""
+    gamma = profile.gamma_float[:n_max]
+    bound = _gamma_rounding(profile, n_max)
+    big_l = math.lcm(*range(1, n_max + 1))
+    g_num = gam_num = 0
+    m_prev = q_prev = 0               # M(n-1) and L/(n-1)
+    exact_ok = float_ok = True
+    lanes = (profile.table.mu_array(n_max).tolist(), profile.mertens[:n_max].tolist(),
+             gamma.tolist(), bound.tolist())
+    for n, mu, m, gam, err in zip(range(1, n_max + 1), *lanes):
+        q = big_l // n
+        gam_num += m_prev * (q_prev - q)
+        g_num += mu * q
+        exact_ok = exact_ok and g_num == m * q + gam_num
+        float_ok = float_ok and abs(gam - gam_num / big_l) <= err
+        m_prev, q_prev = m, q
+    return exact_ok, float_ok
 
 
 def riemann_sum_via_make(a, b, n: int) -> BeurlingSum:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 
 from nblab import arith
-from nblab.arith import CHUNK, EXACT_LIMIT, build_profile, floor_sum_check, lane_chunks
-from nblab.sieve import sieve_mobius
+from nblab.arith import (CHUNK, EXACT_LIMIT, _gamma_rounding, build_profile,
+                         decomposition_checks, floor_sum_check, lane_chunks)
+from nblab.sieve import MobiusTable, sieve_mobius
 
-from oracles import whole_array_lanes
+from oracles import decomposition_checks_lcm, whole_array_lanes
 
 
 def test_g_decomposition_exact(profile):
@@ -48,6 +50,50 @@ def test_hp_general_p_against_quadrature(profile):
     oracle = sum(si.quad(lambda t: profile.M(math.floor(t)) * t ** (-2.0 / p),
                          k, k + 1)[0] for k in range(1, n))
     assert math.isclose(profile.hp(n, p=p), oracle, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 2000, 10**4])
+def test_decomposition_checks_equal_lcm_oracle(n, profile):
+    prof = profile if n <= profile.limit else build_profile(sieve_mobius(n))
+    assert decomposition_checks(prof, n) == decomposition_checks_lcm(prof, n) == (True, True)
+
+
+def _corrupted(table, kind):
+    """A fresh profile of table with one fault of the given kind."""
+    prof = build_profile(table)
+    j = 1000                                    # gamma(1001), M(701), mu(j + 1)
+    if kind == "mertens":
+        prof.mertens[700] += 1
+    elif kind == "mu":
+        # flip mu(1001) = mu(7 11 13) = -1 in a copied table; M and gamma
+        # stay the clean ones
+        assert table.mu(j + 1) == -1
+        packed = table.packed.copy()
+        packed[j // 4] ^= 3 << 2 * (j % 4)       # code 10 -> 01
+        gamma = prof.gamma_float
+        prof = dataclasses.replace(prof, table=MobiusTable(table.limit, packed))
+        prof.__dict__["gamma_float"] = gamma
+    elif kind == "nan":
+        prof.gamma_float[j] = math.nan
+    else:
+        prof.gamma_float[j] += kind * _gamma_rounding(prof, table.limit)[j]
+    return prof
+
+
+@pytest.mark.parametrize("kind,expected", [
+    ("mertens", (False, False)), ("mu", (False, True)), (0.5, (True, True)),
+    (2.0, (True, False)), ("nan", (True, False))])
+def test_decomposition_checks_corrupted_equal_lcm_oracle(table, kind, expected):
+    prof = _corrupted(table, kind)
+    n = table.limit
+    assert decomposition_checks(prof, n) == decomposition_checks_lcm(prof, n) == expected
+
+
+def test_gamma_integral_fails_on_infinite_entry(table):
+    # the old float comparison |inf - gamma| <= inf passed such a lane
+    prof = build_profile(table)
+    prof.gamma_float[1000] = math.inf
+    assert decomposition_checks(prof, table.limit) == (True, False)
 
 
 def test_hp_trivial_start(profile):
@@ -148,7 +194,7 @@ def test_hp_general_p_summation_by_parts(million_profile, p):
     n = 10**6
     e = 1.0 - 2.0 / p
     ks = np.arange(1, n, dtype=np.float64)
-    tail = math.fsum((million_profile.table.mu_array()[:n - 1] * ks ** e).tolist())
+    tail = math.fsum((million_profile.table.mu_array(n - 1) * ks ** e).tolist())
     oracle = (million_profile.M(n - 1) * n ** e - tail) / e
     assert math.isclose(million_profile.hp(n, p), oracle, rel_tol=1e-13)
 

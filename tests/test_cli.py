@@ -140,6 +140,25 @@ def test_identity_suite_past_exact_limit(capsys):
                                      "gamma_integral", "mobius_log")]
 
 
+def test_identity_suite_at_100000(capsys):
+    # the linear-time decomposition checks, and the mobius_log check on its
+    # rounding bound: the gap passes 1e-10 at some N from about 32,000 on
+    assert cli.main(["identity", "--limit", "100000"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}: pass" for name in ("floor_sum", "g_decomposition",
+                                     "gamma_integral", "mobius_log")]
+
+
+def test_identity_mobius_log_catches_mertens_error(monkeypatch, capsys):
+    # M(701) + 1 moves every sampled right-hand side past x = 701 by
+    # Phi(x/701) - Phi(x/702), far outside the rounding bound
+    profile = arith.build_profile(sieve.sieve_mobius(100_000))
+    profile.mertens[700] += 1
+    monkeypatch.setattr(cli, "_profile", lambda limit: profile)
+    assert cli.main(["identity", "--limit", "100000"]) == 2
+    assert "mobius_log: FAIL" in capsys.readouterr().out.splitlines()
+
+
 def test_mellin_command(capsys):
     assert cli.main(["mellin", "--kernel", "M", "--s", "2.0",
                      "--cutoff", "2000"]) == 0

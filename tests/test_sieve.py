@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nblab import sieve
 from nblab.sieve import (CorruptCacheError, MobiusTable, _base_primes, _pack,
                          _sieve_segment, _unpack, cache_path, sieve_mobius,
                          sieve_mobius_cached)
@@ -16,6 +17,24 @@ from oracles import naive_mobius, naive_mu
 KNOWN_MU = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 10: 1, 12: 0, 30: -1,
             210: 1, 1024: 0, 1999: -1}
 KNOWN_MERTENS = {1: 1, 10: -1, 100: 1, 1000: 2, 10000: -23, 100000: -48}
+
+
+def test_mu_array_decodes_only_its_prefix(monkeypatch):
+    table = sieve_mobius(1000)
+    expected = naive_mobius(1000)
+    seen = []
+
+    def recording(packed, n):
+        seen.append(len(packed))
+        return _unpack(packed, n)
+
+    monkeypatch.setattr(sieve, "_unpack", recording)
+    for upto in (0, 1, 4, 5, 999, 1000, None):
+        assert np.array_equal(table.mu_array(upto), expected[:upto])
+    assert seen == [0, 1, 1, 2, 250, 250, 250]
+    for upto in (-1, 1001):
+        with pytest.raises(ValueError, match="outside table range"):
+            table.mu_array(upto)
 
 
 def test_sieve_matches_naive_oracle():

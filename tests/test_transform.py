@@ -7,6 +7,8 @@ import scipy.integrate as si
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nblab.arith import build_profile
+from nblab.sieve import sieve_mobius
 from nblab.special import EULER_GAMMA
 from nblab.transform import Gn, TIndicator, mobius_log_identity
 from oracles import (StepWeight, apply_T, floor_log_integral, gn_phi_terms,
@@ -162,15 +164,43 @@ def test_gn_phi_terms_match_oracle(profile):
 
 
 def test_mobius_log_identity_samples(profile):
-    lhs, rhs, diff = mobius_log_identity(Fraction(1), profile)
+    lhs, rhs, diff, _ = mobius_log_identity(Fraction(1), profile)
     assert lhs == 0.0 and abs(rhs) <= 1e-14
-    lhs, rhs, diff = mobius_log_identity(Fraction(2), profile)
+    lhs, rhs, diff, _ = mobius_log_identity(Fraction(2), profile)
     assert math.isclose(lhs, math.log(2), rel_tol=1e-15)
     assert diff <= 1e-10
     # 360 and 720 put x/k on an integer for many k
     for x in (0.5, 3.75, 17.2, 999.5, 1000, 360, 720, 720.0, Fraction(1441, 2)):
-        _, _, diff = mobius_log_identity(x, profile)
+        _, _, diff, bound = mobius_log_identity(x, profile)
         assert diff <= 1e-10
+        assert diff <= bound
+
+
+@pytest.fixture(scope="module")
+def profile_20k():
+    return build_profile(sieve_mobius(20_000))
+
+
+@pytest.mark.parametrize("x", [Fraction(20_000), Fraction(37_501, 3), 7777.25])
+def test_mobius_log_bound_covers_the_rounding(profile_20k, x):
+    # both sides to 40 digits from the same M: the computed sides together
+    # lie within bound of them
+    lhs, rhs, diff, bound = mobius_log_identity(x, profile_20k)
+    xq = Fraction(x)
+    kmax = math.floor(xq)
+    with mpmath.workdps(40):
+        xm = mpmath.mpf(xq.numerator) / xq.denominator
+        log_fact = [mpmath.mpf(0)]
+        for m in range(1, kmax + 1):
+            log_fact.append(log_fact[-1] + mpmath.log(m))
+        phi = [m * mpmath.log(xm / k) - log_fact[m] if m else mpmath.mpf(0)
+               for k in range(1, kmax + 2) for m in [math.floor(xq / k)]]
+        rhs_mp = mpmath.fsum(profile_20k.M(k) * (phi[k - 1] - phi[k])
+                             for k in range(1, kmax + 1))
+        lhs_mp = mpmath.log(xm)
+        assert abs(lhs_mp - rhs_mp) < mpmath.mpf(10) ** -30
+        gap = abs(lhs - lhs_mp) + abs(rhs - rhs_mp)
+    assert diff <= gap * (1 + 2 ** -52) and gap <= bound
 
 
 def test_mobius_log_identity_validation(profile):
