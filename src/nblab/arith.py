@@ -186,7 +186,11 @@ class ArithProfile:
         return self._lane("hp", upto, p)
 
     def hp(self, n: int, p: float = 2.0) -> float:
-        return float(self.hp_values(p, n)[-1])
+        """H_p(n): the last entry of the lane's last chunk, in O(CHUNK) memory."""
+        self._check(n)
+        for _, _, values in lane_chunks(self.table, n, "hp", p):
+            pass
+        return float(values[-1])
 
     def g_exact(self, n: int) -> Fraction:
         return self.exact("g", _in_exact_range(n))

@@ -217,33 +217,6 @@ def si(z: float) -> tuple[float, float]:
             return value, _up(float(abs(total - Fraction(value)) + nxt))
 
 
-_HARMONIC_EXACT = 32
-
-
-def harmonic(m: int) -> tuple[float, float]:
-    """(H_m, bound), H_m = 1 + 1/2 + ... + 1/m, for an integer m >= 0.
-
-    m < 32: the exact rational sum, rounded once (bound half an ulp).
-    Otherwise the asymptotic series log m + gamma + 1/(2m) - sum_(k=1..8)
-    B_2k / (2k m^2k), whose remainder is below the first omitted term
-    |B_18| / (18 m^18) < 1e-26; the terms are within 1 ulp of theirs
-    (log m, gamma and 1/(2m) dominate) and math.fsum rounds once, so
-    bound = remainder + u (2 log m + 2 + 1/m + |value|), rounded up.
-    """
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if m < _HARMONIC_EXACT:
-        exact = sum((Fraction(1, k) for k in range(1, m + 1)), start=Fraction(0))
-        value = float(exact)
-        return value, _up(float(abs(exact - Fraction(value))))
-    w = 1.0 / (m * m)
-    parts = [math.log(m), EULER_GAMMA, 0.5 / m]
-    parts += [-float(b / (2 * k)) * w ** k for k, b in enumerate(_BERNOULLI[:8], 1)]
-    value = math.fsum(parts)
-    rem = float(abs(_BERNOULLI[8]) / 18) * w ** 9
-    return value, _up(rem + _U * (2.0 * math.log(m) + 2.0 + 1.0 / m + abs(value)))
-
-
 _ZETA_N = 12
 
 

@@ -13,13 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from numbers import Rational
 
+import numpy as np
+
 from . import beurling
-from .arith import EXACT_LIMIT, ArithProfile
+from .arith import CHUNK, EXACT_LIMIT, ArithProfile
 from .beurling import BeurlingSum, rho
 from .norms import BudgetError, NormReport, lp_distance
-from .special import harmonic, si
+from .special import si
 
 
 @dataclass(frozen=True)
@@ -133,20 +136,6 @@ def isometry_check(f: BeurlingSum, x_max: float = 1e4,
                           tolerance=tol, satisfied=disc <= tol)
 
 
-def rho_tail_integral(y: float) -> float:
-    """integral_1^y rho(u) u^-2 du = log y - H_floor(y) + floor(y)/y.
-
-    Extended below 1 by the same formula (there rho(u) = u and the value is
-    log y); the limit at infinity is 1 - euler_gamma.
-    """
-    if y <= 0:
-        raise ValueError(f"argument must be positive, got {y}")
-    m = math.floor(y)
-    if m < 1:
-        return math.log(y)
-    return math.log(y) - harmonic(m)[0] + m / y
-
-
 def ut_head(n: int, profile: ArithProfile) -> float:
     """Constant value near zero of the transformed truncated Mertens weight.
 
@@ -156,23 +145,31 @@ def ut_head(n: int, profile: ArithProfile) -> float:
 
 
 def ut_direct(n: int, profile: ArithProfile, x: float) -> float:
-    """Direct evaluation of the transformed weight at x > 0.
+    """Direct evaluation of the transformed weight at 0 < x <= 1.
 
-    (1/x) integral_{1/n}^1 M(1/theta) rho(x/theta) dtheta reduces piecewise
-    to sum_{k<n} M(k) (Psi(x(k+1)) - Psi(xk)) with Psi the rho-tail
-    primitive; for x < 1/n every Psi argument is below 1 and the sum
-    telescopes to H_2(n).
+    (1/x) integral_{1/n}^1 M(1/theta) rho(x/theta) dtheta is, piecewise,
+    sum_{k<n} M(k) (Psi(b) - Psi(a)) with a = xk, b = x(k+1) and Psi(y) =
+    log y - H_floor(y) + floor(y)/y, the primitive of rho(u) u^-2 from 1.
+    For x <= 1 the floors fa, fb differ by at most 1, so H_fb - H_fa is
+    [fb > fa]/fb.  The terms are built a CHUNK at a time into one math.fsum;
+    for x < 1/n every Psi argument is below 1 and the sum is H_2(n).
     """
-    if x <= 0:
-        raise ValueError(f"argument must be positive, got {x}")
-    if n > profile.limit:
-        raise ValueError(f"n={n} beyond profile limit {profile.limit}")
-    parts = []
-    for k in range(1, n):
-        m = profile.M(k)
-        if m:
-            parts.append(m * (rho_tail_integral(x * (k + 1)) - rho_tail_integral(x * k)))
-    return math.fsum(parts)
+    if not 1 <= n <= profile.limit:
+        raise ValueError(f"n={n} outside profile range [1, {profile.limit}]")
+    if not 0.0 < x <= 1.0:
+        raise ValueError(f"need 0 < x <= 1, got {x}")
+
+    def chunks():
+        for lo in range(0, n - 1, CHUNK):
+            hi = min(lo + CHUNK, n - 1)
+            k = np.arange(lo + 1, hi + 1, dtype=np.float64)
+            a, b = x * k, x * (k + 1.0)
+            fa, fb = np.floor(a), np.floor(b)
+            psi = (np.log(b) - np.log(a) + fb / b - fa / a
+                   - (fb > fa) / np.maximum(fb, 1.0))
+            yield (profile.mertens[lo:hi] * psi).tolist()
+
+    return math.fsum(chain.from_iterable(chunks()))
 
 
 def usn_lower_integral(n: int, profile: ArithProfile) -> tuple[float, float]:

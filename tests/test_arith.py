@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -181,6 +182,24 @@ def test_profile_lanes_are_one_lane_chunks_stream(monkeypatch):
     prof.hp_values(1.5, prof.limit)
     assert calls == [("g", prof.limit, 2.0), ("gamma", prof.limit, 2.0),
                      ("hp", prof.limit, 1.5)]
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_hp_is_the_last_entry_of_the_lane(monkeypatch, p):
+    # H_p(n) is read off the lane's last chunk, the same bits as the whole
+    # lane's last entry, at and across chunk boundaries
+    prof = build_profile(sieve_mobius(2 * CHUNK + 5))
+    for n in (1, 2, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 2 * CHUNK + 5):
+        assert prof.hp(n, p) == prof.hp_values(p, n)[-1]
+    # and in O(CHUNK) memory: the whole lane would take 8 B an entry, 1 MiB here
+    monkeypatch.setattr(arith, "CHUNK", 1024)
+    tracemalloc.start()
+    try:
+        prof.hp(prof.limit, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 18, peak
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from nblab.special import gamma_upper, harmonic, log_factorial, log_gamma_upper, si, zeta
+from nblab.special import gamma_upper, log_factorial, log_gamma_upper, si, zeta
 
 U = 2.0 ** -53
 
@@ -75,15 +75,6 @@ def test_si_rejects_outside_domain():
     for z in (0.0, -1.0, math.nextafter(4 * math.pi, math.inf), math.nan):
         with pytest.raises(ValueError):
             si(z)
-
-
-@pytest.mark.parametrize("m", [0, 1, 2, 7, 31, 32, 33, 100, 12345, 10**6, 10**12])
-def test_harmonic_encloses(m):
-    # exact sums below 32, the asymptotic series from 32 on
-    value, bound = harmonic(m)
-    true = mpmath.harmonic(m)
-    assert abs(mpmath.mpf(value) - true) <= bound
-    assert bound <= 8 * U * (math.log(max(m, 1)) + 1)
 
 
 def test_log_factorial_arrays():
